@@ -18,19 +18,25 @@ from .causes import (
     reduce_to_nonredundant,
 )
 from .covsign import (
+    AssertedFacts,
     CovFact,
     CovQuantity,
+    CovsignAnalysis,
     Flag,
+    OracleCheck,
     Relation,
     RepFacts,
     SignConclusion,
     TransferPremises,
     check_transfer_premises_direct,
     check_transfer_premises_shared,
+    covsign_analysis,
     expectation_monotone_premise,
     facts_from_scm,
+    oracle_check,
     pair_conclusions,
     pair_conclusions_signed,
+    read_assertions,
     transfer_sign,
 )
 from .expansion import (
@@ -71,7 +77,6 @@ from .scm import (
     complement_parent,
     config_index,
     dedupe_states,
-    eval_node,
     joint_distribution,
     state_column,
     substitute,
@@ -83,7 +88,6 @@ from .signs import (
     monotonic_effect_via_canonical,
     monotonically_associated,
     path_sign,
-    qualitative_cov_sign,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -2,9 +2,12 @@
 
 Reports are deterministic for a fixed (model, flags, seed): every list is
 either declaration-ordered or explicitly sorted, and exact rationals are
-rendered as "num/den" strings. Exit status is nonzero when a requested
-check fails or a premise is violated; "not separated" and "not implied
-independent" verdicts count as failed checks for scripting purposes.
+rendered as "num/den" strings. Exit status is 1 when a requested check
+fails or a premise is violated; "not separated" and "not implied
+independent" verdicts count as failed checks for scripting purposes. A
+usage, model or budget error exits 2 with one "error:" line on stderr.
+The analysis itself lives in the library (``covsign.covsign_analysis``
+and ``covsign.oracle_check``); this module parses and renders.
 """
 
 from __future__ import annotations
@@ -16,25 +19,16 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import covsign as cs
-from . import oracle
 from .causes import CoCauseKind, canonical_representation
 from .expansion import expand, stratum_conditioning_set, stratum_independent
-from .graph import GraphError, find_unblocked_path
-from .modelfile import Model, ModelError, load_model
-from .scm import DEFAULT_WORLD_BUDGET, dedupe_states, joint_distribution
-from .signs import Sign, detect_monotonic_effect, is_constant_in, monotonically_associated
-
-
-class CliError(Exception):
-    """Fatal usage or model problem; message goes to stderr, exit 2."""
+from .graph import find_unblocked_path
+from .modelfile import Model, load_model
+from .scm import DEFAULT_WORLD_BUDGET, dedupe_states
+from .signs import detect_monotonic_effect, is_constant_in, monotonically_associated
 
 
 def _frac(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
-
-
-def _render_path(path) -> str:
-    return str(path) if path is not None else ""
 
 
 def _term_dict(term) -> dict:
@@ -65,122 +59,11 @@ def _emit(report: dict, text_lines: list[str], fmt: str) -> None:
             print(line)
 
 
-# -- covsign pipeline ---------------------------------------------------------
-
-def _pair_nodes(model: Model, d: str) -> tuple[str, str]:
-    parents = model.dag.parents(d)
-    if len(parents) != 2:
-        raise CliError(
-            f"{d} has parents {list(parents)}; the covariance rule set needs exactly two "
-            "(marginalize any others first)"
-        )
-    return parents[0], parents[1]
-
-
-def _pair_polarity(model: Model, d: str, e1: str, e2: str) -> tuple[bool, bool]:
-    if d in model.tables:
-        table = dedupe_states(model.tables[d])
-        out = []
-        for p in (e1, e2):
-            s = detect_monotonic_effect(table, p)
-            if s is Sign.UNDEFINED:
-                raise CliError(f"{p} has no monotonic effect on {d}; the rule set does not apply")
-            out.append(s is Sign.NEGATIVE)
-        return (out[0], out[1])
-    out = []
-    for p in (e1, e2):
-        s = model.dag.signs.get((p, d))
-        if s is None:
-            raise CliError(f"edge {p}->{d} carries no sign and no equation is given")
-        out.append(s == "-")
-    return (out[0], out[1])
-
-
-def _facts_from_assertions(
-    model: Model, d: str, e1: str, e2: str, negative: tuple[bool, bool]
-) -> cs.RepFacts:
-    from .graph import d_separated
-    from .signs import qualitative_cov_sign
-
-    flags = {"a0": cs.Flag.NEITHER, "a1": cs.Flag.NEITHER, "a2": cs.Flag.NEITHER, "a3": cs.Flag.NEITHER}
-    sources: dict[str, str] = {}
-    indep = {"e_indep": False, "a1_a2_indep": False, "a0_a1_indep": False, "a0_a2_indep": False}
-    e_cov = cs.CovFact.UNKNOWN
-    parity = sum(negative) % 2
-
-    def slot_map(x: str, y: str, slot: str) -> str | None:
-        if (x, y) == (e1, e2):
-            return slot
-        if (x, y) == (e2, e1):
-            return {"a0": "a0", "a1": "a2", "a2": "a1", "a3": "a3"}[slot]
-        return None
-
-    for a in model.assertions:
-        if a.kind in ("no-synergism", "rep-flag") and a.args[0] == d:
-            if a.kind == "no-synergism":
-                slot, value = slot_map(a.args[1], a.args[2], "a3"), "zero"
-            else:
-                slot, value = slot_map(a.args[1], a.args[2], a.args[3]), a.args[4]
-            if slot is not None:
-                flags[slot] = cs.Flag.ZERO if value == "zero" else cs.Flag.ONE
-                sources[slot] = "assertion"
-        elif a.kind == "independent" and {a.args[0], a.args[1]} == {e1, e2}:
-            indep["e_indep"] = True
-            sources["e_indep"] = "assertion"
-        elif a.kind == "cocause-independent" and a.args[0] == d:
-            s1 = slot_map(a.args[1], a.args[2], a.args[3])
-            s2 = slot_map(a.args[1], a.args[2], a.args[4])
-            if s1 is not None and s2 is not None:
-                key = "_".join(sorted((s1, s2))) + "_indep"
-                if key in indep:
-                    indep[key] = True
-                    sources[key] = "assertion"
-        elif a.kind == "cov-sign" and {a.args[0], a.args[1]} == {e1, e2}:
-            fact = {"<=0": cs.CovFact.LE0, ">=0": cs.CovFact.GE0, "=0": cs.CovFact.EQ0}[a.args[2]]
-            e_cov = fact.flipped() if parity else fact
-            sources["e_cov"] = "assertion"
-
-    if not indep["e_indep"] and d_separated(model.dag, e1, e2):
-        indep["e_indep"] = True
-        sources["e_indep"] = "structural"
-    if e_cov is cs.CovFact.UNKNOWN:
-        assoc = qualitative_cov_sign(model.dag, e1, e2)
-        fact = {
-            Sign.POSITIVE: cs.CovFact.GE0,
-            Sign.NEGATIVE: cs.CovFact.LE0,
-            Sign.ZERO: cs.CovFact.EQ0,
-            Sign.UNDEFINED: cs.CovFact.UNKNOWN,
-        }[assoc]
-        if fact is not cs.CovFact.UNKNOWN:
-            e_cov = fact.flipped() if parity else fact
-            sources["e_cov"] = "structural"
-
-    return cs.RepFacts(
-        target=d, e1=e1, e2=e2,
-        a0=flags["a0"], a1=flags["a1"], a2=flags["a2"], a3=flags["a3"],
-        e_indep=indep["e_indep"],
-        a1_a2_indep=indep["a1_a2_indep"],
-        a0_a1_indep=indep["a0_a1_indep"],
-        a0_a2_indep=indep["a0_a2_indep"],
-        e_cov=e_cov,
-        sources=sources,
-    )
-
-
-def _build_facts(model: Model, d: str, e1: str, e2: str, negative: tuple[bool, bool], budget: int) -> cs.RepFacts:
-    if model.fully_specified:
-        return cs.facts_from_scm(model.to_scm(), d, e1, e2, negative, budget)
-    return _facts_from_assertions(model, d, e1, e2, negative)
-
-
 def _facts_dict(facts: cs.RepFacts) -> dict:
-    fields = ["a0", "a1", "a2", "a3", "e_indep", "a1_a2_indep", "a0_a1_indep", "a0_a2_indep", "e_cov"]
     out = {}
-    for f in fields:
+    for f in cs.FACT_FIELDS:
         v = getattr(facts, f)
-        if isinstance(v, cs.Flag):
-            v = v.value
-        elif isinstance(v, cs.CovFact):
+        if isinstance(v, (cs.Flag, cs.CovFact)):
             v = v.value
         out[f] = {"value": v, "source": facts.sources.get(f, "none")}
     return out
@@ -201,80 +84,23 @@ def _premise_dict(rep: cs.TransferPremises) -> dict:
     }
 
 
-def _asserted_cov(model: Model, a: str, b: str) -> cs.CovFact | None:
-    for item in model.assertions:
-        if item.kind == "cov-sign" and {item.args[0], item.args[1]} == {a, b}:
-            return {"<=0": cs.CovFact.LE0, ">=0": cs.CovFact.GE0, "=0": cs.CovFact.EQ0}[item.args[2]]
-    return None
-
-
-def covsign_analysis(
-    model: Model,
-    d: str,
-    f: str | None,
-    g: str | None,
-    q: Sequence[str] = (),
-    budget: int = DEFAULT_WORLD_BUDGET,
-) -> tuple[dict, list[cs.SignConclusion], bool]:
-    """Shared pipeline for the covsign and oracle-check subcommands.
-
-    Returns (report, all emitted conclusions, ok flag).
-    """
-    model.dag.require(d, *(n for n in (f, g) if n), *q)
-    e1, e2 = _pair_nodes(model, d)
-    negative = _pair_polarity(model, d, e1, e2)
-    facts = _build_facts(model, d, e1, e2, negative, budget)
-    inner = cs.pair_conclusions_signed(facts, negative)
-
+def _analysis_dict(a: cs.CovsignAnalysis) -> dict:
     report: dict = {
-        "target": d,
+        "target": a.facts.target,
         "parents": {
-            "e1": e1,
-            "e2": e2,
-            "polarity": ["-" if n else "+" for n in negative],
+            "e1": a.facts.e1,
+            "e2": a.facts.e2,
+            "polarity": ["-" if n else "+" for n in a.negative],
         },
-        "facts": _facts_dict(facts),
-        "parent_conclusions": [_conclusion_dict(c) for c in inner],
+        "facts": _facts_dict(a.facts),
+        "parent_conclusions": [_conclusion_dict(c) for c in a.inner],
     }
-    conclusions: list[cs.SignConclusion] = list(inner)
-    ok = bool(inner)
-
-    wants_transfer = f is not None and g is not None and {f, g} != {e1, e2}
-    if wants_transfer:
-        assert f is not None and g is not None
-        candidates = []
-        for (p1, p2) in ((e1, e2), (e2, e1)):
-            candidates.append(
-                cs.check_transfer_premises_direct(
-                    model.dag, f, g, p1, p2, d,
-                    cov_f_e1=_asserted_cov(model, f, p1),
-                    cov_g_e2=_asserted_cov(model, g, p2),
-                )
-            )
-        direct = next((c for c in candidates if c.satisfied), candidates[0])
-        candidates = []
-        for (p1, p2) in ((e1, e2), (e2, e1)):
-            candidates.append(cs.check_transfer_premises_shared(model.dag, f, g, p1, p2, d, q))
-        shared = next((c for c in candidates if c.satisfied), candidates[0])
-
+    if a.premises is not None:
+        direct, shared = a.premises
         report["transfer_premises"] = {"direct": _premise_dict(direct), "shared": _premise_dict(shared)}
-        transferred: list[cs.SignConclusion] = []
-        not_applicable: list[dict] = []
-        chosen = next((r for r in (direct, shared) if r.satisfied), None)
-        if chosen is None:
-            for r in (direct, shared):
-                not_applicable.append({"rule": r.rule, "failed_premises": list(r.failures())})
-        else:
-            for c in inner:
-                try:
-                    transferred.extend(cs.transfer_sign(chosen, c))
-                except ValueError as e:
-                    not_applicable.append({"rule": chosen.rule, "inner": c.rule, "reason": str(e)})
-        report["transferred_conclusions"] = [_conclusion_dict(c) for c in transferred]
-        report["not_applicable"] = not_applicable
-        conclusions.extend(transferred)
-        ok = ok and bool(transferred)
-    return report, conclusions, ok
+        report["transferred_conclusions"] = [_conclusion_dict(c) for c in a.transferred]
+        report["not_applicable"] = list(a.not_applicable)
+    return report
 
 
 # -- subcommands --------------------------------------------------------------
@@ -286,23 +112,22 @@ def _cmd_canonical(args) -> int:
     lines = []
     for n in nodes:
         if n not in model.tables:
-            raise CliError(f"no equation for {n!r}")
+            raise ValueError(f"no equation for {n!r}")
         table = dedupe_states(model.tables[n])
         rep = canonical_representation(table)
+        states = [
+            {"index": j, "prob": _frac(p), "bits": "".join(str((r >> c) & 1) for c in range(table.n_configs))}
+            for j, (r, p) in enumerate(zip(table.rows, table.probs))
+        ]
         entries.append({
             "node": n,
             "parents": list(table.parents),
-            "states": [
-                {"index": j, "prob": _frac(p), "bits": "".join(str((r >> c) & 1) for c in range(table.n_configs))}
-                for j, (r, p) in enumerate(zip(table.rows, table.probs))
-            ],
+            "states": states,
             "terms": [_term_dict(t) for t in rep.terms],
             "rendered": rep.render(),
         })
         lines.append(f"{n} = {rep.render()}")
-        for j, (r, p) in enumerate(zip(table.rows, table.probs)):
-            bits = "".join(str((r >> c) & 1) for c in range(table.n_configs))
-            lines.append(f"  state {j} prob {_frac(p)} bits {bits}")
+        lines += [f"  state {s['index']} prob {s['prob']} bits {s['bits']}" for s in states]
     _emit({"command": "canonical", "model": args.model, "representations": entries}, lines, args.format)
     return 0
 
@@ -312,22 +137,20 @@ def _choose_representation(model: Model, node: str):
         return model.representations[node], "declared"
     if node in model.tables:
         return canonical_representation(dedupe_states(model.tables[node])), "canonical"
-    raise CliError(f"no representation or equation for {node!r}")
+    raise ValueError(f"no representation or equation for {node!r}")
 
 
 def _expanded(model: Model, node: str):
     rep, source = _choose_representation(model, node)
-    scm = model.to_scm()
+    table = model.tables.get(node)
     if source == "canonical":
-        tables = dict(scm.tables)
-        tables[node] = dedupe_states(tables[node])
-        scm = type(scm)(scm.graph, tables)
-    return expand(scm, node, rep), rep, source, scm
+        table = dedupe_states(table)
+    return expand(model.dag, node, rep, table), rep, source
 
 
 def _cmd_expand(args) -> int:
     model = load_model(args.model)
-    exp, rep, source, _ = _expanded(model, args.node)
+    exp, rep, source = _expanded(model, args.node)
     nodes = [{"name": n, "kind": exp.kind_of(n)} for n in exp.dag.nodes]
     edges = [
         {"from": a, "to": b, "sign": exp.dag.signs.get((a, b))}
@@ -358,7 +181,7 @@ def _cmd_dsep(args) -> int:
         "model": args.model,
         "x": args.x, "y": args.y, "z": args.z,
         "separated": separated,
-        "witness": _render_path(witness) or None,
+        "witness": None if witness is None else str(witness),
     }
     lines = [
         ("separated" if separated else "not separated")
@@ -370,7 +193,7 @@ def _cmd_dsep(args) -> int:
 
 def _cmd_stratum_ci(args) -> int:
     model = load_model(args.model)
-    exp, rep, source, _ = _expanded(model, args.node)
+    exp, rep, source = _expanded(model, args.node)
     verdict = stratum_independent(exp, args.x, args.y, args.z, args.stratum)
     cond = sorted(set(args.z) | stratum_conditioning_set(exp, args.stratum), key=exp.dag.index)
     witness = None if verdict else find_unblocked_path(exp.dag, args.x, args.y, cond)
@@ -384,7 +207,7 @@ def _cmd_stratum_ci(args) -> int:
         "representation_source": source,
         "conditioning_set": cond,
         "verdict": wording,
-        "witness": _render_path(witness) or None,
+        "witness": None if witness is None else str(witness),
     }
     lines = [wording + (f"; witness: {witness}" if witness else "")]
     _emit(report, lines, args.format)
@@ -413,16 +236,17 @@ def _cmd_signs(args) -> int:
         )
     assoc = []
     nodes = model.dag.nodes
-    claim_for = {"+": ">=0", "-": "<=0", "0": "=0", "?": None}
     for i in range(len(nodes)):
         for j in range(i + 1, len(nodes)):
             s = monotonically_associated(model.dag, nodes[i], nodes[j])
+            claim = cs.CovFact.of_association(s)
+            claim = None if claim is cs.CovFact.UNKNOWN else claim.value
             assoc.append({
                 "x": nodes[i], "y": nodes[j],
                 "association": s.value,
-                "cov_claim": claim_for[s.value],
+                "cov_claim": claim,
             })
-            lines.append(f"assoc {nodes[i]} ~ {nodes[j]}: {s.value} cov {claim_for[s.value] or 'no claim'}")
+            lines.append(f"assoc {nodes[i]} ~ {nodes[j]}: {s.value} cov {claim or 'no claim'}")
     report = {"command": "signs", "model": args.model, "edges": edges, "associations": assoc}
     _emit(report, lines, args.format)
     return 0
@@ -430,148 +254,40 @@ def _cmd_signs(args) -> int:
 
 def _cmd_covsign(args) -> int:
     model = load_model(args.model)
-    report, _, ok = covsign_analysis(model, args.d, args.f, args.g, args.q, args.budget)
-    report = {"command": "covsign", "model": args.model, **report}
+    analysis = cs.covsign_analysis(model, args.d, args.f, args.g, args.q, args.budget)
+    report = {"command": "covsign", "model": args.model, **_analysis_dict(analysis)}
     lines = []
-    for c in report["parent_conclusions"]:
-        lines.append(f"{c['quantity']} {c['relation']}  [{c['rule']}]")
-    for c in report.get("transferred_conclusions", []):
-        lines.append(f"{c['quantity']} {c['relation']}  [{c['rule']}]")
-    for na in report.get("not_applicable", []):
+    for c in analysis.conclusions:
+        lines.append(f"{c.quantity.render()} {c.relation.value}  [{c.rule}]")
+    for na in analysis.not_applicable:
         lines.append(f"not applicable: {json.dumps(na)}")
     if not lines:
         lines.append("no conclusions established")
     _emit(report, lines, args.format)
-    return 0 if ok else 1
-
-
-def _instance_matches_assertions(model: Model, scm, dist, d, e1, e2, negative) -> bool:
-    table = dedupe_states(scm.tables[d])
-    from .scm import complement_parent
-    for p, neg in zip((e1, e2), negative):
-        if neg:
-            table = complement_parent(table, p)
-    slots = cs.cocause_state_sets(table, e1, e2)
-    parity = sum(negative) % 2
-
-    def slot_map(x, y, slot):
-        if (x, y) == (e1, e2):
-            return slot
-        if (x, y) == (e2, e1):
-            return {"a0": "a0", "a1": "a2", "a2": "a1", "a3": "a3"}[slot]
-        return None
-
-    for a in model.assertions:
-        if a.kind in ("no-synergism", "rep-flag") and a.args[0] == d:
-            slot = slot_map(a.args[1], a.args[2], "a3" if a.kind == "no-synergism" else a.args[3])
-            want = "zero" if a.kind == "no-synergism" else a.args[4]
-            if slot is None:
-                continue
-            have = slots[slot]
-            if want == "zero" and not (have is not None and not have):
-                return False
-            if want == "one" and have is not None:
-                return False
-        elif a.kind == "independent":
-            if not oracle.conditional_independent(dist, a.args[0], a.args[1]):
-                return False
-        elif a.kind == "cocause-independent" and a.args[0] == d:
-            s1 = slot_map(a.args[1], a.args[2], a.args[3])
-            s2 = slot_map(a.args[1], a.args[2], a.args[4])
-            if s1 is None or s2 is None:
-                continue
-            if not cs._sets_independent(slots[s1], slots[s2], table.probs):
-                return False
-        elif a.kind == "cov-sign":
-            cov = oracle.conditional_covariance(dist, a.args[0], a.args[1])
-            rel = a.args[2]
-            if rel == "<=0" and not cov <= 0:
-                return False
-            if rel == ">=0" and not cov >= 0:
-                return False
-            if rel == "=0" and cov != 0:
-                return False
-    return True
+    return 0 if analysis.ok else 1
 
 
 def _cmd_oracle_check(args) -> int:
     model = load_model(args.model)
-    report, conclusions, ok = covsign_analysis(model, args.d, args.f, args.g, args.q, args.budget)
-    if not conclusions:
-        raise CliError("no conclusions to check")
-    e1, e2 = _pair_nodes(model, args.d)
-    negative = _pair_polarity(model, args.d, e1, e2)
-
-    def key_of(c):
-        return f"{c.quantity.render()} {c.relation.value} [{c.rule}]"
-
-    results = {key_of(c): {"checked": 0, "violations": 0} for c in conclusions}
-    failures: list[dict] = []
-
-    if model.fully_specified:
-        dist = joint_distribution(model.to_scm(), args.budget)
-        for c in conclusions:
-            key = key_of(c)
-            passed = oracle.verify_claim(dist, c)
-            results[key]["checked"] += 1
-            if not passed:
-                results[key]["violations"] += 1
-                failures.append({"conclusion": key, "seed": None})
-        accepted = 1
-        draws = 1
-    else:
-        monotone: dict[str, tuple[tuple[str, str], ...]] = {}
-        for (a, b), s in model.dag.signs.items():
-            monotone.setdefault(b, ())
-            monotone[b] = monotone[b] + ((a, s),)
-        constraints = oracle.InstanceConstraints(monotone=monotone, max_weight=args.max_weight)
-        accepted = 0
-        draws = 0
-        max_draws = args.instances * 100
-        k = 0
-        while accepted < args.instances and draws < max_draws:
-            seed = args.seed + k
-            k += 1
-            draws += 1
-            try:
-                scm = oracle.random_instance(model.dag, constraints, seed)
-            except oracle.GenerationError:
-                continue
-            dist = joint_distribution(scm, args.budget)
-            if not _instance_matches_assertions(model, scm, dist, args.d, e1, e2, negative):
-                continue
-            try:
-                checks = [(c, oracle.verify_claim(dist, c)) for c in conclusions]
-            except oracle.ConditioningError:
-                continue
-            accepted += 1
-            for c, passed in checks:
-                key = key_of(c)
-                results[key]["checked"] += 1
-                if not passed:
-                    results[key]["violations"] += 1
-                    failures.append({"conclusion": key, "seed": seed})
-        if accepted == 0:
-            raise CliError(f"no premise-satisfying instance found in {draws} draws")
-
-    total_violations = sum(r["violations"] for r in results.values())
+    check = cs.oracle_check(
+        model, args.d, args.f, args.g, args.q, args.budget,
+        instances=args.instances, max_weight=args.max_weight, seed=args.seed,
+    )
     report = {
         "command": "oracle-check",
         "model": args.model,
         "seed": args.seed,
-        "instances_accepted": accepted,
-        "instances_drawn": draws,
-        **report,
-        "verification": [
-            {"conclusion": k, **v} for k, v in results.items()
-        ],
-        "failures": failures,
+        "instances_accepted": check.accepted,
+        "instances_drawn": check.drawn,
+        **_analysis_dict(check.analysis),
+        "verification": [{"conclusion": k, **v} for k, v in check.tallies.items()],
+        "failures": list(check.failures),
     }
-    lines = [f"instances: {accepted} accepted of {draws} drawn"]
-    for k, v in results.items():
+    lines = [f"instances: {check.accepted} accepted of {check.drawn} drawn"]
+    for k, v in check.tallies.items():
         lines.append(f"{k}: {v['checked']} checked, {v['violations']} violations")
     _emit(report, lines, args.format)
-    return 0 if ok and total_violations == 0 else 1
+    return 0 if check.ok else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -584,8 +300,14 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("model", help="path to a model file")
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--budget", type=int, default=DEFAULT_WORLD_BUDGET)
-        p.add_argument("--seed", type=int, default=0)
+
+    def pair_query(p):
+        p.add_argument("--budget", type=int, default=DEFAULT_WORLD_BUDGET,
+                       help="most weighted worlds one exact joint may enumerate")
+        p.add_argument("--d", required=True, help="conditioning node")
+        p.add_argument("--f", default=None)
+        p.add_argument("--g", default=None)
+        p.add_argument("--q", action="append", default=[])
 
     p = sub.add_parser("canonical", help="canonical co-cause representation per node")
     common(p)
@@ -619,18 +341,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("covsign", help="conditional covariance sign conclusions")
     common(p)
-    p.add_argument("--d", required=True, help="conditioning node")
-    p.add_argument("--f", default=None)
-    p.add_argument("--g", default=None)
-    p.add_argument("--q", action="append", default=[])
+    pair_query(p)
     p.set_defaults(fn=_cmd_covsign)
 
     p = sub.add_parser("oracle-check", help="verify conclusions against the exact oracle")
     common(p)
-    p.add_argument("--d", required=True)
-    p.add_argument("--f", default=None)
-    p.add_argument("--g", default=None)
-    p.add_argument("--q", action="append", default=[])
+    pair_query(p)
+    p.add_argument("--seed", type=int, default=0, help="generator seed of the first drawn instance")
     p.add_argument("--instances", type=int, default=100)
     p.add_argument("--max-weight", type=int, default=8)
     p.set_defaults(fn=_cmd_oracle_check)
@@ -643,7 +360,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (CliError, ModelError, GraphError, ValueError, OSError) as e:
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -20,8 +20,10 @@ from typing import Iterable, Mapping, Sequence
 from . import oracle
 from .causes import CoCauseKind, canonical_representation
 from .graph import Dag, common_causes, d_separated, directed_paths
+from .modelfile import Assertion, Model
 from .scm import (
     DEFAULT_WORLD_BUDGET,
+    ExactDistribution,
     ResponseTable,
     Scm,
     complement_parent,
@@ -55,6 +57,23 @@ class CovFact(Enum):
         if self is CovFact.GE0:
             return CovFact.LE0
         return self
+
+    def meet(self, other: "CovFact") -> "CovFact":
+        """Both claims at once: two different signed claims leave only "=0"."""
+        if self is other or other is CovFact.UNKNOWN:
+            return self
+        if self is CovFact.UNKNOWN:
+            return other
+        return CovFact.EQ0
+
+    def holds(self, cov: Fraction) -> bool:
+        """Whether an exact covariance satisfies the claim."""
+        return (cov <= 0 or not self.allows_le0()) and (cov >= 0 or not self.allows_ge0())
+
+    @classmethod
+    def of_association(cls, sign: Sign) -> "CovFact":
+        """The claim a monotone association licenses about the covariance."""
+        return {Sign.POSITIVE: cls.GE0, Sign.NEGATIVE: cls.LE0, Sign.ZERO: cls.EQ0}.get(sign, cls.UNKNOWN)
 
 
 class Relation(Enum):
@@ -96,11 +115,18 @@ class SignConclusion:
     premises: tuple[str, ...]
     other: CovQuantity | None = None
 
+    def key(self) -> str:
+        """The claim with its rule, as oracle-check reports it."""
+        return f"{self.quantity.render()} {self.relation.value} [{self.rule}]"
+
     def render(self) -> str:
         if self.relation is Relation.SIGN_EQUALS:
             assert self.other is not None
             return f"sign({self.quantity.render()}) = sign({self.other.render()})"
         return f"{self.quantity.render()} {self.relation.value}"
+
+
+FACT_FIELDS = ("a0", "a1", "a2", "a3", "e_indep", "a1_a2_indep", "a0_a1_indep", "a0_a2_indep", "e_cov")
 
 
 @dataclass(frozen=True)
@@ -189,20 +215,30 @@ def _sets_independent(
     return pab == pa * pb
 
 
+def _pair_frame(table: ResponseTable, e1: str, e2: str, negative: tuple[bool, bool]) -> ResponseTable:
+    """The target's deduplicated table with every negative parent complemented."""
+    table = dedupe_states(table)
+    for (p, neg) in zip((e1, e2), negative):
+        if neg:
+            table = complement_parent(table, p)
+    return table
+
+
 def facts_from_scm(
     model: Scm,
     d: str,
     e1: str,
     e2: str,
     negative: tuple[bool, bool] = (False, False),
-    budget: int = DEFAULT_WORLD_BUDGET,
+    dist: ExactDistribution | None = None,
 ) -> RepFacts:
     """Establish representation facts exactly from a fully specified model.
 
     ``negative`` marks parents whose monotone effect is negative; the facts
     are then computed in the frame where those parents are complemented, and
     conclusions drawn from them must be flipped back accordingly (see
-    ``pair_conclusions_signed``).
+    ``pair_conclusions_signed``). ``dist`` is the model's joint distribution
+    when the caller already holds it; otherwise it is built here.
     """
     parents = model.graph.parents(d)
     if set(parents) != {e1, e2} or len(parents) != 2:
@@ -210,10 +246,7 @@ def facts_from_scm(
             f"{d} must have exactly the parents {{{e1}, {e2}}} (marginalize other parents first); "
             f"got {parents}"
         )
-    table = dedupe_states(model.tables[d])
-    for (p, neg) in zip((e1, e2), negative):
-        if neg:
-            table = complement_parent(table, p)
+    table = _pair_frame(model.tables[d], e1, e2, negative)
     for p in (e1, e2):
         if detect_monotonic_effect(table, p) is not Sign.POSITIVE:
             raise ValueError(
@@ -223,29 +256,134 @@ def facts_from_scm(
 
     slots = cocause_state_sets(table, e1, e2)
     probs = table.probs
-    dist = joint_distribution(model, budget)
+    if dist is None:
+        dist = joint_distribution(model)
     cov = oracle.conditional_covariance(dist, e1, e2)
     if sum(negative) % 2 == 1:
         cov = -cov
     e_cov = CovFact.EQ0 if cov == 0 else (CovFact.LE0 if cov < 0 else CovFact.GE0)
-    facts = RepFacts(
+    return RepFacts(
         target=d,
         e1=e1,
         e2=e2,
-        a0=_flag(slots["a0"]),
-        a1=_flag(slots["a1"]),
-        a2=_flag(slots["a2"]),
-        a3=_flag(slots["a3"]),
+        **{slot: _flag(states) for slot, states in slots.items()},
         e_indep=oracle.conditional_independent(dist, e1, e2),
         a1_a2_indep=_sets_independent(slots["a1"], slots["a2"], probs),
         a0_a1_indep=_sets_independent(slots["a0"], slots["a1"], probs),
         a0_a2_indep=_sets_independent(slots["a0"], slots["a2"], probs),
         e_cov=e_cov,
-        sources={k: "oracle" for k in (
-            "a0", "a1", "a2", "a3", "e_indep", "a1_a2_indep", "a0_a1_indep", "a0_a2_indep", "e_cov"
-        )},
+        sources=dict.fromkeys(FACT_FIELDS, "oracle"),
     )
-    return facts
+
+
+_SWAPPED_SLOT = {"a0": "a0", "a1": "a2", "a2": "a1", "a3": "a3"}
+_SLOT_INDEP = ("a1_a2_indep", "a0_a1_indep", "a0_a2_indep")
+
+
+def _pair_key(x: str, y: str) -> tuple[str, str]:
+    return (x, y) if x <= y else (y, x)
+
+
+@dataclass(frozen=True)
+class AssertedFacts:
+    """A model's assertions, read once for a target and its parent pair.
+
+    Slots speak about the (e1, e2) frame: an assertion naming the pair
+    reversed lands in the swapped slot, and a flag or co-cause assertion
+    about another target or pair is left out. ``flags`` keeps the last flag
+    asserted per slot. ``independent`` and ``cov`` cover every pair of the
+    model, keyed by the sorted pair; a cov-sign claim repeated on one pair
+    keeps the meet of its relations, so "<=0" with ">=0" reads "=0".
+    """
+
+    target: str
+    e1: str
+    e2: str
+    flags: Mapping[str, Flag]
+    cocause_indep: tuple[tuple[str, str], ...]
+    independent: tuple[tuple[str, str], ...]
+    cov: Mapping[tuple[str, str], CovFact]
+
+    def cov_of(self, x: str, y: str) -> CovFact | None:
+        return self.cov.get(_pair_key(x, y))
+
+    def admits(self, model: Scm, dist: ExactDistribution, negative: tuple[bool, bool]) -> bool:
+        """Whether a fully specified instance, with joint ``dist``, meets every assertion read."""
+        table = _pair_frame(model.tables[self.target], self.e1, self.e2, negative)
+        slots = cocause_state_sets(table, self.e1, self.e2)
+        return (
+            all(_flag(slots[slot]) is flag for slot, flag in self.flags.items())
+            and all(_sets_independent(slots[a], slots[b], table.probs) for a, b in self.cocause_indep)
+            and all(oracle.conditional_independent(dist, x, y) for x, y in self.independent)
+            and all(fact.holds(oracle.conditional_covariance(dist, x, y)) for (x, y), fact in self.cov.items())
+        )
+
+
+def read_assertions(assertions: Iterable[Assertion], d: str, e1: str, e2: str) -> AssertedFacts:
+    """Normalize a model's assertions for target ``d`` with parents (e1, e2)."""
+
+    def slot(x: str, y: str, name: str) -> str | None:
+        if (x, y) == (e1, e2):
+            return name
+        return _SWAPPED_SLOT[name] if (x, y) == (e2, e1) else None
+
+    flags: dict[str, Flag] = {}
+    cocause: dict[tuple[str, str], None] = {}
+    independent: dict[tuple[str, str], None] = {}
+    cov: dict[tuple[str, str], CovFact] = {}
+    for a in assertions:
+        if a.kind in ("no-synergism", "rep-flag") and a.args[0] == d:
+            s = slot(a.args[1], a.args[2], "a3" if a.kind == "no-synergism" else a.args[3])
+            if s is not None:
+                flags[s] = Flag.ZERO if a.kind == "no-synergism" else Flag(a.args[4])
+        elif a.kind == "cocause-independent" and a.args[0] == d:
+            s1, s2 = slot(a.args[1], a.args[2], a.args[3]), slot(a.args[1], a.args[2], a.args[4])
+            if s1 is not None and s2 is not None:
+                cocause[(s1, s2)] = None
+        elif a.kind == "independent":
+            independent[_pair_key(a.args[0], a.args[1])] = None
+        elif a.kind == "cov-sign":
+            key = _pair_key(a.args[0], a.args[1])
+            cov[key] = cov.get(key, CovFact.UNKNOWN).meet(CovFact(a.args[2]))
+    return AssertedFacts(d, e1, e2, flags, tuple(cocause), tuple(independent), cov)
+
+
+def _facts_from_assertions(
+    graph: Dag, asserted: AssertedFacts, negative: tuple[bool, bool] = (False, False)
+) -> RepFacts:
+    """Representation facts from assertions, completed from the signed graph.
+
+    Parent independence falls back to d-separation and the sign of
+    Cov(e1, e2) to monotone association; like ``facts_from_scm``, the facts
+    speak about the frame where negative parents are complemented.
+    """
+    e1, e2 = asserted.e1, asserted.e2
+    sources = dict.fromkeys(asserted.flags, "assertion")
+    indep = dict.fromkeys(("e_indep",) + _SLOT_INDEP, False)
+    if _pair_key(e1, e2) in asserted.independent:
+        indep["e_indep"] = True
+    for pair in asserted.cocause_indep:
+        key = "_".join(sorted(pair)) + "_indep"
+        if key in _SLOT_INDEP:
+            indep[key] = True
+    sources.update((k, "assertion") for k, v in indep.items() if v)
+    if not indep["e_indep"] and d_separated(graph, e1, e2):
+        indep["e_indep"] = True
+        sources["e_indep"] = "structural"
+    e_cov = asserted.cov_of(e1, e2)
+    if e_cov is not None:
+        sources["e_cov"] = "assertion"
+    else:
+        e_cov = CovFact.of_association(monotonically_associated(graph, e1, e2))
+        if e_cov is not CovFact.UNKNOWN:
+            sources["e_cov"] = "structural"
+    return RepFacts(
+        target=asserted.target, e1=e1, e2=e2,
+        **{slot: asserted.flags.get(slot, Flag.NEITHER) for slot in ("a0", "a1", "a2", "a3")},
+        **indep,
+        e_cov=e_cov.flipped() if sum(negative) % 2 else e_cov,
+        sources=sources,
+    )
 
 
 def pair_conclusions(facts: RepFacts) -> tuple[SignConclusion, ...]:
@@ -372,6 +510,12 @@ class TransferPremises:
         return tuple(c.name for c in self.checks if not c.holds)
 
 
+def _require_pair(graph: Dag, f: str, g: str, e1: str, e2: str, d: str, *q: str) -> None:
+    graph.require(f, g, e1, e2, d, *q)
+    if e1 not in graph.parents(d) or e2 not in graph.parents(d):
+        raise ValueError(f"{e1} and {e2} must be parents of {d}")
+
+
 def _cov_nonneg_check(
     g: Dag, a: str, b: str, name: str, asserted: CovFact | None
 ) -> PremiseCheck:
@@ -399,9 +543,7 @@ def check_transfer_premises_direct(
     other side given its own parent, and nonnegative marginal covariance of
     each proxy with its parent (established structurally or by assertion).
     """
-    graph.require(f, g, e1, e2, d)
-    if e1 not in graph.parents(d) or e2 not in graph.parents(d):
-        raise ValueError(f"{e1} and {e2} must be parents of {d}")
+    _require_pair(graph, f, g, e1, e2, d)
     checks = (
         PremiseCheck("f_g_separated", d_separated(graph, f, g, {e1, e2, d})),
         PremiseCheck("f_separated_from_e2_d", d_separated(graph, f, {e2, d}, {e1})),
@@ -481,9 +623,7 @@ def check_transfer_premises_shared(
     paths to F and to G agree or oppose in sign.
     """
     qs = tuple(q)
-    graph.require(f, g, e1, e2, d, *qs)
-    if e1 not in graph.parents(d) or e2 not in graph.parents(d):
-        raise ValueError(f"{e1} and {e2} must be parents of {d}")
+    _require_pair(graph, f, g, e1, e2, d, *qs)
     cond = set(qs) | {d}
     mono_f, route_f = expectation_monotone_premise(graph, f, e1, d, qs)
     mono_g, route_g = expectation_monotone_premise(graph, g, e2, d, qs)
@@ -546,3 +686,205 @@ def transfer_sign(premises: TransferPremises, inner: SignConclusion) -> tuple[Si
         f"no transferable direction: inner {inner.relation.value} with "
         f"q_same_sign={premises.q_same_sign}, q_opposite_sign={premises.q_opposite_sign}"
     )
+
+
+# -- the covsign and oracle-check pipeline ------------------------------------
+
+
+@dataclass(frozen=True)
+class CovsignAnalysis:
+    """Facts, conclusions and transfer premises for one target and its pair.
+
+    ``facts`` names the target and its parents (e1, e2); ``negative`` gives
+    their polarity. ``premises`` holds the (direct, shared) transfer reports
+    when a transfer to proxies was asked for; ``dist`` is the joint of a
+    fully specified model.
+    """
+
+    negative: tuple[bool, bool]
+    asserted: AssertedFacts
+    facts: RepFacts
+    inner: tuple[SignConclusion, ...]
+    premises: tuple[TransferPremises, TransferPremises] | None = None
+    transferred: tuple[SignConclusion, ...] = ()
+    not_applicable: tuple[dict, ...] = ()
+    dist: ExactDistribution | None = None
+
+    @property
+    def conclusions(self) -> tuple[SignConclusion, ...]:
+        return self.inner + self.transferred
+
+    @property
+    def ok(self) -> bool:
+        return bool(self.inner) and (self.premises is None or bool(self.transferred))
+
+
+def _parent_pair(model: Model, d: str) -> tuple[str, str]:
+    parents = model.dag.parents(d)
+    if len(parents) != 2:
+        raise ValueError(
+            f"{d} has parents {list(parents)}; the covariance rule set needs exactly two "
+            "(marginalize any others first)"
+        )
+    return parents[0], parents[1]
+
+
+def _pair_polarity(model: Model, d: str, e1: str, e2: str) -> tuple[bool, bool]:
+    """Which parents act negatively: read off d's equation, else the edge signs."""
+    table = dedupe_states(model.tables[d]) if d in model.tables else None
+    out = []
+    for p in (e1, e2):
+        if table is None:
+            label = model.dag.signs.get((p, d))
+            if label is None:
+                raise ValueError(f"edge {p}->{d} carries no sign and no equation is given")
+        else:
+            sign = detect_monotonic_effect(table, p)
+            if sign is Sign.UNDEFINED:
+                raise ValueError(f"{p} has no monotonic effect on {d}; the rule set does not apply")
+            label = sign.value
+        out.append(label == "-")
+    return (out[0], out[1])
+
+
+def covsign_analysis(
+    model: Model,
+    d: str,
+    f: str | None = None,
+    g: str | None = None,
+    q: Sequence[str] = (),
+    budget: int = DEFAULT_WORLD_BUDGET,
+) -> CovsignAnalysis:
+    """The pair rule set for ``d``, transferred to proxies ``f`` and ``g`` if given.
+
+    Facts come from the exact joint (within ``budget`` worlds) when the
+    model is fully specified, and from its assertions and signed graph
+    otherwise. A transfer uses the first satisfied rule, direct before
+    shared-cause; when neither holds, or an inner conclusion cannot be
+    moved, the reason is recorded under ``not_applicable``.
+    """
+    model.dag.require(d, *(n for n in (f, g) if n), *q)
+    e1, e2 = _parent_pair(model, d)
+    negative = _pair_polarity(model, d, e1, e2)
+    asserted = read_assertions(model.assertions, d, e1, e2)
+    dist = None
+    if model.fully_specified:
+        scm = model.to_scm()
+        dist = joint_distribution(scm, budget)
+        facts = facts_from_scm(scm, d, e1, e2, negative, dist)
+    else:
+        facts = _facts_from_assertions(model.dag, asserted, negative)
+    inner = pair_conclusions_signed(facts, negative)
+    analysis = CovsignAnalysis(negative, asserted, facts, inner, dist=dist)
+    if f is None or g is None or {f, g} == {e1, e2}:
+        return analysis
+
+    pairings = ((e1, e2), (e2, e1))
+    direct = [
+        check_transfer_premises_direct(model.dag, f, g, p1, p2, d, asserted.cov_of(f, p1), asserted.cov_of(g, p2))
+        for p1, p2 in pairings
+    ]
+    shared = [check_transfer_premises_shared(model.dag, f, g, p1, p2, d, q) for p1, p2 in pairings]
+    premises = (
+        next((r for r in direct if r.satisfied), direct[0]),
+        next((r for r in shared if r.satisfied), shared[0]),
+    )
+    chosen = next((r for r in premises if r.satisfied), None)
+    transferred: list[SignConclusion] = []
+    not_applicable: list[dict] = []
+    if chosen is None:
+        not_applicable = [{"rule": r.rule, "failed_premises": list(r.failures())} for r in premises]
+    else:
+        for c in inner:
+            try:
+                transferred.extend(transfer_sign(chosen, c))
+            except ValueError as e:
+                not_applicable.append({"rule": chosen.rule, "inner": c.rule, "reason": str(e)})
+    return replace(
+        analysis, premises=premises, transferred=tuple(transferred), not_applicable=tuple(not_applicable)
+    )
+
+
+@dataclass(frozen=True)
+class OracleCheck:
+    """An analysis whose conclusions were checked against exact joints.
+
+    ``tallies`` maps each conclusion's key to its checked and violation
+    counts; ``failures`` lists every violation with the generator seed of
+    its instance (None when the model itself was checked).
+    """
+
+    analysis: CovsignAnalysis
+    accepted: int
+    drawn: int
+    tallies: Mapping[str, Mapping[str, int]]
+    failures: tuple[dict, ...]
+
+    @property
+    def ok(self) -> bool:
+        return self.analysis.ok and not self.failures
+
+
+def oracle_check(
+    model: Model,
+    d: str,
+    f: str | None = None,
+    g: str | None = None,
+    q: Sequence[str] = (),
+    budget: int = DEFAULT_WORLD_BUDGET,
+    instances: int = 100,
+    max_weight: int = 8,
+    seed: int = 0,
+) -> OracleCheck:
+    """Verify ``covsign_analysis``'s conclusions with the exact oracle.
+
+    A fully specified model is checked once, against the joint its facts
+    came from. Otherwise models are drawn at generator seeds ``seed``,
+    ``seed + 1``, ... under the signed edges; a draw counts when it
+    satisfies every assertion and both strata of each conclusion have
+    positive mass. Drawing stops at ``instances`` accepted models or
+    ``100 * instances`` draws.
+    """
+    analysis = covsign_analysis(model, d, f, g, q, budget)
+    conclusions = analysis.conclusions
+    if not conclusions:
+        raise ValueError("no conclusions to check")
+    keys = [c.key() for c in conclusions]
+    tallies = {key: {"checked": 0, "violations": 0} for key in keys}
+    failures: list[dict] = []
+
+    def record(dist: ExactDistribution, instance_seed: int | None) -> None:
+        passed = [oracle.verify_claim(dist, c) for c in conclusions]
+        for key, ok in zip(keys, passed):
+            tallies[key]["checked"] += 1
+            if not ok:
+                tallies[key]["violations"] += 1
+                failures.append({"conclusion": key, "seed": instance_seed})
+
+    if analysis.dist is not None:
+        record(analysis.dist, None)
+        return OracleCheck(analysis, 1, 1, tallies, tuple(failures))
+
+    monotone: dict[str, tuple[tuple[str, str], ...]] = {}
+    for (a, b), s in model.dag.signs.items():
+        monotone[b] = monotone.get(b, ()) + ((a, s),)
+    constraints = oracle.InstanceConstraints(monotone=monotone, max_weight=max_weight)
+    accepted = drawn = 0
+    while accepted < instances and drawn < 100 * instances:
+        instance_seed = seed + drawn
+        drawn += 1
+        try:
+            scm = oracle.random_instance(model.dag, constraints, instance_seed)
+        except oracle.GenerationError:
+            continue
+        dist = joint_distribution(scm, budget)
+        if not analysis.asserted.admits(scm, dist, analysis.negative):
+            continue
+        try:
+            record(dist, instance_seed)
+        except oracle.ConditioningError:
+            continue
+        accepted += 1
+    if accepted == 0:
+        raise ValueError(f"no premise-satisfying instance found in {drawn} draws")
+    return OracleCheck(analysis, accepted, drawn, tallies, tuple(failures))

@@ -15,7 +15,7 @@ from typing import Iterable, Mapping
 
 from .causes import CoCauseKind, Conjunction, Representation, validate_representation
 from .graph import Dag, GraphError, d_separated
-from .scm import DEFAULT_WORLD_BUDGET, ExactDistribution, Scm, joint_distribution, state_column
+from .scm import DEFAULT_WORLD_BUDGET, ExactDistribution, ResponseTable, Scm, joint_distribution, state_column
 
 EXOGENOUS_NAME = "U"
 
@@ -85,22 +85,21 @@ def _term_node_names(
     return cocause_names, and_names
 
 
-def expand(model: Scm, d: str, rep: Representation) -> ExpandedDag:
-    """Rewire ``d`` through the representation's AND nodes.
+def expand(base: Dag, d: str, rep: Representation, table: ResponseTable | None = None) -> ExpandedDag:
+    """Rewire ``d`` in ``base`` through the representation's AND nodes.
 
-    The representation must be determinative for ``d``'s equation. A
-    complemented literal still induces an edge from the parent; the
-    complement lives inside the AND node's equation and shows up as a
-    negative edge sign.
+    Only the graph is needed; when ``d``'s equation ``table`` is given, the
+    representation must be determinative for it. A complemented literal
+    still induces an edge from the parent; the complement lives inside the
+    AND node's equation and shows up as a negative edge sign.
     """
-    base = model.graph
     base.require(d)
-    table = model.tables[d]
     if rep.target != d:
         raise ValueError(f"representation targets {rep.target!r}, not {d!r}")
     if any(t.cocause.kind is CoCauseKind.ZERO for t in rep.terms):
         raise ValueError("representation terms must not carry the impossible co-cause")
-    validate_representation(table, rep)
+    if table is not None:
+        validate_representation(table, rep)
 
     taken = set(base.nodes)
     needs_exogenous = any(t.cocause.kind is CoCauseKind.STATES for t in rep.terms)

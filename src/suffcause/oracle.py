@@ -17,9 +17,10 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 from .causes import Literal, canonical_representation
 from .graph import Dag
 from .scm import ExactDistribution, ResponseTable, Scm
+from .signs import _row_direction_holds
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .covsign import SignConclusion
+    from .covsign import CovQuantity, SignConclusion
 
 
 class ConditioningError(ValueError):
@@ -91,6 +92,10 @@ def conditional_independent(
     return True
 
 
+def _quantity_covariance(dist: ExactDistribution, q: "CovQuantity") -> Fraction:
+    return conditional_covariance(dist, q.x, q.y, {**dict(q.extra), q.given: q.stratum})
+
+
 def verify_claim(dist: ExactDistribution, claim: "SignConclusion") -> bool:
     """Exact check of one covariance-sign conclusion against a distribution.
 
@@ -100,10 +105,7 @@ def verify_claim(dist: ExactDistribution, claim: "SignConclusion") -> bool:
     """
     from .covsign import Relation
 
-    q = claim.quantity
-    given = dict(q.extra)
-    given[q.given] = q.stratum
-    cov = conditional_covariance(dist, q.x, q.y, given)
+    cov = _quantity_covariance(dist, claim.quantity)
     if claim.relation is Relation.LE0:
         return cov <= 0
     if claim.relation is Relation.GE0:
@@ -113,10 +115,7 @@ def verify_claim(dist: ExactDistribution, claim: "SignConclusion") -> bool:
     if claim.relation is Relation.SIGN_EQUALS:
         if claim.other is None:
             raise ValueError("sign-equality claim without a reference quantity")
-        o = claim.other
-        other_given = dict(o.extra)
-        other_given[o.given] = o.stratum
-        inner = conditional_covariance(dist, o.x, o.y, other_given)
+        inner = _quantity_covariance(dist, claim.other)
         if inner > 0:
             return cov >= 0
         if inner < 0:
@@ -143,19 +142,6 @@ class InstanceConstraints:
     max_tries: int = 500
 
 
-def _row_monotone(row: int, n_configs: int, bit: int, sign: str) -> bool:
-    for c in range(n_configs):
-        if c & bit:
-            continue
-        low = (row >> c) & 1
-        high = (row >> (c | bit)) & 1
-        if sign == "+" and high < low:
-            return False
-        if sign == "-" and high > low:
-            return False
-    return True
-
-
 def _monotone_close(row: int, n_configs: int, requirements: Sequence[tuple[int, str]]) -> int:
     """Force row-level monotonicity by closing upward along each constraint."""
     for bit, sign in requirements:
@@ -180,7 +166,7 @@ def _candidate_rows(
     n_configs = 1 << m
     pool = allowed if allowed is not None else range(1 << n_configs)
     bits = [(1 << table_parents.index(p), s) for p, s in requirements]
-    return [r for r in pool if all(_row_monotone(r, n_configs, b, s) for b, s in bits)]
+    return [r for r in pool if all(_row_direction_holds(r, n_configs, b, s == "+") for b, s in bits)]
 
 
 def random_instance(g: Dag, constraints: InstanceConstraints, seed: int) -> Scm:

@@ -21,7 +21,7 @@ from .graph import Dag
 DEFAULT_WORLD_BUDGET = 1 << 24
 
 
-class BudgetExceededError(RuntimeError):
+class BudgetExceededError(ValueError):
     """Enumeration would visit more weighted worlds than allowed."""
 
 
@@ -113,11 +113,6 @@ class ResponseTable:
         return cls(node, (), (1, 0), (p, 1 - p))
 
 
-def eval_node(table: ResponseTable, state: int, config: int) -> int:
-    """Functional alias for :meth:`ResponseTable.output`."""
-    return table.output(state, config)
-
-
 def dedupe_states(table: ResponseTable) -> ResponseTable:
     """Merge identical rows, summing their probabilities.
 
@@ -178,15 +173,6 @@ class Scm:
                     f"{n}: table parents {t.parents} do not match graph parents {self.graph.parents(n)}"
                 )
 
-    def evaluate(self, states: Mapping[str, int]) -> dict[str, int]:
-        """Node values determined by one response state per node."""
-        values: dict[str, int] = {}
-        for n in self.graph.topological():
-            t = self.tables[n]
-            c = config_index([values[p] for p in t.parents])
-            values[n] = t.output(states[n], c)
-        return values
-
     def world_count(self) -> int:
         count = 1
         for n in self.graph.nodes:
@@ -227,14 +213,6 @@ class ExactDistribution:
             key = tuple(vals[i] for i in idx)
             out[key] = out.get(key, Fraction(0)) + p
         return out
-
-    def mean(self, column: str) -> Fraction:
-        """Expected value of a column, normalized by total mass."""
-        i = self.column(column)
-        total = self.mass()
-        if total == 0:
-            raise ZeroDivisionError("mean of an empty distribution")
-        return sum((Fraction(vals[i]) * p for vals, p in self.rows), Fraction(0)) / total
 
     def with_columns(
         self, names: Sequence[str], derive: Callable[[Mapping[str, int]], Sequence[int]]

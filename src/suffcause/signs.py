@@ -38,20 +38,21 @@ class Sign(Enum):
         return cls.UNDEFINED
 
 
-def _direction_holds(table: ResponseTable, parent: str, nondecreasing: bool) -> bool:
-    i = table.parent_index(parent)
-    bit = 1 << i
-    for row in table.rows:
-        for c in range(table.n_configs):
-            if c & bit:
-                continue
-            low = (row >> c) & 1
-            high = (row >> (c | bit)) & 1
-            if nondecreasing and high < low:
-                return False
-            if not nondecreasing and high > low:
-                return False
+def _row_direction_holds(row: int, n_configs: int, bit: int, nondecreasing: bool) -> bool:
+    """One response row never falls (or never rises) when the parent at ``bit`` turns on."""
+    for c in range(n_configs):
+        if c & bit:
+            continue
+        low = (row >> c) & 1
+        high = (row >> (c | bit)) & 1
+        if high < low if nondecreasing else high > low:
+            return False
     return True
+
+
+def _direction_holds(table: ResponseTable, parent: str, nondecreasing: bool) -> bool:
+    bit = 1 << table.parent_index(parent)
+    return all(_row_direction_holds(row, table.n_configs, bit, nondecreasing) for row in table.rows)
 
 
 def is_constant_in(table: ResponseTable, parent: str) -> bool:
@@ -103,10 +104,7 @@ def path_sign(g: Dag, path: Path) -> Sign:
     """Product of the edge signs along a directed path."""
     if not path.is_directed:
         raise GraphError(f"path {path} is not directed")
-    out = Sign.POSITIVE
-    for a, b in zip(path.nodes, path.nodes[1:]):
-        out = out * Sign.of_edge(g.sign(a, b))
-    return out
+    return sign_along(g, path.nodes)
 
 
 def sign_along(g: Dag, nodes: Iterable[str]) -> Sign:
@@ -168,13 +166,3 @@ def monotonically_associated(g: Dag, x: str, y: str) -> Sign:
         # evidence present cannot happen.
         return Sign.ZERO
     return Sign.UNDEFINED
-
-
-def qualitative_cov_sign(g: Dag, x: str, y: str) -> Sign:
-    """Qualitative claim about Cov(x, y) from monotone association.
-
-    POSITIVE means "Cov >= 0", NEGATIVE means "Cov <= 0", ZERO means the
-    covariance is exactly zero (the nodes are structurally independent),
-    and UNDEFINED means no claim is made.
-    """
-    return monotonically_associated(g, x, y)

@@ -123,7 +123,7 @@ def test_criterion_2_example_fidelity():
     # stratum verdicts on the four expansion fixtures
     def expanded(name):
         model = load_model(fixture(name))
-        return expand(model.to_scm(), "D", model.representations["D"])
+        return expand(model.dag, "D", model.representations["D"], model.tables["D"])
 
     pairs = expanded("pairs_disjoint")
     for x in ("E1", "E2"):

@@ -1,7 +1,11 @@
 """CLI subcommands: reports, verdicts, exit codes."""
 
 import json
+import sys
 
+import pytest
+
+from suffcause import scm
 from suffcause.cli import main
 
 from support import fixture
@@ -39,6 +43,13 @@ class TestDsep:
         assert code == 2
         assert "unknown node" in err
 
+    def test_seed_is_not_a_dsep_flag(self, capsys):
+        # --seed and --budget are declared only where they are read
+        with pytest.raises(SystemExit) as exc:
+            main(["dsep", fixture("pairs_disjoint"), "--x", "E1", "--y", "E3", "--seed", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed" in capsys.readouterr().err
+
 
 class TestCanonical:
     def test_pairs_overlap_target(self, capsys):
@@ -70,6 +81,35 @@ class TestExpand:
         _, out, _ = run(capsys, "expand", fixture("pairs_disjoint"), "--node", "D")
         assert "node E1E2  # and" in out
         assert "edge E1E2 D" in out
+
+
+REP_ONLY = (
+    "node E1\nnode E2\nnode A\nnode D\nedge E1 D\nedge E2 D\nedge A D\n"
+    "represent D term one E1 E2\nrepresent D term one A ~E2\n"
+)
+
+
+class TestRepresentationOnly:
+    # pairs_overlap's graph and declared representation without its equations
+
+    def test_expand_needs_no_equations(self, capsys, tmp_path):
+        path = tmp_path / "rep.model"
+        path.write_text(REP_ONLY)
+        code, out, _ = run(capsys, "expand", str(path), "--node", "D", "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["representation"]["source"] == "declared"
+        assert {n["name"]: n["kind"] for n in doc["nodes"]}["E1E2"] == "and"
+        _, with_equations, _ = run(capsys, "expand", fixture("pairs_overlap"), "--node", "D", "--format", "json")
+        assert doc["nodes"] == json.loads(with_equations)["nodes"]
+
+    def test_stratum_ci_gives_the_graphical_verdict(self, capsys, tmp_path):
+        path = tmp_path / "rep.model"
+        path.write_text(REP_ONLY)
+        code, out, _ = run(capsys, "stratum-ci", str(path), "--node", "D", "--x", "E1", "--y", "A")
+        assert code == 1
+        assert "not implied independent" in out
+        assert "E1 -> E1E2 <- E2 -> A~E2 <- A" in out
 
 
 class TestStratumCi:
@@ -160,11 +200,28 @@ class TestCovsign:
         assert code == 2
         assert "exactly two" in err
 
+    def test_budget_error_exits_2_without_traceback(self, capsys, tmp_path):
+        path = tmp_path / "pair.model"
+        path.write_text(PAIR_FULL)
+        code, out, err = run(capsys, "covsign", str(path), "--d", "D", "--budget", "2")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: 4 worlds exceed the budget of 2")
+        assert len(err.splitlines()) == 1
+
     def test_fully_specified_model_uses_oracle_facts(self, capsys):
         code, out, _ = run(capsys, "covsign", fixture("pairs_overlap"),
                            "--d", "D", "--format", "json")
         # E2 is non-monotone on D, so the rule set must refuse
         assert code == 2
+
+
+PAIR_FULL = (
+    "node E1\nnode E2\nnode D\nedge E1 D +\nedge E2 D +\n"
+    "equation E1 states 2\nstate 0 prob 1/2 bits 1\nstate 1 prob 1/2 bits 0\n"
+    "equation E2 states 2\nstate 0 prob 1/2 bits 1\nstate 1 prob 1/2 bits 0\n"
+    "equation D states 1\nstate 0 prob 1 bits 0111\n"
+)
 
 
 class TestOracleCheck:
@@ -178,14 +235,8 @@ class TestOracleCheck:
         assert all(v["violations"] == 0 for v in doc["verification"])
 
     def test_fully_specified_model_verifies_exactly(self, capsys, tmp_path):
-        text = (
-            "node E1\nnode E2\nnode D\nedge E1 D +\nedge E2 D +\n"
-            "equation E1 states 2\nstate 0 prob 1/2 bits 1\nstate 1 prob 1/2 bits 0\n"
-            "equation E2 states 2\nstate 0 prob 1/2 bits 1\nstate 1 prob 1/2 bits 0\n"
-            "equation D states 1\nstate 0 prob 1 bits 0111\n"
-        )
         path = tmp_path / "pair.model"
-        path.write_text(text)
+        path.write_text(PAIR_FULL)
         code, out, _ = run(capsys, "oracle-check", str(path), "--d", "D", "--format", "json")
         assert code == 0
         doc = json.loads(out)
@@ -217,3 +268,29 @@ class TestOracleCheck:
                            "--d", "D", "--f", "E1", "--g", "E3", "--format", "json")
         assert code == 2
         assert "exactly two" in err
+
+    def test_fully_specified_model_builds_one_joint(self, capsys, tmp_path, monkeypatch):
+        real = scm.joint_distribution
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        # every module that imported the function by name gets the counter
+        for name, module in list(sys.modules.items()):
+            if name.startswith("suffcause") and getattr(module, "joint_distribution", None) is real:
+                monkeypatch.setattr(module, "joint_distribution", counting)
+        path = tmp_path / "pair.model"
+        path.write_text(PAIR_FULL)
+        code, _, _ = run(capsys, "oracle-check", str(path), "--d", "D")
+        assert code == 0
+        assert len(calls) == 1
+
+    def test_budget_error_exits_2_without_traceback(self, capsys):
+        code, out, err = run(capsys, "oracle-check", fixture("coaggregation_null"),
+                             "--d", "P1", "--f", "B1", "--g", "P2", "--budget", "10")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "exceed the budget of 10" in err
+        assert len(err.splitlines()) == 1

@@ -14,11 +14,14 @@ from suffcause import (
     check_transfer_premises_direct,
     check_transfer_premises_shared,
     conditional_covariance,
+    covsign_analysis,
     expectation_monotone_premise,
     facts_from_scm,
     joint_distribution,
     load_model,
     pair_conclusions,
+    parse_model,
+    read_assertions,
     pair_conclusions_signed,
     transfer_sign,
     verify_claim,
@@ -425,3 +428,46 @@ class TestTransferAgainstOracle:
             assert conditional_covariance(dist, "F", "E1") == 0
             assert conditional_covariance(dist, "F", "G", {"D": 1}) == 0
             found += 1
+
+
+class TestAssertionReader:
+    PAIR = "node E1\nnode E2\nnode D\nedge E1 D +\nedge E2 D +\n"
+
+    @staticmethod
+    def instance(d_row: int) -> Scm:
+        g = Dag(["E1", "E2", "D"], [("E1", "D"), ("E2", "D")])
+        return Scm(g, {
+            "E1": ResponseTable.bernoulli("E1", half),
+            "E2": ResponseTable.bernoulli("E2", half),
+            "D": ResponseTable("D", ("E1", "E2"), (d_row,), (Fraction(1),)),
+        })
+
+    def test_reversed_pair_flag_lands_in_swapped_slot(self):
+        model = parse_model(self.PAIR + "assert rep-flag D E2 E1 a1 one\n")
+        asserted = read_assertions(model.assertions, "D", "E1", "E2")
+        assert dict(asserted.flags) == {"a2": Flag.ONE}
+        facts = covsign_analysis(model, "D").facts
+        assert (facts.a1, facts.a2) == (Flag.NEITHER, Flag.ONE)
+        assert facts.source("a2") == "assertion"
+        # D = E2 has a2 = one; D = E1 has a1 = one and a2 = zero
+        for row, admitted in ((0b1100, True), (0b1010, False)):
+            m = self.instance(row)
+            assert asserted.admits(m, joint_distribution(m), (False, False)) is admitted
+
+    def test_other_targets_and_pairs_are_left_out_of_the_slots(self):
+        model = parse_model(
+            self.PAIR + "node H\nedge D H +\n"
+            "assert rep-flag H D D a1 one\nassert cocause-independent D E1 H a1 a2\n"
+            "assert independent E1 H\nassert cov-sign H E2 >=0\n"
+        )
+        asserted = read_assertions(model.assertions, "D", "E1", "E2")
+        assert dict(asserted.flags) == {} and asserted.cocause_indep == ()
+        # independence and covariance claims on any pair are still read
+        assert asserted.independent == (("E1", "H"),)
+        assert asserted.cov_of("E2", "H") is CovFact.GE0
+
+    def test_repeated_cov_sign_keeps_the_meet(self):
+        model = parse_model(self.PAIR + "assert cov-sign E1 E2 <=0\nassert cov-sign E2 E1 >=0\n")
+        asserted = read_assertions(model.assertions, "D", "E1", "E2")
+        assert asserted.cov_of("E1", "E2") is CovFact.EQ0
+        assert covsign_analysis(model, "D").facts.e_cov is CovFact.EQ0

@@ -54,7 +54,7 @@ def overlap_model(rng=None):
 class TestExpand:
     def test_disjoint_pairs_structure(self):
         m, rep = pairs_model()
-        exp = expand(m, "D", rep)
+        exp = expand(m.graph, "D", rep, m.tables["D"])
         assert exp.and_nodes == ("E1E2", "E3E4")
         assert exp.exogenous is None
         assert exp.dag.parents("D") == ("E1E2", "E3E4")
@@ -62,7 +62,7 @@ class TestExpand:
 
     def test_overlap_structure_with_complement_edge(self):
         m, rep = overlap_model()
-        exp = expand(m, "D", rep)
+        exp = expand(m.graph, "D", rep, m.tables["D"])
         assert exp.and_nodes == ("E1E2", "A~E2")
         assert exp.dag.parents("A~E2") == ("E2", "A")
         assert exp.dag.signs[("E2", "A~E2")] == "-"
@@ -74,21 +74,21 @@ class TestExpand:
         g = Dag(["E", "D"], [("E", "D")])
         m = Scm(g, {"E": ResponseTable.bernoulli("E", half),
                     "D": ResponseTable.deterministic("D", ("E",), lambda e: e)})
-        exp = expand(m, "D", Representation("D", (conj("E"),)))
+        exp = expand(m.graph, "D", Representation("D", (conj("E"),)), m.tables["D"])
         assert exp.and_nodes == ("M0",)
         assert exp.dag.edges == (("E", "M0"), ("M0", "D"))
 
     def test_rejects_nondeterminative_rep(self):
         m, _ = pairs_model()
         with pytest.raises(ValueError, match="not determinative"):
-            expand(m, "D", Representation("D", (conj("E1", "E2"),)))
+            expand(m.graph, "D", Representation("D", (conj("E1", "E2"),)), m.tables["D"])
 
     def test_state_bound_terms_add_exogenous_chain(self):
         g = Dag(["E", "D"], [("E", "D")])
         table = ResponseTable("D", ("E",), (3, 2, 1, 0), (Fraction(1, 4),) * 4)
         m = Scm(g, {"E": ResponseTable.bernoulli("E", half), "D": table})
         rep = canonical_representation(table)
-        exp = expand(m, "D", rep)
+        exp = expand(m.graph, "D", rep, m.tables["D"])
         assert exp.exogenous == "U"
         assert exp.cocause_nodes == ("A0", "A1", "A2")
         assert exp.and_nodes == ("A0", "A1E", "A2~E")
@@ -103,14 +103,14 @@ class TestExpand:
         m = Scm(g, {"E": ResponseTable.bernoulli("E", half),
                     "A0": ResponseTable.bernoulli("A0", half), "D": table})
         rep = canonical_representation(table)
-        exp = expand(m, "D", rep)
+        exp = expand(m.graph, "D", rep, m.tables["D"])
         assert exp.cocause_nodes == ("cocause0",)
         assert all(n not in ("E", "A0", "D") or n in m.graph.nodes for n in exp.dag.nodes)
 
     def test_marginalizing_auxiliaries_recovers_base_structure(self):
         for build in (pairs_model, overlap_model):
             m, rep = build()
-            exp = expand(m, "D", rep)
+            exp = expand(m.graph, "D", rep, m.tables["D"])
             back = marginalize(exp.dag, exp.auxiliary_nodes)
             assert back.nodes == m.graph.nodes
             assert back.edges == m.graph.edges
@@ -119,7 +119,7 @@ class TestExpand:
 class TestStratumConditioning:
     def test_stratum_sets(self):
         m, rep = pairs_model()
-        exp = expand(m, "D", rep)
+        exp = expand(m.graph, "D", rep, m.tables["D"])
         assert stratum_conditioning_set(exp, 0) == {"D", "E1E2", "E3E4"}
         assert stratum_conditioning_set(exp, 1) == {"D"}
         with pytest.raises(ValueError, match="stratum"):
@@ -127,7 +127,7 @@ class TestStratumConditioning:
 
     def test_disjoint_pairs_verdicts(self):
         m, rep = pairs_model()
-        exp = expand(m, "D", rep)
+        exp = expand(m.graph, "D", rep, m.tables["D"])
         for x in ("E1", "E2"):
             for y in ("E3", "E4"):
                 assert stratum_independent(exp, x, y, (), 0)
@@ -136,7 +136,7 @@ class TestStratumConditioning:
 
     def test_overlap_verdicts_and_witness(self):
         m, rep = overlap_model()
-        exp = expand(m, "D", rep)
+        exp = expand(m.graph, "D", rep, m.tables["D"])
         assert not stratum_independent(exp, "E1", "A", (), 0)
         assert not stratum_independent(exp, "E1", "E2", (), 0)
         assert not stratum_independent(exp, "E2", "A", (), 0)
@@ -148,7 +148,7 @@ class TestStratumConditioning:
         m1 = Scm(g1, {**roots("ABEF"),
                       "D": ResponseTable.deterministic(
                           "D", ("A", "B", "E", "F"), lambda a, b, e, f: (a & b) | (e & f))})
-        exp1 = expand(m1, "D", Representation("D", (conj("A", "B"), conj("E", "F"))))
+        exp1 = expand(m1.graph, "D", Representation("D", (conj("A", "B"), conj("E", "F"))), m1.tables["D"])
         assert stratum_independent(exp1, "A", "E", (), 0)
 
         g2 = Dag(["A", "B", "E", "F", "Q", "D"],
@@ -159,7 +159,7 @@ class TestStratumConditioning:
                           "D", ("A", "B", "E", "F", "Q"),
                           lambda a, b, e, f, q: (a & b) | (a & q) | (e & f))})
         rep2 = Representation("D", (conj("A", "B"), conj("A", "Q"), conj("E", "F")))
-        exp2 = expand(m2, "D", rep2)
+        exp2 = expand(m2.graph, "D", rep2, m2.tables["D"])
         assert stratum_conditioning_set(exp2, 0) == {"D", "AB", "AQ", "EF"}
         assert not stratum_independent(exp2, "A", "E", (), 0)
 
@@ -167,7 +167,7 @@ class TestStratumConditioning:
 class TestOracleSoundness:
     def test_expanded_distribution_matches_base_marginal(self):
         m, rep = pairs_model()
-        exp = expand(m, "D", rep)
+        exp = expand(m.graph, "D", rep, m.tables["D"])
         base_cols = list(m.graph.nodes)
         assert expanded_distribution(m, exp).marginal(base_cols) == \
             joint_distribution(m).marginal(base_cols)
@@ -176,7 +176,7 @@ class TestOracleSoundness:
         rng = random.Random(515)
         for _ in range(25):
             m, rep = pairs_model(rng)
-            exp = expand(m, "D", rep)
+            exp = expand(m.graph, "D", rep, m.tables["D"])
             dist = expanded_distribution(m, exp)
             if dist.restrict({"D": 0}).mass() == 0:
                 continue
@@ -189,7 +189,7 @@ class TestOracleSoundness:
         found = False
         for _ in range(40):
             m, rep = overlap_model(rng)
-            exp = expand(m, "D", rep)
+            exp = expand(m.graph, "D", rep, m.tables["D"])
             dist = expanded_distribution(m, exp)
             if dist.restrict({"D": 0}).mass() == 0:
                 continue
@@ -219,7 +219,7 @@ class TestOracleSoundness:
             rep = canonical_representation(table)
             if not rep.terms:
                 continue
-            exp = expand(m, "D", rep)
+            exp = expand(m.graph, "D", rep, m.tables["D"])
             dist = expanded_distribution(m, exp)
             queryable = [n for n in exp.dag.nodes if n != "D"]
             for stratum in (0, 1):
@@ -252,7 +252,7 @@ class TestOracleSoundness:
             rep = canonical_representation(table)
             if not rep.terms:
                 continue
-            exp = expand(m, "D", rep)
+            exp = expand(m.graph, "D", rep, m.tables["D"])
             dist = expanded_distribution(m, exp)
             for a in exp.cocause_nodes:
                 for parent in ("E1", "E2"):

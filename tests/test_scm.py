@@ -14,7 +14,6 @@ from suffcause import (
     complement_parent,
     config_index,
     dedupe_states,
-    eval_node,
     joint_distribution,
     marginalize,
     state_column,
@@ -33,8 +32,8 @@ def fair(name: str) -> ResponseTable:
 class TestResponseTable:
     def test_identity_equation(self):
         t = ResponseTable.deterministic("D", ("E",), lambda e: e)
-        assert eval_node(t, 0, 1) == 1
-        assert eval_node(t, 0, 0) == 0
+        assert t.output(0, 1) == 1
+        assert t.output(0, 0) == 0
 
     def test_constant_zero(self):
         t = ResponseTable.constant("D", 0)

@@ -20,7 +20,6 @@ from suffcause import (
     monotonic_effect_via_canonical,
     monotonically_associated,
     path_sign,
-    qualitative_cov_sign,
     random_instance,
 )
 from suffcause.signs import directional_effect_holds
@@ -145,7 +144,7 @@ class TestAssociation:
     def test_no_connection_is_zero(self):
         g = Dag(["X", "Y"], [])
         assert monotonically_associated(g, "X", "Y") is Sign.ZERO
-        assert qualitative_cov_sign(g, "X", "Y") is Sign.ZERO
+        assert monotonically_associated(g, "X", "Y") is Sign.ZERO
 
     def test_collider_only_connection_is_zero(self):
         g = Dag(["X", "Y", "D"], [("X", "D"), ("Y", "D")],
@@ -155,7 +154,7 @@ class TestAssociation:
     def test_unsigned_edge_undefined(self):
         g = Dag(["X", "M", "Y"], [("X", "M"), ("M", "Y")], {("X", "M"): "+"})
         assert monotonically_associated(g, "X", "Y") is Sign.UNDEFINED
-        assert qualitative_cov_sign(g, "X", "Y") is Sign.UNDEFINED
+        assert monotonically_associated(g, "X", "Y") is Sign.UNDEFINED
 
     def test_mixed_directed_paths_undefined(self):
         g = Dag(["X", "M", "Y"], [("X", "M"), ("M", "Y"), ("X", "Y")],
@@ -167,7 +166,7 @@ class TestAssociation:
         from support import fixture
         g = load_model(fixture("coaggregation_null")).dag
         assert monotonically_associated(g, "E1", "B1") is Sign.POSITIVE
-        assert qualitative_cov_sign(g, "E1", "GP") is Sign.ZERO
+        assert monotonically_associated(g, "E1", "GP") is Sign.ZERO
 
     def test_symmetry(self):
         rng = random.Random(17)
@@ -204,7 +203,7 @@ class TestCovarianceClaimsAgainstOracle:
             m = random_instance(g, InstanceConstraints(monotone=monotone, states=(1, 3)), trials)
             dist = joint_distribution(m)
             for x, y in [rng.sample(list(g.nodes), 2) for _ in range(4)]:
-                claim = qualitative_cov_sign(g, x, y)
+                claim = monotonically_associated(g, x, y)
                 if claim is Sign.UNDEFINED:
                     continue
                 cov = conditional_covariance(dist, x, y)
