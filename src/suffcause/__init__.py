@@ -53,10 +53,10 @@ from .graph import (
     can_marginalize,
     common_causes,
     d_separated,
-    directed_paths,
     find_unblocked_path,
     marginalize,
     path_blocked,
+    path_signs,
 )
 from .modelfile import Assertion, Model, ModelError, load_model, parse_model, serialize_model
 from .oracle import (
@@ -87,7 +87,6 @@ from .signs import (
     is_constant_in,
     monotonic_effect_via_canonical,
     monotonically_associated,
-    path_sign,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -21,7 +21,7 @@ from typing import Sequence
 from . import covsign as cs
 from .causes import CoCauseKind, canonical_representation
 from .expansion import expand, stratum_conditioning_set, stratum_independent
-from .graph import find_unblocked_path
+from .graph import d_separated, find_unblocked_path
 from .modelfile import Model, load_model
 from .scm import DEFAULT_WORLD_BUDGET, dedupe_states
 from .signs import detect_monotonic_effect, is_constant_in, monotonically_associated
@@ -174,8 +174,8 @@ def _cmd_expand(args) -> int:
 
 def _cmd_dsep(args) -> int:
     model = load_model(args.model)
-    witness = find_unblocked_path(model.dag, args.x, args.y, args.z)
-    separated = witness is None
+    separated = d_separated(model.dag, args.x, args.y, args.z)
+    witness = None if separated else find_unblocked_path(model.dag, args.x, args.y, args.z)
     report = {
         "command": "dsep",
         "model": args.model,

@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Sequence
 
 from . import oracle
 from .causes import CoCauseKind, canonical_representation
-from .graph import Dag, common_causes, d_separated, directed_paths
+from .graph import Dag, common_causes, d_separated, path_signs
 from .modelfile import Assertion, Model
 from .scm import (
     DEFAULT_WORLD_BUDGET,
@@ -30,7 +30,7 @@ from .scm import (
     dedupe_states,
     joint_distribution,
 )
-from .signs import Sign, detect_monotonic_effect, monotonically_associated, sign_along
+from .signs import Sign, detect_monotonic_effect, monotonically_associated, sign_agreement
 
 
 class Flag(Enum):
@@ -290,10 +290,11 @@ class AssertedFacts:
 
     Slots speak about the (e1, e2) frame: an assertion naming the pair
     reversed lands in the swapped slot, and a flag or co-cause assertion
-    about another target or pair is left out. ``flags`` keeps the last flag
-    asserted per slot. ``independent`` and ``cov`` cover every pair of the
-    model, keyed by the sorted pair; a cov-sign claim repeated on one pair
-    keeps the meet of its relations, so "<=0" with ">=0" reads "=0".
+    about another target or pair is left out. ``flags`` holds one flag per
+    slot: two different flags on one slot raise ``ValueError``. ``independent``
+    and ``cov`` cover every pair of the model, keyed by the sorted pair; a
+    cov-sign claim repeated on one pair keeps the meet of its relations, so
+    "<=0" with ">=0" reads "=0".
     """
 
     target: str
@@ -334,8 +335,12 @@ def read_assertions(assertions: Iterable[Assertion], d: str, e1: str, e2: str) -
     for a in assertions:
         if a.kind in ("no-synergism", "rep-flag") and a.args[0] == d:
             s = slot(a.args[1], a.args[2], "a3" if a.kind == "no-synergism" else a.args[3])
-            if s is not None:
-                flags[s] = Flag.ZERO if a.kind == "no-synergism" else Flag(a.args[4])
+            flag = Flag.ZERO if a.kind == "no-synergism" else Flag(a.args[4])
+            if s is not None and flags.setdefault(s, flag) is not flag:
+                raise ValueError(
+                    f"contradictory assertions on {d}: slot {s} of ({e1}, {e2}) "
+                    f"is asserted both {flags[s].value} and {flag.value}"
+                )
         elif a.kind == "cocause-independent" and a.args[0] == d:
             s1, s2 = slot(a.args[1], a.args[2], a.args[3]), slot(a.args[1], a.args[2], a.args[4])
             if s1 is not None and s2 is not None:
@@ -566,18 +571,17 @@ def _q_structurally_independent(graph: Dag, q: Sequence[str]) -> bool:
 
 
 def _q_path_sign_flags(graph: Dag, q: Sequence[str], f: str, g: str) -> tuple[bool, bool]:
+    if not q:
+        return (True, True)
+    into_f, into_g = path_signs(graph, f), path_signs(graph, g)
     same_ok = True
     opposite_ok = True
     for qi in q:
-        to_f = {sign_along(graph, p) for p in directed_paths(graph, qi, f)}
-        to_g = {sign_along(graph, p) for p in directed_paths(graph, qi, g)}
-        if Sign.UNDEFINED in to_f | to_g:
-            return (False, False)
-        if not to_f or not to_g:
-            continue
-        single = len(to_f) == 1 and len(to_g) == 1
-        same_ok = same_ok and single and to_f == to_g
-        opposite_ok = opposite_ok and single and (next(iter(to_f)) * next(iter(to_g)) is Sign.NEGATIVE)
+        to_f, to_g = into_f.get(qi, frozenset()), into_g.get(qi, frozenset())
+        if to_f and to_g or Sign.UNDEFINED in to_f | to_g:
+            same, opposite = sign_agreement(to_f, to_g)
+            same_ok = same_ok and same
+            opposite_ok = opposite_ok and opposite
     return (same_ok, opposite_ok)
 
 
@@ -599,8 +603,7 @@ def expectation_monotone_premise(
         if monotonically_associated(graph, f, e) in (Sign.POSITIVE, Sign.ZERO):
             return (True, "separated-and-associated")
     if f in graph.descendants(e) and f in graph.descendants(d) and not common_causes(graph, f, e):
-        signs = {sign_along(graph, p) for p in directed_paths(graph, e, f, avoid=(d,))}
-        if signs <= {Sign.POSITIVE}:
+        if path_signs(graph, f, avoid=d).get(e, frozenset()) <= {Sign.POSITIVE}:
             return (True, "positive-paths-outside-target")
     return (False, "")
 

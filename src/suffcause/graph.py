@@ -1,4 +1,4 @@
-"""Directed acyclic graph core: paths, d-separation, marginalization.
+"""Directed acyclic graph core: paths, path signs, d-separation, marginalization.
 
 Nodes are case-sensitive strings. Declaration order is preserved and drives
 every deterministic iteration downstream (truth-table indexing, witness
@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from enum import Enum
 from itertools import combinations
 from typing import Iterable, Mapping
 
@@ -24,11 +25,36 @@ def _as_names(x: str | Iterable[str]) -> tuple[str, ...]:
     return tuple(x)
 
 
+class Sign(Enum):
+    """Signs of edges and directed paths; a path's sign is the product of its edges'."""
+
+    POSITIVE = "+"
+    NEGATIVE = "-"
+    ZERO = "0"
+    UNDEFINED = "?"
+
+    def __mul__(self, other: "Sign") -> "Sign":
+        if Sign.UNDEFINED in (self, other):
+            return Sign.UNDEFINED
+        if Sign.ZERO in (self, other):
+            return Sign.ZERO
+        return Sign.POSITIVE if self is other else Sign.NEGATIVE
+
+    @classmethod
+    def of_edge(cls, label: str | None) -> "Sign":
+        if label == "+":
+            return cls.POSITIVE
+        if label == "-":
+            return cls.NEGATIVE
+        return cls.UNDEFINED
+
+
 class Dag:
     """A finite directed acyclic graph with optionally signed edges.
 
-    Edge signs are stored here ("+" or "-") but only given meaning by the
-    sign-propagation layer; the graph itself treats them as labels.
+    Edge signs are stored as labels ("+" or "-"); an unsigned edge reads as
+    ``Sign.UNDEFINED``. ``path_signs`` multiplies them along directed paths,
+    which is all the sign layer and ``marginalize`` need of them.
     """
 
     __slots__ = ("nodes", "edges", "signs", "_index", "_parents", "_children", "_adjacent", "_topo")
@@ -216,10 +242,6 @@ class Path:
                 raise GraphError(f"{a!r} and {b!r} are not adjacent")
         return cls(seq, tuple(steps))
 
-    @property
-    def is_directed(self) -> bool:
-        return all(self.forward)
-
     def __str__(self) -> str:
         parts = [self.nodes[0]]
         for step, node in zip(self.forward, self.nodes[1:]):
@@ -358,69 +380,42 @@ def find_unblocked_path(
     return None
 
 
-def _reaches(g: Dag, src: str, dst: str, avoid: frozenset[str]) -> bool:
-    """Directed reachability from ``src`` to ``dst`` avoiding ``avoid``."""
-    if src in avoid:
-        return False
-    stack = [src]
-    seen = {src}
-    while stack:
-        n = stack.pop()
-        if n == dst:
-            return True
-        for c in g.children(n):
-            if c not in seen and c not in avoid:
-                seen.add(c)
-                stack.append(c)
-    return False
+def path_signs(g: Dag, b: str, avoid: str | Iterable[str] = ()) -> dict[str, frozenset[Sign]]:
+    """Sign products of the directed paths into ``b``, grouped by source.
+
+    Maps every node ``a`` with a directed path a -> ... -> b whose interior
+    nodes avoid ``avoid`` to the set of those paths' signs (a subset of
+    {+, -, ?}); ``a`` itself may lie in ``avoid``. One pass in reverse
+    topological order; the keys follow declaration order.
+    """
+    g.require(b)
+    avoid_set = _node_set(g, avoid) - {b}
+    out: dict[str, frozenset[Sign]] = {b: frozenset((Sign.POSITIVE,))}
+    topo = g.topological()
+    # only nodes before b in topological order can reach it
+    for v in reversed(topo[:topo.index(b)]):
+        signs = {
+            Sign.of_edge(g.signs.get((v, c))) * s
+            for c in g._children[v]
+            if c in out and c not in avoid_set
+            for s in out[c]
+        }
+        if signs:
+            out[v] = frozenset(signs)
+    return {a: out[a] for a in g.nodes if a in out and a != b}
 
 
 def common_causes(g: Dag, x: str, y: str) -> tuple[str, ...]:
     """Nodes with a directed path to ``x`` avoiding ``y`` and one to ``y`` avoiding ``x``."""
-    g.require(x, y)
-    out = []
-    for c in g.nodes:
-        if c in (x, y):
-            continue
-        if _reaches(g, c, x, frozenset((y,))) and _reaches(g, c, y, frozenset((x,))):
-            out.append(c)
-    return tuple(out)
-
-
-def directed_paths(
-    g: Dag, a: str, b: str, avoid: str | Iterable[str] = ()
-) -> list[tuple[str, ...]]:
-    """All directed simple paths from ``a`` to ``b`` skipping ``avoid`` nodes."""
-    g.require(a, b)
-    avoid_set = _node_set(g, avoid)
-    if a in avoid_set or b in avoid_set or a == b:
-        return []
-    out: list[tuple[str, ...]] = []
-
-    def walk(trail: list[str]) -> None:
-        for c in g.children(trail[-1]):
-            if c in avoid_set or c in trail:
-                continue
-            if c == b:
-                out.append(tuple(trail) + (b,))
-            else:
-                trail.append(c)
-                walk(trail)
-                trail.pop()
-
-    walk([a])
-    return out
+    into_y = path_signs(g, y, avoid=x)
+    return tuple(c for c in path_signs(g, x, avoid=y) if c in into_y)
 
 
 def can_marginalize(g: Dag, w: str | Iterable[str]) -> bool:
     """True when no node of ``w`` is a common cause of two retained nodes."""
     ws = _node_set(g, w)
     retained = [n for n in g.nodes if n not in ws]
-    for c in ws:
-        for a, b in combinations(retained, 2):
-            if _reaches(g, c, a, frozenset((b,))) and _reaches(g, c, b, frozenset((a,))):
-                return False
-    return True
+    return not any(ws.intersection(common_causes(g, a, b)) for a, b in combinations(retained, 2))
 
 
 def marginalize(g: Dag, w: str | Iterable[str]) -> Dag:
@@ -434,30 +429,15 @@ def marginalize(g: Dag, w: str | Iterable[str]) -> Dag:
     if not can_marginalize(g, ws):
         raise GraphError(f"cannot marginalize: a node of {sorted(ws)} is a common cause of retained nodes")
     retained = [n for n in g.nodes if n not in ws]
-    retained_set = set(retained)
-
-    sign_value = {"+": 1, "-": -1}
+    into = {b: path_signs(g, b, avoid=retained) for b in retained}
     edges: list[tuple[str, str]] = []
     signs: dict[tuple[str, str], str] = {}
     for a in retained:
-        collected: dict[str, set[int | None]] = {}
-
-        def walk(node: str, acc: int | None) -> None:
-            for c in g.children(node):
-                s = g.signs.get((node, c))
-                step = None if (acc is None or s is None) else acc * sign_value[s]
-                if c in retained_set:
-                    collected.setdefault(c, set()).add(step)
-                elif c in ws:
-                    walk(c, step)
-
-        walk(a, 1)
         for b in retained:
-            if b in collected:
-                edges.append((a, b))
-                path_signs = collected[b]
-                if path_signs == {1}:
-                    signs[(a, b)] = "+"
-                elif path_signs == {-1}:
-                    signs[(a, b)] = "-"
+            found = into[b].get(a)
+            if found is None:
+                continue
+            edges.append((a, b))
+            if len(found) == 1 and Sign.UNDEFINED not in found:
+                signs[(a, b)] = next(iter(found)).value
     return Dag(retained, edges, signs)

@@ -1,41 +1,17 @@
-"""Monotonic effects, edge and path signs, and qualitative covariance claims.
+"""Monotonic effects, monotone association, and qualitative covariance claims.
 
 An edge carries a "+" when the child's equation is nondecreasing in that
 parent for every response state and every setting of the other parents, and
-a "-" for nonincreasing. Path signs multiply; monotone association of two
-nodes then yields a sign claim about their exact covariance.
+a "-" for nonincreasing. Path signs multiply (``graph.path_signs``);
+monotone association of two nodes then yields a sign claim about their
+exact covariance.
 """
 
 from __future__ import annotations
 
-from enum import Enum
-from typing import Iterable
-
 from .causes import canonical_representation
-from .graph import Dag, GraphError, Path, common_causes, directed_paths
+from .graph import Dag, GraphError, Sign, path_signs
 from .scm import ResponseTable
-
-
-class Sign(Enum):
-    POSITIVE = "+"
-    NEGATIVE = "-"
-    ZERO = "0"
-    UNDEFINED = "?"
-
-    def __mul__(self, other: "Sign") -> "Sign":
-        if Sign.UNDEFINED in (self, other):
-            return Sign.UNDEFINED
-        if Sign.ZERO in (self, other):
-            return Sign.ZERO
-        return Sign.POSITIVE if self is other else Sign.NEGATIVE
-
-    @classmethod
-    def of_edge(cls, label: str | None) -> "Sign":
-        if label == "+":
-            return cls.POSITIVE
-        if label == "-":
-            return cls.NEGATIVE
-        return cls.UNDEFINED
 
 
 def _row_direction_holds(row: int, n_configs: int, bit: int, nondecreasing: bool) -> bool:
@@ -100,27 +76,24 @@ def monotonic_effect_via_canonical(table: ResponseTable, parent: str) -> Sign:
     return Sign.UNDEFINED
 
 
-def path_sign(g: Dag, path: Path) -> Sign:
-    """Product of the edge signs along a directed path."""
-    if not path.is_directed:
-        raise GraphError(f"path {path} is not directed")
-    return sign_along(g, path.nodes)
-
-
-def sign_along(g: Dag, nodes: Iterable[str]) -> Sign:
-    """Product of edge signs along a directed node sequence."""
-    out = Sign.POSITIVE
-    pairs = list(nodes)
-    for a, b in zip(pairs, pairs[1:]):
-        out = out * Sign.of_edge(g.signs.get((a, b)))
-    return out
-
-
 def directional_effect_holds(table: ResponseTable, parent: str, sign: str) -> bool:
     """Whether a declared edge sign is consistent with the equation."""
     if sign not in ("+", "-"):
         raise ValueError(f"invalid sign {sign!r}")
     return _direction_holds(table, parent, nondecreasing=(sign == "+"))
+
+
+def sign_agreement(to_a: frozenset[Sign], to_b: frozenset[Sign]) -> tuple[bool, bool]:
+    """Whether one source's path signs into two nodes agree, and whether they oppose.
+
+    Agree: each set is the same single sign. Oppose: each is a single sign
+    and the two differ. An undefined sign, or more than one sign on a
+    side, allows neither.
+    """
+    if Sign.UNDEFINED in to_a | to_b or len(to_a) != 1 or len(to_b) != 1:
+        return (False, False)
+    (a,), (b,) = to_a, to_b
+    return (a is b, a * b is Sign.NEGATIVE)
 
 
 def monotonically_associated(g: Dag, x: str, y: str) -> Sign:
@@ -137,24 +110,17 @@ def monotonically_associated(g: Dag, x: str, y: str) -> Sign:
     if x == y:
         raise GraphError("association of a node with itself is not defined")
 
-    between = [sign_along(g, p) for p in directed_paths(g, x, y)]
-    between += [sign_along(g, p) for p in directed_paths(g, y, x)]
-    causes = common_causes(g, x, y)
+    into_x = path_signs(g, x, avoid=y)
+    into_y = path_signs(g, y, avoid=x)
+    between = into_y.get(x, frozenset()) | into_x.get(y, frozenset())
+    causes = [c for c in into_x if c in into_y]
     if not between and not causes:
         return Sign.ZERO
 
-    positive_ok = all(s is Sign.POSITIVE for s in between)
-    negative_ok = all(s is Sign.NEGATIVE for s in between)
+    positive_ok = between <= {Sign.POSITIVE}
+    negative_ok = between <= {Sign.NEGATIVE}
     for c in causes:
-        to_x = {sign_along(g, p) for p in directed_paths(g, c, x, avoid=(y,))}
-        to_y = {sign_along(g, p) for p in directed_paths(g, c, y, avoid=(x,))}
-        if Sign.UNDEFINED in to_x | to_y:
-            return Sign.UNDEFINED
-        same = len(to_x | to_y) == 1
-        opposite = (
-            len(to_x) == 1 and len(to_y) == 1
-            and next(iter(to_x)) * next(iter(to_y)) is Sign.NEGATIVE
-        )
+        same, opposite = sign_agreement(into_x[c], into_y[c])
         positive_ok = positive_ok and same
         negative_ok = negative_ok and opposite
     if positive_ok and not negative_ok:

@@ -1,4 +1,4 @@
-"""Shared helpers: fixture paths, random graphs, and constrained instance families."""
+"""Shared helpers: fixture paths, random graphs, path references, and constrained instance families."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
-from suffcause import Dag, ResponseTable, Scm, facts_from_scm
+from suffcause import Dag, ResponseTable, Scm, Sign, facts_from_scm
 from suffcause.covsign import Flag, RepFacts
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -35,6 +35,51 @@ def random_dag(rng: random.Random, n_nodes: int, edge_prob: float = 0.4) -> Dag:
         if rng.random() < edge_prob
     ]
     return Dag(nodes, edges)
+
+
+def random_signs(rng: random.Random, g: Dag) -> Dag:
+    """The same graph with each edge labeled "+", "-" or left unsigned at random."""
+    signs = {}
+    for e in g.edges:
+        r = rng.random()
+        if r < 0.4:
+            signs[e] = "+"
+        elif r < 0.8:
+            signs[e] = "-"
+    return Dag(g.nodes, g.edges, signs)
+
+
+# -- test-only reference for graph.path_signs: enumerate every directed path --
+
+def directed_paths(g: Dag, a: str, b: str, avoid=()) -> list[tuple[str, ...]]:
+    """All directed simple paths from ``a`` to ``b`` skipping ``avoid`` nodes."""
+    g.require(a, b, *avoid)
+    avoid_set = set(avoid)
+    if a in avoid_set or b in avoid_set or a == b:
+        return []
+    out: list[tuple[str, ...]] = []
+
+    def walk(trail: list[str]) -> None:
+        for c in g.children(trail[-1]):
+            if c in avoid_set or c in trail:
+                continue
+            if c == b:
+                out.append(tuple(trail) + (b,))
+            else:
+                trail.append(c)
+                walk(trail)
+                trail.pop()
+
+    walk([a])
+    return out
+
+
+def path_product(g: Dag, nodes) -> Sign:
+    """Product of edge signs along a directed node sequence."""
+    out = Sign.POSITIVE
+    for a, b in zip(nodes, nodes[1:]):
+        out = out * Sign.of_edge(g.signs.get((a, b)))
+    return out
 
 
 def random_fraction(rng: random.Random, max_den: int = 8) -> Fraction:

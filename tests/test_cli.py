@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from suffcause import scm
+from suffcause import cli, scm
 from suffcause.cli import main
 
 from support import fixture
@@ -37,6 +37,16 @@ class TestDsep:
         doc = json.loads(out)
         assert doc["separated"] is False
         assert doc["witness"] == "P2 <- GP -> P1 <- E1 -> B1"
+
+    def test_separated_verdict_needs_no_witness_search(self, capsys, monkeypatch):
+        # the exhaustive witness search runs only for a pair that is not separated
+        def refuse(*args, **kwargs):
+            raise AssertionError("witness search on a separated pair")
+
+        monkeypatch.setattr(cli, "find_unblocked_path", refuse)
+        code, out, _ = run(capsys, "dsep", fixture("pairs_disjoint"), "--x", "E1", "--y", "E3")
+        assert code == 0
+        assert out == "separated\n"
 
     def test_unknown_node_is_error(self, capsys):
         code, _, err = run(capsys, "dsep", fixture("pairs_disjoint"), "--x", "NOPE", "--y", "D")
@@ -294,3 +304,32 @@ class TestOracleCheck:
         assert out == ""
         assert err.startswith("error: ") and "exceed the budget of 10" in err
         assert len(err.splitlines()) == 1
+
+
+CONTRADICTIONS = (
+    ("assert rep-flag D E1 E2 a1 zero\nassert rep-flag D E2 E1 a2 one\n", "slot a1", "zero and one"),
+    ("assert no-synergism D E1 E2\nassert rep-flag D E1 E2 a3 one\n", "slot a3", "zero and one"),
+)
+
+
+class TestContradictoryFlags:
+    PAIR = "node E1\nnode E2\nnode D\nedge E1 D +\nedge E2 D +\n"
+
+    @pytest.mark.parametrize("command", ["covsign", "oracle-check"])
+    @pytest.mark.parametrize("assertions,slot,values", CONTRADICTIONS, ids=["swapped-pair", "no-synergism"])
+    def test_two_flags_on_one_slot_exit_2(self, capsys, tmp_path, command, assertions, slot, values):
+        path = tmp_path / "pair.model"
+        path.write_text(self.PAIR + assertions)
+        code, out, err = run(capsys, command, str(path), "--d", "D")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: contradictory assertions on D: ")
+        assert slot in err and values in err
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("command", ["covsign", "oracle-check"])
+    def test_repeated_identical_flag_is_accepted(self, capsys, tmp_path, command):
+        path = tmp_path / "pair.model"
+        path.write_text(self.PAIR + "assert rep-flag D E1 E2 a1 zero\nassert rep-flag D E2 E1 a2 zero\n")
+        code, _, _ = run(capsys, command, str(path), "--d", "D", "--format", "json")
+        assert code == 0

@@ -11,16 +11,19 @@ from suffcause import (
     Dag,
     GraphError,
     Path,
+    Sign,
     can_marginalize,
     common_causes,
     d_separated,
-    directed_paths,
     find_unblocked_path,
     marginalize,
     path_blocked,
+    path_signs,
 )
 
-from support import random_dag
+from support import directed_paths, path_product, random_dag, random_signs
+
+POS, NEG, UND = Sign.POSITIVE, Sign.NEGATIVE, Sign.UNDEFINED
 
 
 def coaggregation_full() -> Dag:
@@ -256,9 +259,16 @@ class TestPathsAndCommonCauses:
             Path.through(g, ["A", "B", "A"])
 
     def test_directed_paths_avoiding(self):
-        g = Dag(["A", "B", "C", "D"], [("A", "B"), ("B", "D"), ("A", "C"), ("C", "D")])
-        assert directed_paths(g, "A", "D") == [("A", "B", "D"), ("A", "C", "D")]
-        assert directed_paths(g, "A", "D", avoid=("B",)) == [("A", "C", "D")]
+        g = Dag(
+            ["A", "B", "C", "D"],
+            [("A", "B"), ("B", "D"), ("A", "C"), ("C", "D")],
+            {("A", "B"): "+", ("B", "D"): "+", ("A", "C"): "+", ("C", "D"): "-"},
+        )
+        assert path_signs(g, "D") == {"A": {POS, NEG}, "B": {POS}, "C": {NEG}}
+        # only interior nodes must avoid: B keeps its own path into D
+        assert path_signs(g, "D", avoid=("B",)) == {"A": {NEG}, "B": {POS}, "C": {NEG}}
+        assert path_signs(g, "D", avoid=("B", "C")) == {"B": {POS}, "C": {NEG}}
+        assert path_signs(g, "A") == {}
 
     def test_common_causes(self):
         g = Dag(["C", "A", "B"], [("C", "A"), ("C", "B")])
@@ -266,3 +276,67 @@ class TestPathsAndCommonCauses:
         chain = Dag(["C", "A", "B"], [("C", "A"), ("A", "B")])
         # every path from C to B runs through A, so C is not a common cause
         assert common_causes(chain, "A", "B") == ()
+
+
+def _labeled_dags(n_nodes: int, seed: int):
+    """Every DAG on ``n_nodes`` nodes, seeded edge labels, shuffled declaration order."""
+    rng = random.Random(seed)
+    names = ["A", "B", "C", "D", "E"][:n_nodes]
+    slots = list(combinations(range(n_nodes), 2))
+    for mask in range(1 << len(slots)):
+        edges = [(names[i], names[j]) for k, (i, j) in enumerate(slots) if mask >> k & 1]
+        order = names[:]
+        rng.shuffle(order)
+        yield random_signs(rng, Dag(order, edges))
+
+
+def _assert_path_signs_match_enumeration(g: Dag) -> None:
+    for avoid in [()] + [(n,) for n in g.nodes]:
+        for b in g.nodes:
+            fast = path_signs(g, b, avoid)
+            assert list(fast) == [a for a in g.nodes if a in fast]
+            for a in g.nodes:
+                interior_avoid = [n for n in avoid if n not in (a, b)]
+                expected = {path_product(g, p) for p in directed_paths(g, a, b, interior_avoid)}
+                assert fast.get(a, frozenset()) == expected, (g, a, b, avoid)
+
+
+class TestPathSignsMatchEnumeration:
+    @pytest.mark.parametrize("n_nodes", [4, 5])
+    def test_exhaustive_small_graphs(self, n_nodes):
+        for g in _labeled_dags(n_nodes, 1000 + n_nodes):
+            _assert_path_signs_match_enumeration(g)
+
+    def test_random_six_to_nine_nodes(self):
+        rng = random.Random(20261018)
+        for _ in range(150):
+            g = random_dag(rng, rng.randint(6, 9), rng.uniform(0.25, 0.6))
+            order = list(g.nodes)
+            rng.shuffle(order)
+            _assert_path_signs_match_enumeration(random_signs(rng, Dag(order, g.edges)))
+
+
+class TestDSeparationMatchesNetworkx:
+    """Graphs well past the reach of the literal all-paths check."""
+
+    def test_random_large_dags(self):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(606)
+        for _ in range(100):
+            n = rng.randint(30, 60)
+            g = random_dag(rng, n, rng.uniform(1.5, 3.0) / n)
+            ng = nx.DiGraph(g.edges)
+            ng.add_nodes_from(g.nodes)
+            for _ in range(10):
+                picked = rng.sample(list(g.nodes), rng.randint(2, 8))
+                k = rng.randint(1, len(picked) - 1)
+                xs, ys = set(picked[:k]), set(picked[k:])
+                rest = [v for v in g.nodes if v not in xs | ys]
+                zs = set(rng.sample(rest, rng.randint(0, min(len(rest), n // 4))))
+                separated = d_separated(g, xs, ys, zs)
+                assert separated == nx.is_d_separator(ng, xs, ys, zs)
+                if not separated:
+                    witness = find_unblocked_path(g, xs, ys, zs)
+                    assert witness is not None
+                    assert witness.nodes[0] in xs and witness.nodes[-1] in ys
+                    assert not path_blocked(g, witness, zs)

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from suffcause import (
     Dag,
     InstanceConstraints,
-    Path,
     ResponseTable,
     Sign,
     conditional_covariance,
@@ -19,7 +18,7 @@ from suffcause import (
     joint_distribution,
     monotonic_effect_via_canonical,
     monotonically_associated,
-    path_sign,
+    path_signs,
     random_instance,
 )
 from suffcause.signs import directional_effect_holds
@@ -118,17 +117,13 @@ class TestPathSign:
 
     def test_products(self):
         g = self.g()
-        assert path_sign(g, Path.through(g, ["A", "B", "C"])) is Sign.NEGATIVE
-        assert path_sign(g, Path.through(g, ["A", "B", "C", "D"])) is Sign.POSITIVE
+        assert path_signs(g, "C")["A"] == {Sign.NEGATIVE}
+        # A -> B -> C -> D is positive, the unsigned A -> D undefined
+        assert path_signs(g, "D")["A"] == {Sign.POSITIVE, Sign.UNDEFINED}
 
     def test_unsigned_edge_undefined(self):
         g = self.g()
-        assert path_sign(g, Path.through(g, ["A", "D"])) is Sign.UNDEFINED
-
-    def test_undirected_path_rejected(self):
-        g = Dag(["A", "B", "C"], [("A", "B"), ("C", "B")])
-        with pytest.raises(Exception, match="not directed"):
-            path_sign(g, Path.through(g, ["A", "B", "C"]))
+        assert path_signs(g, "D", avoid=("B",))["A"] == {Sign.UNDEFINED}
 
 
 class TestAssociation:
