@@ -303,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def pair_query(p):
         p.add_argument("--budget", type=int, default=DEFAULT_WORLD_BUDGET,
-                       help="most weighted worlds one exact joint may enumerate")
+                       help="largest product of response-state counts one exact joint may cover")
         p.add_argument("--d", required=True, help="conditioning node")
         p.add_argument("--f", default=None)
         p.add_argument("--g", default=None)

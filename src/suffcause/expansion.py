@@ -182,7 +182,7 @@ def expanded_distribution(
     co-cause column indicates membership of that index in the term's state
     set, and each AND column multiplies its co-cause with its literals.
     """
-    dist = joint_distribution(model, budget)
+    dist = joint_distribution(model, budget, states=(e.target,))
     st_col = state_column(e.target)
 
     names: list[str] = []

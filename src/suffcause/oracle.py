@@ -1,10 +1,13 @@
-"""Exact brute-force ground truth and seeded random model generation.
+"""Exact ground truth and seeded random model generation.
 
-Everything here is rational arithmetic on enumerated supports: conditional
-covariances, conditional independence and claim verification carry no
-tolerance at all. The generator draws response tables under structural
-constraints by rejection sampling with post-checks, so accepted models can
-be re-audited independently.
+Queries read the support rows of ``scm.joint_distribution``, whose masses
+are integer weights on one common scale: conditional covariances sum
+weights and divide once, and conditional independence cross-multiplies
+weights, so the scale cancels. Nothing is rounded and no tolerance enters
+covariances, conditional independence or claim verification. The
+generator draws response tables under structural constraints by rejection
+sampling with post-checks, so accepted models can be re-audited
+independently.
 """
 
 from __future__ import annotations
@@ -12,11 +15,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .causes import Literal, canonical_representation
 from .graph import Dag
-from .scm import ExactDistribution, ResponseTable, Scm
+from .scm import ExactDistribution, ResponseTable, Scm, _row_key
 from .signs import _row_direction_holds
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -38,16 +42,23 @@ def _columns(x: str | Iterable[str]) -> tuple[str, ...]:
 def conditional_covariance(
     dist: ExactDistribution, x: str, y: str, given: Mapping[str, int] | None = None
 ) -> Fraction:
-    """Exact Cov(x, y | given): E[xy] - E[x]E[y] on the restricted support."""
+    """Exact Cov(x, y | given): E[xy] - E[x]E[y] on the restricted support.
+
+    With integer weight sums M, Sx, Sy and Sxy over the matching rows this
+    is (Sxy M - Sx Sy) / M^2, in which the distribution's scale cancels.
+    """
     sub = dist.restrict(given or {})
-    mass = sub.mass()
-    if mass == 0:
-        raise ConditioningError(f"conditioning event {dict(given or {})} has probability 0")
     ix, iy = sub.column(x), sub.column(y)
-    exy = sum((Fraction(v[ix] * v[iy]) * p for v, p in sub.rows), Fraction(0)) / mass
-    ex = sum((Fraction(v[ix]) * p for v, p in sub.rows), Fraction(0)) / mass
-    ey = sum((Fraction(v[iy]) * p for v, p in sub.rows), Fraction(0)) / mass
-    return exy - ex * ey
+    m = sx = sy = sxy = 0
+    for vals, w in sub.rows:
+        a, b = vals[ix], vals[iy]
+        m += w
+        sx += a * w
+        sy += b * w
+        sxy += a * b * w
+    if m == 0:
+        raise ConditioningError(f"conditioning event {dict(given or {})} has probability 0")
+    return Fraction(sxy * m - sx * sy, m * m)
 
 
 def conditional_independent(
@@ -61,34 +72,33 @@ def conditional_independent(
 
     The check runs inside every positive-probability assignment of ``z``
     (restricted to ``stratum`` when given); zero-probability strata are
-    skipped by construction.
+    skipped by construction. Inside a stratum of weight M it asks
+    W(x, y) M == W(x) W(y) of the integer cell weights for every pair of
+    values seen; both sides carry the scale squared, so it cancels.
     """
-    xs, ys, zs = _columns(x), _columns(y), tuple(z)
     base = dist.restrict(stratum or {})
-    groups: dict[tuple[int, ...], list[tuple[tuple[int, ...], Fraction]]] = {}
-    zi = [base.column(c) for c in zs]
-    for vals, p in base.rows:
-        if p == 0:
-            continue
-        groups.setdefault(tuple(vals[i] for i in zi), []).append((vals, p))
+    kz = _row_key([base.column(c) for c in z])
+    kx = _row_key([base.column(c) for c in _columns(x)])
+    ky = _row_key([base.column(c) for c in _columns(y)])
+    cells: dict[tuple, int] = {}
+    for vals, w in base.rows:
+        cell = (kz(vals), kx(vals), ky(vals))
+        cells[cell] = cells.get(cell, 0) + w
 
-    xi = [base.column(c) for c in xs]
-    yi = [base.column(c) for c in ys]
-    for rows in groups.values():
-        mass = sum((p for _, p in rows), Fraction(0))
-        joint: dict[tuple, Fraction] = {}
-        mx: dict[tuple, Fraction] = {}
-        my: dict[tuple, Fraction] = {}
-        for vals, p in rows:
-            kx = tuple(vals[i] for i in xi)
-            ky = tuple(vals[i] for i in yi)
-            joint[kx + ky] = joint.get(kx + ky, Fraction(0)) + p
-            mx[kx] = mx.get(kx, Fraction(0)) + p
-            my[ky] = my.get(ky, Fraction(0)) + p
-        for kx, px in mx.items():
-            for ky, py in my.items():
-                if joint.get(kx + ky, Fraction(0)) * mass != px * py:
-                    return False
+    mass: dict[object, int] = {}
+    mx: dict[tuple, int] = {}
+    my: dict[tuple, int] = {}
+    for (vz, vx, vy), w in cells.items():
+        mass[vz] = mass.get(vz, 0) + w
+        mx[vz, vx] = mx.get((vz, vx), 0) + w
+        my[vz, vy] = my.get((vz, vy), 0) + w
+    ys_of: dict[object, list] = {}
+    for vz, vy in my:
+        ys_of.setdefault(vz, []).append(vy)
+    for (vz, vx), wx in mx.items():
+        for vy in ys_of[vz]:
+            if cells.get((vz, vx, vy), 0) * mass[vz] != wx * my[vz, vy]:
+                return False
     return True
 
 
@@ -154,19 +164,23 @@ def _monotone_close(row: int, n_configs: int, requirements: Sequence[tuple[int, 
     return row
 
 
+@lru_cache(maxsize=1024)
 def _candidate_rows(
-    table_parents: Sequence[str],
-    requirements: Sequence[tuple[str, str]],
-    allowed: Sequence[int] | None,
-) -> list[int] | None:
-    """Explicit candidate list when the row space is small enough."""
+    table_parents: tuple[str, ...],
+    requirements: tuple[tuple[str, str], ...],
+    allowed: tuple[int, ...] | None,
+) -> tuple[int, ...] | None:
+    """Explicit candidate rows when the row space is small enough.
+
+    Cached: the generator asks again for every node of every draw.
+    """
     m = len(table_parents)
     if allowed is None and m > 3:
         return None
     n_configs = 1 << m
     pool = allowed if allowed is not None else range(1 << n_configs)
     bits = [(1 << table_parents.index(p), s) for p, s in requirements]
-    return [r for r in pool if all(_row_direction_holds(r, n_configs, b, s == "+") for b, s in bits)]
+    return tuple(r for r in pool if all(_row_direction_holds(r, n_configs, b, s == "+") for b, s in bits))
 
 
 def random_instance(g: Dag, constraints: InstanceConstraints, seed: int) -> Scm:
@@ -183,14 +197,14 @@ def random_instance(g: Dag, constraints: InstanceConstraints, seed: int) -> Scm:
         parents = g.parents(node)
         m = len(parents)
         n_configs = 1 << m
-        requirements = tuple(constraints.monotone.get(node, ()))
+        requirements = tuple((p, s) for p, s in constraints.monotone.get(node, ()))
         for p, s in requirements:
             if p not in parents:
                 raise ValueError(f"{node}: monotonicity constraint on non-parent {p!r}")
             if s not in ("+", "-"):
                 raise ValueError(f"{node}: invalid sign {s!r}")
         allowed = constraints.allowed_rows.get(node)
-        candidates = _candidate_rows(parents, requirements, allowed)
+        candidates = _candidate_rows(parents, requirements, None if allowed is None else tuple(allowed))
         if candidates is not None and not candidates:
             raise GenerationError(f"{node}: no rows satisfy the constraints")
         forbidden = [frozenset(t) for t in constraints.forbidden_terms.get(node, ())]

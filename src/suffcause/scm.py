@@ -5,15 +5,23 @@ Each node's mechanism is a table: the exogenous term takes one of N
 configuration. A state is canonically encoded as an integer whose bit ``c``
 is the output on parent configuration ``c``; configuration ``c`` itself
 packs parent values with bit ``i`` holding the value of the i-th parent in
-declaration order. All probability is exact rational arithmetic; floats are
-never used on this path.
+declaration order.
+
+The exact joint is built by forward propagation over node values: each
+support row splits into its children for the next node in topological
+order. Every table is scaled to the least common denominator of its
+probabilities, so masses are Python ints on one common scale. All
+probability is exact; floats are never used on this path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
+from math import lcm
+from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .graph import Dag
@@ -22,7 +30,7 @@ DEFAULT_WORLD_BUDGET = 1 << 24
 
 
 class BudgetExceededError(ValueError):
-    """Enumeration would visit more weighted worlds than allowed."""
+    """A model has more worlds (product of state counts) than the budget allows."""
 
 
 def config_index(values: Sequence[int]) -> int:
@@ -181,13 +189,22 @@ class Scm:
 
 
 class ExactDistribution:
-    """An exact finite distribution as a column table of rational masses."""
+    """An exact finite distribution as a column table of integer weights.
 
-    __slots__ = ("columns", "rows", "_index")
+    A row is ``(values, w)`` with ``w`` a Python int; its probability is
+    ``w / scale``. Every row shares the one ``scale``, so sums and
+    cross-products of weights stay in integers and only ``mass`` and
+    ``marginal`` turn them into ``Fraction``s.
+    """
 
-    def __init__(self, columns: Iterable[str], rows: Iterable[tuple[tuple[int, ...], Fraction]]):
+    __slots__ = ("columns", "rows", "scale", "_index")
+
+    def __init__(self, columns: Iterable[str], rows: Iterable[tuple[tuple[int, ...], int]], scale: int):
         self.columns = tuple(columns)
         self.rows = tuple(rows)
+        if not isinstance(scale, int) or scale <= 0:
+            raise ValueError(f"scale must be a positive int, got {scale!r}")
+        self.scale = scale
         self._index = {c: i for i, c in enumerate(self.columns)}
         if len(self._index) != len(self.columns):
             raise ValueError("duplicate column names")
@@ -198,34 +215,36 @@ class ExactDistribution:
         return self._index[name]
 
     def mass(self) -> Fraction:
-        return sum((p for _, p in self.rows), Fraction(0))
+        return Fraction(sum(w for _, w in self.rows), self.scale)
 
     def restrict(self, assignment: Mapping[str, int]) -> "ExactDistribution":
         """Sub-distribution matching ``assignment`` (mass is not renormalized)."""
+        if not assignment:
+            return self
         idx = [(self.column(k), v) for k, v in assignment.items()]
-        kept = [(vals, p) for vals, p in self.rows if all(vals[i] == v for i, v in idx)]
-        return ExactDistribution(self.columns, kept)
+        kept = [(vals, w) for vals, w in self.rows if all(vals[i] == v for i, v in idx)]
+        return ExactDistribution(self.columns, kept, self.scale)
 
     def marginal(self, columns: Sequence[str]) -> dict[tuple[int, ...], Fraction]:
         idx = [self.column(c) for c in columns]
-        out: dict[tuple[int, ...], Fraction] = {}
-        for vals, p in self.rows:
+        out: dict[tuple[int, ...], int] = {}
+        for vals, w in self.rows:
             key = tuple(vals[i] for i in idx)
-            out[key] = out.get(key, Fraction(0)) + p
-        return out
+            out[key] = out.get(key, 0) + w
+        return {key: Fraction(w, self.scale) for key, w in out.items()}
 
     def with_columns(
         self, names: Sequence[str], derive: Callable[[Mapping[str, int]], Sequence[int]]
     ) -> "ExactDistribution":
         """Append derived columns computed per support row."""
         new_rows = []
-        for vals, p in self.rows:
+        for vals, w in self.rows:
             env = dict(zip(self.columns, vals))
             extra = tuple(derive(env))
             if len(extra) != len(names):
                 raise ValueError("derived row width does not match new column names")
-            new_rows.append((vals + extra, p))
-        return ExactDistribution(self.columns + tuple(names), new_rows)
+            new_rows.append((vals + extra, w))
+        return ExactDistribution(self.columns + tuple(names), new_rows, self.scale)
 
 
 def state_column(node: str) -> str:
@@ -233,40 +252,82 @@ def state_column(node: str) -> str:
     return f"{node}.state"
 
 
-def joint_distribution(model: Scm, budget: int = DEFAULT_WORLD_BUDGET) -> ExactDistribution:
-    """Exact joint over node values and response states, by enumeration.
+def joint_distribution(
+    model: Scm, budget: int = DEFAULT_WORLD_BUDGET, states: Iterable[str] = ()
+) -> ExactDistribution:
+    """Exact joint over node values, by forward propagation with integer weights.
 
-    Every combination of positive-probability response states is visited
-    once; node values are the deterministic consequence of the states. The
-    weighted world count must stay within ``budget``.
+    Nodes are visited in topological order and every support row (one
+    positive-probability assignment of the nodes so far) splits into its
+    ``0`` and ``1`` children for the next node. Each table is scaled to the
+    least common denominator of its probabilities, so a child's weight is
+    the row's weight times an integer, and the distribution's ``scale`` is
+    the product of those denominators. Zero-weight children are dropped,
+    so the rows are exactly the support of the node values.
+
+    Columns are the nodes in declaration order, then ``state_column(n)``
+    for each node ``n`` named in ``states`` (declaration order); such a
+    node splits per positive-probability response state instead. The
+    world count (the product of every table's state count) must stay
+    within ``budget``; it bounds the number of rows and is checked before
+    any work.
     """
     count = model.world_count()
     if count > budget:
         raise BudgetExceededError(f"{count} worlds exceed the budget of {budget}")
 
     nodes = model.graph.nodes
-    topo = model.graph.topological()
-    columns = tuple(nodes) + tuple(state_column(n) for n in nodes)
-    tables = [model.tables[n] for n in nodes]
-    supports = [
-        [(j, p) for j, p in enumerate(t.probs) if p > 0]
-        for t in tables
-    ]
+    with_state = frozenset(states)
+    model.graph.require(*with_state)
 
-    rows: list[tuple[tuple[int, ...], Fraction]] = []
-    for combo in product(*supports):
-        prob = Fraction(1)
-        states: dict[str, int] = {}
-        for n, (j, p) in zip(nodes, combo):
-            prob *= p
-            states[n] = j
-        values: dict[str, int] = {}
-        for n in topo:
-            t = model.tables[n]
-            c = config_index([values[p] for p in t.parents])
-            values[n] = t.output(states[n], c)
-        rows.append((tuple(values[n] for n in nodes) + tuple(states[n] for n in nodes), prob))
-    return ExactDistribution(columns, rows)
+    position: dict[str, int] = {}  # node value's slot in a propagated row
+    rows: list[tuple[tuple[int, ...], int]] = [((), 1)]
+    scale = 1
+    for n in model.graph.topological():
+        t = model.tables[n]
+        lcd = lcm(*(p.denominator for p in t.probs))
+        weighted = [(r, p.numerator * (lcd // p.denominator)) for r, p in zip(t.rows, t.probs)]
+        scale *= lcd
+        parent_values = _row_key([position[p] for p in t.parents])
+        position[n] = len(rows[0][0])
+        # a row's children, keyed by its parent values as parent_values reads them
+        if n in with_state:
+            # one child per positive-probability state, tagged with its index
+            children = {
+                key: [(((r >> c) & 1, j), w) for j, (r, w) in enumerate(weighted) if w]
+                for c, key in enumerate(_config_keys(t.n_parents))
+            }
+        else:
+            children = {}
+            for c, key in enumerate(_config_keys(t.n_parents)):
+                one = sum(w for r, w in weighted if (r >> c) & 1)
+                children[key] = [(v, w) for v, w in (((0,), lcd - one), ((1,), one)) if w]
+        rows = [
+            (vals + v, weight * w)
+            for vals, weight in rows
+            for v, w in children[parent_values(vals)]
+        ]
+
+    order = [position[n] for n in nodes] + [position[n] + 1 for n in nodes if n in with_state]
+    columns = tuple(nodes) + tuple(state_column(n) for n in nodes if n in with_state)
+    if order != list(range(len(order))):
+        reorder = itemgetter(*order)  # two or more columns here, so it returns tuples
+        rows = [(reorder(vals), w) for vals, w in rows]
+    return ExactDistribution(columns, rows, scale)
+
+
+def _row_key(indices: Sequence[int]) -> Callable[[Sequence[int]], object]:
+    """Row -> hashable key of its values at ``indices``; equal keys iff equal values."""
+    return itemgetter(*indices) if indices else (lambda vals: ())
+
+
+@lru_cache(maxsize=64)
+def _config_keys(n_parents: int) -> tuple[object, ...]:
+    """Configuration c's parent values as ``_row_key`` reads them, for each c."""
+    pick = _row_key(range(n_parents))
+    return tuple(
+        pick(tuple((c >> i) & 1 for i in range(n_parents))) for c in range(1 << n_parents)
+    )
 
 
 def substitute(model: Scm, w: str | Iterable[str]) -> Scm:

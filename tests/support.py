@@ -1,12 +1,13 @@
-"""Shared helpers: fixture paths, random graphs, path references, and constrained instance families."""
+"""Shared helpers: fixture paths, random graphs, path and world-enumeration references, and constrained instance families."""
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
-from suffcause import Dag, ResponseTable, Scm, Sign, facts_from_scm
+from suffcause import Dag, ResponseTable, Scm, Sign, config_index, facts_from_scm
 from suffcause.covsign import Flag, RepFacts
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -80,6 +81,73 @@ def path_product(g: Dag, nodes) -> Sign:
     for a, b in zip(nodes, nodes[1:]):
         out = out * Sign.of_edge(g.signs.get((a, b)))
     return out
+
+
+# -- test-only reference for scm.joint_distribution: enumerate every world ---
+
+def enumerate_joint(model: Scm) -> dict[tuple[int, ...], Fraction]:
+    """Probability of every positive-probability world, keyed by node values
+    then response-state indices (both in declaration order)."""
+    nodes = model.graph.nodes
+    supports = [
+        [(j, p) for j, p in enumerate(model.tables[n].probs) if p > 0]
+        for n in nodes
+    ]
+    out: dict[tuple[int, ...], Fraction] = {}
+    for combo in product(*supports):
+        prob = Fraction(1)
+        states: dict[str, int] = {}
+        for n, (j, p) in zip(nodes, combo):
+            prob *= p
+            states[n] = j
+        values: dict[str, int] = {}
+        for n in model.graph.topological():
+            t = model.tables[n]
+            values[n] = t.output(states[n], config_index([values[p] for p in t.parents]))
+        key = tuple(values[n] for n in nodes) + tuple(states[n] for n in nodes)
+        out[key] = out.get(key, Fraction(0)) + prob
+    return out
+
+
+def value_marginal(model: Scm, joint: dict[tuple[int, ...], Fraction]) -> dict[tuple[int, ...], Fraction]:
+    """Collapse an ``enumerate_joint`` result onto the node values."""
+    k = len(model.graph.nodes)
+    out: dict[tuple[int, ...], Fraction] = {}
+    for key, p in joint.items():
+        out[key[:k]] = out.get(key[:k], Fraction(0)) + p
+    return out
+
+
+def reference_covariance(model: Scm, values, x: str, y: str, given=None) -> Fraction | None:
+    """Cov(x, y | given) over a ``value_marginal``; None for a probability-0 event."""
+    ix, iy = model.graph.index(x), model.graph.index(y)
+    cond = [(model.graph.index(n), v) for n, v in (given or {}).items()]
+    rows = [(vals, p) for vals, p in values.items() if all(vals[i] == v for i, v in cond)]
+    mass = sum((p for _, p in rows), Fraction(0))
+    if mass == 0:
+        return None
+    ex = sum((p for vals, p in rows if vals[ix]), Fraction(0)) / mass
+    ey = sum((p for vals, p in rows if vals[iy]), Fraction(0)) / mass
+    exy = sum((p for vals, p in rows if vals[ix] and vals[iy]), Fraction(0)) / mass
+    return exy - ex * ey
+
+
+def reference_independent(model: Scm, values, x: str, y: str, z=()) -> bool:
+    """P(x, y | z) == P(x | z) P(y | z) in every positive stratum of ``z``."""
+    ix, iy = model.graph.index(x), model.graph.index(y)
+    iz = [model.graph.index(n) for n in z]
+    for vz in product((0, 1), repeat=len(iz)):
+        rows = [(vals, p) for vals, p in values.items() if [vals[i] for i in iz] == list(vz)]
+        mass = sum((p for _, p in rows), Fraction(0))
+        if mass == 0:
+            continue
+        for a, b in product((0, 1), repeat=2):
+            pxy = sum((p for vals, p in rows if (vals[ix], vals[iy]) == (a, b)), Fraction(0))
+            px = sum((p for vals, p in rows if vals[ix] == a), Fraction(0))
+            py = sum((p for vals, p in rows if vals[iy] == b), Fraction(0))
+            if pxy / mass != (px / mass) * (py / mass):
+                return False
+    return True
 
 
 def random_fraction(rng: random.Random, max_den: int = 8) -> Fraction:

@@ -3,8 +3,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from suffcause import ModelError, load_model, parse_model, serialize_model
+from suffcause import Dag, ModelError, ResponseTable, load_model, parse_model, serialize_model
+from suffcause.modelfile import Assertion, Model
+from suffcause.oracle import _monotone_close
 
 from support import FIXTURES, fixture
 
@@ -112,3 +116,63 @@ class TestRoundTrip:
         pairs = load_model(fixture("pairs_disjoint"))
         assert pairs.fully_specified
         assert pairs.representations["D"].render() == "E1*E2 v E3*E4"
+
+
+_NAMES = st.sampled_from(["A", "B", "D", "E1", "E2", "GP", "x", "node", "P_1", "Z9"])
+
+
+@st.composite
+def signed_models(draw):
+    """A signed DAG, equations consistent with the signs on some nodes, assertions."""
+    nodes = draw(st.lists(_NAMES, min_size=1, max_size=5, unique=True))
+    edges, signs = [], {}
+    for j, b in enumerate(nodes):
+        for a in nodes[:j]:
+            if draw(st.booleans()):
+                edges.append((a, b))
+                sign = draw(st.sampled_from(["+", "-", None]))
+                if sign:
+                    signs[(a, b)] = sign
+    dag = Dag(nodes, edges, signs)
+    tables = {}
+    for n in nodes:
+        if not draw(st.booleans()):
+            continue
+        parents = dag.parents(n)
+        n_configs = 1 << len(parents)
+        closing = [(1 << i, signs[(p, n)]) for i, p in enumerate(parents) if (p, n) in signs]
+        raw = draw(st.lists(st.integers(0, (1 << n_configs) - 1), min_size=1, max_size=4))
+        rows = tuple(_monotone_close(r, n_configs, closing) for r in raw)
+        weights = draw(st.lists(st.fractions(0, 5, max_denominator=40), min_size=len(rows), max_size=len(rows)))
+        if not any(weights):
+            weights[0] = Fraction(1)
+        total = sum(weights)
+        tables[n] = ResponseTable(n, parents, rows, tuple(w / total for w in weights))
+    node = st.sampled_from(nodes)
+    slot = st.sampled_from(["a0", "a1", "a2", "a3"])
+    assertion = st.one_of(
+        st.tuples(st.just("no-synergism"), node, node, node),
+        st.tuples(st.just("rep-flag"), node, node, node, slot, st.sampled_from(["zero", "one"])),
+        st.tuples(st.just("independent"), node, node),
+        st.tuples(st.just("cocause-independent"), node, node, node, slot, slot),
+        st.tuples(st.just("cov-sign"), node, node, st.sampled_from(["<=0", ">=0", "=0"])),
+    )
+    assertions = tuple(Assertion(a[0], a[1:]) for a in draw(st.lists(assertion, max_size=3)))
+    return Model(dag, tables, {}, assertions)
+
+
+class TestRoundTripProperty:
+    @given(signed_models())
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    def test_parse_serialize_round_trip(self, model):
+        text = serialize_model(model)
+        again = parse_model(text)
+        assert serialize_model(again) == text
+        assert again.dag.nodes == model.dag.nodes
+        assert again.dag.edges == model.dag.edges
+        assert again.dag.signs == model.dag.signs
+        assert again.tables.keys() == model.tables.keys()
+        for n, t in model.tables.items():
+            assert (again.tables[n].rows, again.tables[n].probs) == (t.rows, t.probs)
+        assert again.assertions == model.assertions
+        assert again == model

@@ -1,5 +1,6 @@
 """Exact oracle queries and the constrained random generator."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -21,11 +22,18 @@ from suffcause import (
     detect_monotonic_effect,
     joint_distribution,
     random_instance,
+    state_column,
     verify_claim,
 )
 from suffcause.covsign import CovQuantity, Relation, SignConclusion
 
-from support import random_dag
+from support import (
+    enumerate_joint,
+    random_dag,
+    reference_covariance,
+    reference_independent,
+    value_marginal,
+)
 
 half = Fraction(1, 2)
 
@@ -115,6 +123,70 @@ class TestVerifyClaim:
         assert not verify_claim(dist2, bad)
 
 
+def _rough_table(rng, node, parents):
+    """Arbitrary table: 1-3 states (repeats allowed), some of probability 0."""
+    k = rng.randint(1, 3)
+    rows = tuple(rng.randrange(1 << (1 << len(parents))) for _ in range(k))
+    weights = [rng.choice((0, 0, 1, 2, 3, 5)) for _ in rows]
+    if not any(weights):
+        weights[rng.randrange(k)] = 1
+    return ResponseTable(node, parents, rows, tuple(Fraction(w, sum(weights)) for w in weights))
+
+
+def _differential_models():
+    """random_instance models on 200 seeded DAGs of 1-7 nodes, 60 models of
+    rough tables, and one with denominators 3 and 7 in one table."""
+    rng = random.Random(4040)
+    for seed in range(200):
+        g = random_dag(rng, rng.randint(1, 7))
+        yield random_instance(g, InstanceConstraints(), seed)
+    for _ in range(60):
+        g = random_dag(rng, rng.randint(1, 6), 0.5)
+        yield Scm(g, {n: _rough_table(rng, n, g.parents(n)) for n in g.nodes})
+    g = Dag(["A", "B", "D"], [("A", "D"), ("B", "D")])
+    yield Scm(g, {
+        "A": ResponseTable.bernoulli("A", Fraction(1, 3)),
+        "B": ResponseTable("B", (), (1, 0, 1), (Fraction(2, 7), Fraction(0), Fraction(5, 7))),
+        "D": ResponseTable("D", ("A", "B"), (8, 14, 6), (Fraction(1, 3), Fraction(2, 7), Fraction(8, 21))),
+    })
+
+
+class TestMatchesWorldEnumeration:
+    """Forward propagation against the test-only world enumerator."""
+
+    def test_joint_covariance_and_independence(self):
+        rng = random.Random(77)
+        for m in _differential_models():
+            nodes = m.graph.nodes
+            k = len(nodes)
+            worlds = enumerate_joint(m)
+            values = value_marginal(m, worlds)
+            dist = joint_distribution(m)
+            assert dist.columns == nodes
+            assert dist.marginal(nodes) == values
+            assert len(dist.rows) == len(values)
+            for i, n in enumerate(nodes):
+                with_state = joint_distribution(m, states=(n,))
+                expected: dict[tuple[int, ...], Fraction] = {}
+                for key, p in worlds.items():
+                    cell = key[:k] + (key[k + i],)
+                    expected[cell] = expected.get(cell, Fraction(0)) + p
+                assert with_state.marginal(nodes + (state_column(n),)) == expected
+            for i, x in enumerate(nodes):
+                for y in nodes[i + 1:]:
+                    z = rng.choice(nodes)
+                    assert conditional_independent(dist, x, y) == reference_independent(m, values, x, y)
+                    assert conditional_independent(dist, x, y, (z,)) == \
+                        reference_independent(m, values, x, y, (z,))
+                    for given in ({}, {z: 0}, {z: 1}):
+                        ref = reference_covariance(m, values, x, y, given)
+                        if ref is None:
+                            with pytest.raises(ConditioningError):
+                                conditional_covariance(dist, x, y, given)
+                        else:
+                            assert conditional_covariance(dist, x, y, given) == ref
+
+
 class TestRandomInstance:
     def test_deterministic_per_seed(self):
         g = random_dag(random.Random(0), 5)
@@ -172,6 +244,47 @@ class TestRandomInstance:
             m = random_instance(g, constraints, seed)
             assert directional_effect_holds(m.tables["D"], "A", "+")
             assert directional_effect_holds(m.tables["D"], "B", "-")
+
+    def test_closure_path_keeps_required_signs(self):
+        # Nodes with more than 3 parents draw rows by monotone closure, not
+        # from a filtered candidate list; closing along one parent must not
+        # undo the closure along another.
+        from suffcause.signs import _row_direction_holds, is_constant_in
+        for n_parents in (4, 5):
+            parents = [f"P{i}" for i in range(n_parents)]
+            g = Dag(parents + ["D"], [(p, "D") for p in parents])
+            signs = ("+", "-", "-", "+", "-")[:n_parents]
+            required = tuple(zip(parents, signs))
+            constraints = InstanceConstraints(monotone={"D": required})
+            for seed in range(100):
+                t = random_instance(g, constraints, seed).tables["D"]
+                for p, s in required:
+                    bit = 1 << parents.index(p)
+                    assert all(_row_direction_holds(r, t.n_configs, bit, s == "+") for r in t.rows)
+                    effect = detect_monotonic_effect(t, p)
+                    if s == "+":
+                        assert effect is Sign.POSITIVE
+                    else:
+                        assert effect is Sign.NEGATIVE or is_constant_in(t, p)
+
+    def test_candidate_cache_keeps_draws(self):
+        from suffcause.oracle import _candidate_rows
+        g = Dag(["A", "B", "C", "E", "F", "D"],
+                [("A", "C"), ("B", "C"), ("A", "E"), ("C", "E"), ("B", "F"),
+                 ("C", "D"), ("E", "D"), ("F", "D")])
+        constraints = InstanceConstraints(monotone={
+            "C": (("A", "+"), ("B", "-")),
+            "D": (("C", "+"), ("E", "-"), ("F", "+")),
+        })
+        drawn = []
+        for seed in range(50):
+            _candidate_rows.cache_clear()
+            cold = random_instance(g, constraints, seed)
+            warm = random_instance(g, constraints, seed)
+            assert cold.tables == warm.tables
+            drawn.append(repr([(n, cold.tables[n].rows, cold.tables[n].probs) for n in g.nodes]))
+        # the same draws as the uncached generator that preceded the cache
+        assert hashlib.sha256("\n".join(drawn).encode()).hexdigest()[:16] == "31cc44a6e3b196bd"
 
     def test_repeat_runs_are_byte_identical(self):
         g = random_dag(random.Random(1), 4)

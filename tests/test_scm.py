@@ -132,8 +132,9 @@ class TestJointDistribution:
 
     def test_state_columns_present(self):
         g = Dag(["X"], [])
-        dist = joint_distribution(Scm(g, {"X": fair("X")}))
-        assert state_column("X") in dist.columns
+        m = Scm(g, {"X": fair("X")})
+        assert joint_distribution(m).columns == ("X",)
+        assert joint_distribution(m, states=("X",)).columns == ("X", state_column("X"))
 
 
 class TestSubstitution:
