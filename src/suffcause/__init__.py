@@ -9,7 +9,6 @@ from .causes import (
     Representation,
     canonical_representation,
     conj,
-    enumerate_msc_over_events,
     is_determinative,
     is_minimal_sufficient,
     is_nonredundant,

@@ -1,15 +1,20 @@
-"""Sufficient-cause algebra over response tables and over plain events.
+"""Sufficient-cause algebra: one bitmask kernel over two atom universes.
 
-A conjunction pairs parent literals with an optional co-cause: an event on
-the exogenous response states that completes the literals into a sufficient
-cause. Sufficiency, minimality, determinativeness and nonredundancy are all
-decided by exact indicator-set comparisons; the indicator sets are packed
-into Python integers (one bit per (state, parent-configuration) atom).
+The paper's relations are all comparisons of indicator sets, so one small
+kernel decides them for any finite universe of atoms, with each set packed
+into a Python integer (one bit per atom). A conjunction is a list of
+factor sets whose meet starts from the universe, so the empty conjunction
+is TRUE. Sufficiency: the meet lies inside the target. Minimal
+sufficiency: no single factor can be dropped. Determinativeness: the union
+of the terms' meets is the target. Nonredundancy: no single term can be
+dropped. Reductions drop greedily in a given order.
 
-A second, lighter surface works on named boolean events given as truth-table
-bitmasks. It covers questions about derived events (an event defined as a
-function of other events) that cannot be phrased as parent literals of a
-response table.
+Two surfaces feed the kernel. For a response table the atoms are
+(response state, parent configuration) pairs: the target is the output
+indicator, and a conjunction's factors are its co-cause's state set and
+one set per parent literal. For an ``EventSpace`` the atoms are the
+assignments of its free base events, and any event mask can be a factor,
+so derived events (functions of other events) can be conjoined too.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import combinations, product
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .scm import ResponseTable
 
@@ -145,106 +150,128 @@ class Representation:
         return " v ".join(t.render() for t in self.terms)
 
 
-# -- indicator masks over (state, configuration) atoms -----------------------
+# -- the kernel: indicator sets as int masks over an explicit universe --------
 
-def _literal_config_mask(table: ResponseTable, literals: Sequence[Literal]) -> int:
-    """Bitmask over parent configurations satisfying every literal."""
-    mask = 0
-    for c in range(table.n_configs):
-        ok = True
-        for lit in literals:
-            bit = (c >> table.parent_index(lit.base)) & 1
-            if bit == (1 if lit.complemented else 0):
-                ok = False
-                break
-        if ok:
-            mask |= 1 << c
-    return mask
-
-
-def _table_mask(table: ResponseTable) -> int:
-    """Indicator of output 1, one block of configurations per state."""
-    mask = 0
-    for j, row in enumerate(table.rows):
-        mask |= row << (j * table.n_configs)
-    return mask
-
-
-def _conjunction_mask(table: ResponseTable, c: Conjunction) -> int:
-    for lit in c.literals:
-        table.parent_index(lit.base)  # raises on a foreign literal
-    config_mask = _literal_config_mask(table, c.literals)
-    if c.cocause.kind is CoCauseKind.ZERO:
-        return 0
-    if c.cocause.kind is CoCauseKind.ONE:
-        states: Iterable[int] = range(table.n_states)
-    else:
-        for s in c.cocause.states:
-            if not 0 <= s < table.n_states:
-                raise ValueError(f"co-cause state {s} out of range for {table.n_states} states")
-        states = c.cocause.states
-    mask = 0
-    for j in states:
-        mask |= config_mask << (j * table.n_configs)
-    return mask
-
-
-def _covers(target: int, mask: int) -> bool:
-    return mask & target == mask
-
-
-def _single_drops(c: Conjunction) -> list[Conjunction]:
-    """Conjunctions obtained by removing one literal or the state restriction."""
-    out = []
-    if c.cocause.kind is CoCauseKind.STATES:
-        out.append(Conjunction(c.literals, CoCause.one()))
-    for i in range(len(c.literals)):
-        out.append(Conjunction(c.literals[:i] + c.literals[i + 1:], c.cocause))
+def _join(masks: Iterable[int]) -> int:
+    out = 0
+    for m in masks:
+        out |= m
     return out
+
+
+def _meet(universe: int, factors: Iterable[int]) -> int:
+    """Atoms satisfying every factor; the empty conjunction is the universe."""
+    for f in factors:
+        universe &= f
+    return universe
+
+
+def _sufficient(universe: int, target: int, factors: Sequence[int]) -> bool:
+    return not _meet(universe, factors) & ~target
+
+
+def _minimal(universe: int, target: int, factors: Sequence[int]) -> bool:
+    """Sufficient, and no longer sufficient with any single factor dropped.
+
+    Dropping factors only grows the meet, so single drops decide minimality
+    over all sub-conjunctions.
+    """
+    return _sufficient(universe, target, factors) and not any(
+        _sufficient(universe, target, factors[:i] + factors[i + 1:]) for i in range(len(factors))
+    )
+
+
+def _determinative(target: int, masks: Sequence[int]) -> bool:
+    return _join(masks) == target
+
+
+def _nonredundant(target: int, masks: Sequence[int]) -> bool:
+    if not _determinative(target, masks):
+        raise ValueError("term list is not determinative")
+    return not any(_determinative(target, masks[:i] + masks[i + 1:]) for i in range(len(masks)))
+
+
+def _reduce(masks: Sequence[int], order: Iterable[int], holds: Callable[[list[int]], bool]) -> list[int]:
+    """Indices left after dropping ``masks[i]``, for each ``i`` in ``order``,
+    whenever ``holds`` stays true of the rest; survivors keep their order."""
+    kept = list(range(len(masks)))
+    for i in order:
+        rest = [k for k in kept if k != i]
+        if holds([masks[k] for k in rest]):
+            kept = rest
+    return kept
+
+
+# -- response tables: atoms are (state, parent configuration) pairs -----------
+
+class _TableAtoms:
+    """A table's indicator sets, built once per public call.
+
+    Bit ``j * n_configs + c`` is the atom (state ``j``, configuration ``c``).
+    """
+
+    def __init__(self, table: ResponseTable):
+        self.table = table
+        n = table.n_configs
+        block = (1 << n) - 1
+        spread = _join(1 << (j * n) for j in range(table.n_states))  # bit 0 of each state block
+        self.universe = block * spread
+        self.target = _join(row << (j * n) for j, row in enumerate(table.rows))
+        self.states = [block << (j * n) for j in range(table.n_states)]
+        self.literals: dict[Literal, int] = {}
+        for i, p in enumerate(table.parents):
+            on = _join(1 << c for c in range(n) if c >> i & 1)
+            self.literals[Literal(p)] = on * spread
+            self.literals[Literal(p, True)] = (block ^ on) * spread
+
+    def literal(self, lit: Literal) -> int:
+        if lit not in self.literals:
+            self.table.parent_index(lit.base)  # raises on a foreign literal
+        return self.literals[lit]
+
+    def state_set(self, cocause: CoCause) -> int:
+        for s in cocause.states:
+            if not 0 <= s < self.table.n_states:
+                raise ValueError(f"co-cause state {s} out of range for {self.table.n_states} states")
+        return _join(self.states[s] for s in cocause.states)
+
+    def factors(self, c: Conjunction) -> tuple[int, list[int]]:
+        """The universe a conjunction meets in, and its factors: the state
+        set of a restricting co-cause, then one set per literal. A ``ZERO``
+        co-cause empties the universe, so no drop can undo it."""
+        lits = [self.literal(l) for l in c.literals]
+        if c.cocause.kind is CoCauseKind.STATES:
+            return self.universe, [self.state_set(c.cocause)] + lits
+        return (0 if c.cocause.kind is CoCauseKind.ZERO else self.universe), lits
+
+    def masks(self, terms: Sequence[Conjunction]) -> list[int]:
+        return [_meet(*self.factors(t)) for t in terms]
 
 
 def is_sufficient(table: ResponseTable, c: Conjunction) -> bool:
     """Every (state, configuration) satisfying the conjunction outputs 1."""
-    return _covers(_table_mask(table), _conjunction_mask(table, c))
+    atoms = _TableAtoms(table)
+    universe, factors = atoms.factors(c)
+    return _sufficient(universe, atoms.target, factors)
 
 
 def is_minimal_sufficient(table: ResponseTable, c: Conjunction) -> bool:
-    """Sufficient, and no single-element weakening stays sufficient.
-
-    Dropping conjuncts only grows the satisfying set, so checking single
-    drops decides minimality over all proper sub-conjunctions.
-    """
-    target = _table_mask(table)
-    if not _covers(target, _conjunction_mask(table, c)):
-        return False
-    for weaker in _single_drops(c):
-        if _covers(target, _conjunction_mask(table, weaker)):
-            return False
-    return True
+    """Sufficient, and neither a literal nor the state restriction can be dropped."""
+    atoms = _TableAtoms(table)
+    universe, factors = atoms.factors(c)
+    return _minimal(universe, atoms.target, factors)
 
 
 def is_determinative(table: ResponseTable, terms: Sequence[Conjunction]) -> bool:
     """The node is 1 exactly when some term is 1, over all states and configs."""
-    union = 0
-    for t in terms:
-        union |= _conjunction_mask(table, t)
-    return union == _table_mask(table)
+    atoms = _TableAtoms(table)
+    return _determinative(atoms.target, atoms.masks(terms))
 
 
 def is_nonredundant(table: ResponseTable, terms: Sequence[Conjunction]) -> bool:
     """No single term can be dropped while staying determinative."""
-    if not is_determinative(table, terms):
-        raise ValueError("term list is not determinative")
-    masks = [_conjunction_mask(table, t) for t in terms]
-    target = _table_mask(table)
-    for i in range(len(masks)):
-        union = 0
-        for j, m in enumerate(masks):
-            if j != i:
-                union |= m
-        if union == target:
-            return False
-    return True
+    atoms = _TableAtoms(table)
+    return _nonredundant(atoms.target, atoms.masks(terms))
 
 
 def _canonical_term_key(table: ResponseTable, c: Conjunction) -> tuple:
@@ -259,20 +286,18 @@ def reduce_to_minimal(table: ResponseTable, c: Conjunction) -> Conjunction:
     restriction first, then literals from the highest parent index down), so
     earlier literals are preferred when several reductions exist.
     """
-    target = _table_mask(table)
-    if not _covers(target, _conjunction_mask(table, c)):
+    atoms = _TableAtoms(table)
+    universe, factors = atoms.factors(c)
+    if not _sufficient(universe, atoms.target, factors):
         raise ValueError("conjunction is not sufficient")
-    current = c
-    if current.cocause.kind is CoCauseKind.STATES:
-        weaker = Conjunction(current.literals, CoCause.one())
-        if _covers(target, _conjunction_mask(table, weaker)):
-            current = weaker
-    lits = sorted(current.literals, key=lambda l: table.parent_index(l.base))
-    for lit in reversed(lits):
-        trial = Conjunction(tuple(l for l in current.literals if l != lit), current.cocause)
-        if _covers(target, _conjunction_mask(table, trial)):
-            current = trial
-    return current
+    restricted = c.cocause.kind is CoCauseKind.STATES
+    lits = sorted(c.literals, key=lambda l: table.parent_index(l.base), reverse=True)
+    parts = ([c.cocause] if restricted else []) + lits
+    masks = (factors[:1] if restricted else []) + [atoms.literal(l) for l in lits]
+    survivors = _reduce(masks, range(len(masks)), lambda fs: _sufficient(universe, atoms.target, fs))
+    kept = [parts[i] for i in survivors]
+    cocause = CoCause.one() if restricted and c.cocause not in kept else c.cocause
+    return Conjunction(tuple(p for p in kept if isinstance(p, Literal)), cocause)
 
 
 def reduce_to_nonredundant(
@@ -284,19 +309,12 @@ def reduce_to_nonredundant(
     survivors keep their input order.
     """
     terms = list(terms)
-    if not is_determinative(table, terms):
+    atoms = _TableAtoms(table)
+    masks = atoms.masks(terms)
+    if not _determinative(atoms.target, masks):
         raise ValueError("term list is not determinative")
-    target = _table_mask(table)
-    masks = {id(t): _conjunction_mask(table, t) for t in terms}
-    kept = list(terms)
-    for t in sorted(terms, key=lambda t: _canonical_term_key(table, t), reverse=True):
-        union = 0
-        for other in kept:
-            if other is not t:
-                union |= masks[id(other)]
-        if union == target:
-            kept = [k for k in kept if k is not t]
-    return kept
+    order = sorted(range(len(terms)), key=lambda i: _canonical_term_key(table, terms[i]), reverse=True)
+    return [terms[i] for i in _reduce(masks, order, lambda ms: _determinative(atoms.target, ms))]
 
 
 def canonical_representation(table: ResponseTable) -> Representation:
@@ -311,6 +329,8 @@ def canonical_representation(table: ResponseTable) -> Representation:
     if len(set(table.rows)) != len(table.rows):
         raise ValueError("canonical_representation needs deduplicated states; call dedupe_states first")
 
+    atoms = _TableAtoms(table)
+    universe, target = atoms.universe, atoms.target
     terms: list[Conjunction] = []
     for polarity in product((None, False, True), repeat=table.n_parents):
         literals = tuple(
@@ -318,14 +338,11 @@ def canonical_representation(table: ResponseTable) -> Representation:
             for p, comp in zip(table.parents, polarity)
             if comp is not None
         )
-        bare = Conjunction(literals, CoCause.one())
-        if is_minimal_sufficient(table, bare):
-            terms.append(bare)
+        lits = [atoms.literals[l] for l in literals]
+        if _minimal(universe, target, lits):
+            terms.append(Conjunction(literals, CoCause.one()))
             continue
-        states = [
-            j for j in range(table.n_states)
-            if is_minimal_sufficient(table, Conjunction(literals, CoCause.of_states((j,))))
-        ]
+        states = [j for j, s in enumerate(atoms.states) if _minimal(universe, target, [s] + lits)]
         if states:
             terms.append(Conjunction(literals, CoCause.of_states(states, table.n_states)))
     terms.sort(key=lambda t: _canonical_term_key(table, t))
@@ -340,14 +357,15 @@ def validate_representation(table: ResponseTable, rep: Representation) -> None:
         raise ValueError(f"representation for {table.node!r} is not determinative")
 
 
-# -- boolean events over a finite base --------------------------------------
+# -- boolean events: atoms are assignments of the free base events ------------
 
 class EventSpace:
     """Named boolean events as truth-table bitmasks over free base events.
 
     Bit ``a`` of a mask is the event's value on the base assignment whose
     i-th bit is the value of the i-th base event. Masks combine with the
-    ordinary integer operators ``&``, ``|`` and :meth:`invert`.
+    ordinary integer operators ``&``, ``|`` and :meth:`invert`. A conjunction
+    is a sequence of event masks; the empty one is the sure event ``all``.
     """
 
     def __init__(self, *base: str):
@@ -361,11 +379,7 @@ class EventSpace:
 
     def var(self, name: str) -> int:
         i = self.base.index(name)
-        mask = 0
-        for a in range(self.n_assignments):
-            if (a >> i) & 1:
-                mask |= 1 << a
-        return mask
+        return _join(1 << a for a in range(self.n_assignments) if a >> i & 1)
 
     def vars(self) -> tuple[int, ...]:
         return tuple(self.var(n) for n in self.base)
@@ -373,83 +387,43 @@ class EventSpace:
     def invert(self, mask: int) -> int:
         return self.all ^ mask
 
+    def sufficient(self, target: int, events: Sequence[int]) -> bool:
+        """The joint occurrence of ``events`` forces ``target``."""
+        return _sufficient(self.all, target, list(events))
 
-def event_sufficient(target: int, events: Sequence[int]) -> bool:
-    """The joint occurrence of ``events`` forces ``target``."""
-    m = _conj_mask(events)
-    return m & target == m
+    def minimal_sufficient(self, target: int, events: Sequence[int]) -> bool:
+        return _minimal(self.all, target, list(events))
 
+    def determinative(self, target: int, terms: Sequence[Sequence[int]]) -> bool:
+        return _determinative(target, [_meet(self.all, t) for t in terms])
 
-def _conj_mask(events: Sequence[int]) -> int:
-    m = -1
-    for e in events:
-        m &= e
-    return m
+    def nonredundant(self, target: int, terms: Sequence[Sequence[int]]) -> bool:
+        return _nonredundant(target, [_meet(self.all, t) for t in terms])
 
+    def reduce_nonredundant(self, target: int, terms: Sequence[Sequence[int]]) -> list[Sequence[int]]:
+        """Drop redundant event conjunctions, preferring to keep earlier terms."""
+        terms = list(terms)
+        masks = [_meet(self.all, t) for t in terms]
+        if not _determinative(target, masks):
+            raise ValueError("term list is not determinative")
+        kept = _reduce(masks, reversed(range(len(terms))), lambda ms: _determinative(target, ms))
+        return [terms[i] for i in kept]
 
-def event_minimal_sufficient(target: int, events: Sequence[int]) -> bool:
-    if not event_sufficient(target, events):
-        return False
-    for i in range(len(events)):
-        if event_sufficient(target, [e for j, e in enumerate(events) if j != i]):
-            return False
-    return True
+    def minimal_sufficient_conjunctions(
+        self, target: int, candidates: Mapping[str, int]
+    ) -> list[tuple[str, ...]]:
+        """All minimal sufficient conjunctions of the named candidate events.
 
-
-def event_determinative(target: int, terms: Sequence[Sequence[int]]) -> bool:
-    union = 0
-    for term in terms:
-        union |= _conj_mask(term)
-    return union == target
-
-
-def event_nonredundant(target: int, terms: Sequence[Sequence[int]]) -> bool:
-    if not event_determinative(target, terms):
-        raise ValueError("term list is not determinative")
-    masks = [_conj_mask(t) for t in terms]
-    for i in range(len(masks)):
-        union = 0
-        for j, m in enumerate(masks):
-            if j != i:
-                union |= m
-        if union == target:
-            return False
-    return True
-
-
-def event_reduce_nonredundant(
-    target: int, terms: Sequence[Sequence[int]]
-) -> list[Sequence[int]]:
-    """Drop redundant event conjunctions, preferring to keep earlier terms."""
-    terms = list(terms)
-    if not event_determinative(target, terms):
-        raise ValueError("term list is not determinative")
-    masks = [_conj_mask(t) for t in terms]
-    keep = [True] * len(terms)
-    for i in reversed(range(len(terms))):
-        union = 0
-        for j, m in enumerate(masks):
-            if j != i and keep[j]:
-                union |= m
-        if union == target:
-            keep[i] = False
-    return [t for t, k in zip(terms, keep) if k]
-
-
-def enumerate_msc_over_events(
-    target: int, candidates: Mapping[str, int]
-) -> list[tuple[str, ...]]:
-    """All minimal sufficient conjunctions of the named candidate events.
-
-    Exhaustive over subsets, without complements; the result is ordered by
-    (size, names).
-    """
-    if not candidates:
-        raise ValueError("no candidate events given")
-    names = sorted(candidates)
-    found: list[tuple[str, ...]] = []
-    for size in range(1, len(names) + 1):
-        for subset in combinations(names, size):
-            if event_minimal_sufficient(target, [candidates[n] for n in subset]):
-                found.append(subset)
-    return found
+        Exhaustive over subsets from the empty one up, without complements;
+        the result is ordered by (size, names), and a sure target yields
+        ``[()]``.
+        """
+        if not candidates:
+            raise ValueError("no candidate events given")
+        names = sorted(candidates)
+        return [
+            subset
+            for size in range(len(names) + 1)
+            for subset in combinations(names, size)
+            if self.minimal_sufficient(target, [candidates[n] for n in subset])
+        ]

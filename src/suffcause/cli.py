@@ -2,10 +2,13 @@
 
 Reports are deterministic for a fixed (model, flags, seed): every list is
 either declaration-ordered or explicitly sorted, and exact rationals are
-rendered as "num/den" strings. Exit status is 1 when a requested check
-fails or a premise is violated; "not separated" and "not implied
-independent" verdicts count as failed checks for scripting purposes. A
-usage, model or budget error exits 2 with one "error:" line on stderr.
+rendered as "num/den" strings. Exit status is 0 when the answer is
+established or verified, and 1 when a requested check fails or a premise
+is violated; "not separated" and "not implied independent" verdicts count
+as failed checks for scripting purposes. A usage, model or budget error
+exits 2 with one "error:" line on stderr. Any other exception is a bug: it
+exits 3 with one "internal error:" line, so a crash never reads as a
+verdict.
 The analysis itself lives in the library (``covsign.covsign_analysis``
 and ``covsign.oracle_check``); this module parses and renders.
 """
@@ -363,6 +366,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except Exception as e:
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -846,8 +846,15 @@ def oracle_check(
     ``seed + 1``, ... under the signed edges; a draw counts when it
     satisfies every assertion and both strata of each conclusion have
     positive mass. Drawing stops at ``instances`` accepted models or
-    ``100 * instances`` draws.
+    ``100 * instances`` draws. ``instances`` and ``max_weight`` must be
+    at least 1; both are checked before any work.
     """
+    if instances < 1:
+        raise ValueError(f"instances must be at least 1, got {instances}")
+    monotone: dict[str, tuple[tuple[str, str], ...]] = {}
+    for (a, b), s in model.dag.signs.items():
+        monotone[b] = monotone.get(b, ()) + ((a, s),)
+    constraints = oracle.InstanceConstraints(monotone=monotone, max_weight=max_weight)
     analysis = covsign_analysis(model, d, f, g, q, budget)
     conclusions = analysis.conclusions
     if not conclusions:
@@ -868,10 +875,6 @@ def oracle_check(
         record(analysis.dist, None)
         return OracleCheck(analysis, 1, 1, tallies, tuple(failures))
 
-    monotone: dict[str, tuple[tuple[str, str], ...]] = {}
-    for (a, b), s in model.dag.signs.items():
-        monotone[b] = monotone.get(b, ()) + ((a, s),)
-    constraints = oracle.InstanceConstraints(monotone=monotone, max_weight=max_weight)
     accepted = drawn = 0
     while accepted < instances and drawn < 100 * instances:
         instance_seed = seed + drawn

@@ -151,6 +151,15 @@ class InstanceConstraints:
     max_weight: int = 8
     max_tries: int = 500
 
+    def __post_init__(self):
+        lo, hi = self.states
+        if not 1 <= lo <= hi:
+            raise ValueError(f"states range {self.states} needs 1 <= low <= high")
+        if self.max_weight < 1:
+            raise ValueError(f"max_weight must be at least 1, got {self.max_weight}")
+        if self.max_tries < 1:
+            raise ValueError(f"max_tries must be at least 1, got {self.max_tries}")
+
 
 def _monotone_close(row: int, n_configs: int, requirements: Sequence[tuple[int, str]]) -> int:
     """Force row-level monotonicity by closing upward along each constraint."""

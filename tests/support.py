@@ -1,4 +1,6 @@
-"""Shared helpers: fixture paths, random graphs, path and world-enumeration references, and constrained instance families."""
+"""Shared helpers: fixture paths, random graphs, references (path enumeration,
+atom-by-atom sufficient causes, world enumeration), and constrained instance
+families."""
 
 from __future__ import annotations
 
@@ -7,7 +9,18 @@ from fractions import Fraction
 from itertools import product
 from pathlib import Path
 
-from suffcause import Dag, ResponseTable, Scm, Sign, config_index, facts_from_scm
+from suffcause import (
+    CoCause,
+    CoCauseKind,
+    Conjunction,
+    Dag,
+    Literal,
+    ResponseTable,
+    Scm,
+    Sign,
+    config_index,
+    facts_from_scm,
+)
 from suffcause.covsign import Flag, RepFacts
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -81,6 +94,140 @@ def path_product(g: Dag, nodes) -> Sign:
     for a, b in zip(nodes, nodes[1:]):
         out = out * Sign.of_edge(g.signs.get((a, b)))
     return out
+
+
+# -- test-only reference for the table surface of causes: read every atom ----
+
+def seeded_tables(seed: int, count: int, min_parents: int = 0, max_parents: int = 5, max_states: int = 6):
+    """Tables with distinct random rows over parents E1..Em, equal probabilities."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        m = rng.randint(min_parents, max_parents)
+        parents = tuple(f"E{i}" for i in range(1, m + 1))
+        space = 1 << (1 << m)
+        k = min(rng.randint(1, max_states), space)
+        rows = tuple(rng.sample(range(space), k))
+        yield ResponseTable("D", parents, rows, (Fraction(1, k),) * k)
+
+
+def _check_conjunction(table: ResponseTable, c: Conjunction) -> None:
+    for lit in c.literals:
+        table.parent_index(lit.base)
+    for s in c.cocause.states:
+        if not 0 <= s < table.n_states:
+            raise ValueError(f"co-cause state {s} out of range for {table.n_states} states")
+
+
+def _holds(table: ResponseTable, c: Conjunction, state: int, config: int) -> bool:
+    """The conjunction read literally at one (state, configuration) atom."""
+    if c.cocause.kind is CoCauseKind.ZERO:
+        return False
+    if c.cocause.kind is CoCauseKind.STATES and state not in c.cocause.states:
+        return False
+    return all((config >> table.parent_index(l.base) & 1) != l.complemented for l in c.literals)
+
+
+def _atoms(table: ResponseTable):
+    return product(range(table.n_states), range(table.n_configs))
+
+
+def ref_sufficient(table: ResponseTable, c: Conjunction) -> bool:
+    _check_conjunction(table, c)
+    return all(table.output(s, x) for s, x in _atoms(table) if _holds(table, c, s, x))
+
+
+def _weakenings(c: Conjunction) -> list[Conjunction]:
+    """The conjunction with the state restriction or one literal dropped."""
+    out = [Conjunction(c.literals)] if c.cocause.kind is CoCauseKind.STATES else []
+    for i in range(len(c.literals)):
+        out.append(Conjunction(c.literals[:i] + c.literals[i + 1:], c.cocause))
+    return out
+
+
+def ref_minimal_sufficient(table: ResponseTable, c: Conjunction) -> bool:
+    return ref_sufficient(table, c) and not any(ref_sufficient(table, w) for w in _weakenings(c))
+
+
+def ref_reduce_to_minimal(table: ResponseTable, c: Conjunction) -> Conjunction:
+    if not ref_sufficient(table, c):
+        raise ValueError("conjunction is not sufficient")
+    current = c
+    if c.cocause.kind is CoCauseKind.STATES and ref_sufficient(table, Conjunction(c.literals)):
+        current = Conjunction(c.literals)
+    for lit in sorted(c.literals, key=lambda l: table.parent_index(l.base), reverse=True):
+        trial = Conjunction(tuple(l for l in current.literals if l != lit), current.cocause)
+        if ref_sufficient(table, trial):
+            current = trial
+    return current
+
+
+def ref_determinative(table: ResponseTable, terms) -> bool:
+    for t in terms:
+        _check_conjunction(table, t)
+    return all(
+        table.output(s, x) == any(_holds(table, t, s, x) for t in terms) for s, x in _atoms(table)
+    )
+
+
+def ref_nonredundant(table: ResponseTable, terms) -> bool:
+    terms = list(terms)
+    if not ref_determinative(table, terms):
+        raise ValueError("term list is not determinative")
+    return not any(ref_determinative(table, terms[:i] + terms[i + 1:]) for i in range(len(terms)))
+
+
+def _term_key(table: ResponseTable, c: Conjunction) -> tuple:
+    lits = sorted((table.parent_index(l.base), l.complemented) for l in c.literals)
+    return (len(lits), tuple(lits), c.cocause.states)
+
+
+def ref_reduce_to_nonredundant(table: ResponseTable, terms) -> list[Conjunction]:
+    terms = list(terms)
+    if not ref_determinative(table, terms):
+        raise ValueError("term list is not determinative")
+    kept = list(range(len(terms)))
+    for i in sorted(range(len(terms)), key=lambda i: _term_key(table, terms[i]), reverse=True):
+        rest = [k for k in kept if k != i]
+        if ref_determinative(table, [terms[k] for k in rest]):
+            kept = rest
+    return [terms[k] for k in kept]
+
+
+def ref_canonical_terms(table: ResponseTable) -> list[Conjunction]:
+    """Every parent conjunction with the states completing it into a minimal sufficient cause."""
+    terms = []
+    for polarity in product((None, False, True), repeat=table.n_parents):
+        lits = tuple(Literal(p, comp) for p, comp in zip(table.parents, polarity) if comp is not None)
+        if ref_minimal_sufficient(table, Conjunction(lits)):
+            terms.append(Conjunction(lits))
+            continue
+        states = [
+            j for j in range(table.n_states)
+            if ref_minimal_sufficient(table, Conjunction(lits, CoCause(CoCauseKind.STATES, (j,))))
+        ]
+        if states:
+            terms.append(Conjunction(lits, CoCause.of_states(states, table.n_states)))
+    return sorted(terms, key=lambda t: _term_key(table, t))
+
+
+def random_conjunction(rng: random.Random, table: ResponseTable, foreign: float = 0.05) -> Conjunction:
+    """Random literals (sometimes on a foreign node Z) with a ONE, ZERO, all-states
+    or random state-set co-cause (sometimes naming a state out of range)."""
+    names = list(table.parents) + (["Z"] if rng.random() < foreign else [])
+    lits = tuple(Literal(n, rng.random() < 0.5) for n in names if rng.random() < 0.6)
+    r = rng.random()
+    if r < 0.15:
+        cocause = CoCause.zero()
+    elif r < 0.4:
+        cocause = CoCause.one()
+    elif r < 0.5:
+        cocause = CoCause(CoCauseKind.STATES, tuple(range(table.n_states)))
+    else:
+        states = [j for j in range(table.n_states) if rng.random() < 0.5] or [0]
+        if rng.random() < foreign:
+            states.append(table.n_states)
+        cocause = CoCause(CoCauseKind.STATES, tuple(states))
+    return Conjunction(lits, cocause)
 
 
 # -- test-only reference for scm.joint_distribution: enumerate every world ---

@@ -26,7 +26,6 @@ from suffcause import (
     conditional_independent,
     d_separated,
     detect_monotonic_effect,
-    enumerate_msc_over_events,
     expand,
     facts_from_scm,
     is_determinative,
@@ -40,7 +39,6 @@ from suffcause import (
     transfer_sign,
     verify_claim,
 )
-from suffcause.causes import event_determinative, event_nonredundant
 from suffcause.covsign import Flag, Relation
 from suffcause.oracle import ConditioningError, GenerationError
 
@@ -104,12 +102,12 @@ def test_criterion_2_example_fidelity():
     B, C, E, F = sp.vars()
     A = B | (C & E)
     events = {"B": B, "C": C, "D": E & F}
-    assert enumerate_msc_over_events(A, events) == [("B",), ("C", "D")]
+    assert sp.minimal_sufficient_conjunctions(A, events) == [("B",), ("C", "D")]
     events["E"] = E
-    assert enumerate_msc_over_events(A, events) == [("B",), ("C", "D"), ("C", "E")]
+    assert sp.minimal_sufficient_conjunctions(A, events) == [("B",), ("C", "D"), ("C", "E")]
     terms = [[B], [C, E & F], [C, E]]
-    assert event_determinative(A, terms)
-    assert not event_nonredundant(A, terms)
+    assert sp.determinative(A, terms)
+    assert not sp.nonredundant(A, terms)
 
     # full single-parent family: background, identity, and inverter co-causes
     full = ResponseTable("D", ("E",), (0, 1, 2, 3), (Fraction(1, 4),) * 4)

@@ -1,8 +1,9 @@
 """Sufficient-cause algebra: checks, reductions, canonical construction, events."""
 
+import hashlib
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +18,6 @@ from suffcause import (
     ResponseTable,
     canonical_representation,
     conj,
-    enumerate_msc_over_events,
     is_determinative,
     is_minimal_sufficient,
     is_nonredundant,
@@ -25,12 +25,17 @@ from suffcause import (
     reduce_to_minimal,
     reduce_to_nonredundant,
 )
-from suffcause.causes import (
-    event_determinative,
-    event_minimal_sufficient,
-    event_nonredundant,
-    event_reduce_nonredundant,
-    event_sufficient,
+
+from support import (
+    random_conjunction,
+    ref_canonical_terms,
+    ref_determinative,
+    ref_minimal_sufficient,
+    ref_nonredundant,
+    ref_reduce_to_minimal,
+    ref_reduce_to_nonredundant,
+    ref_sufficient,
+    seeded_tables,
 )
 
 half = Fraction(1, 2)
@@ -177,6 +182,12 @@ class TestReduceToNonredundant:
         with pytest.raises(ValueError, match="not determinative"):
             reduce_to_nonredundant(OR2, [conj("E1")])
 
+    def test_a_repeated_term_is_dropped_once(self):
+        # the same object twice is two terms: one copy is redundant
+        e1, e2 = conj("E1"), conj("E2")
+        assert reduce_to_nonredundant(OR2, [e1, e2, e1]) == [e2, e1]
+        assert not is_nonredundant(OR2, [e1, e2, e1])
+
     def test_result_is_nonredundant(self):
         rng = random.Random(10)
         checked = 0
@@ -269,6 +280,68 @@ class TestCanonicalRepresentation:
                 assert not (a < b or b < a)
 
 
+def outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except ValueError as e:
+        return "error", str(e)
+
+
+class TestMatchesAtomReference:
+    """Every table-surface predicate, reduction and canonical form agrees with
+    the literal definitions read atom by atom (tests/support.py)."""
+
+    def _compare(self, table, conjunctions, term_lists):
+        for c in conjunctions:
+            assert outcome(is_sufficient, table, c) == outcome(ref_sufficient, table, c)
+            assert outcome(is_minimal_sufficient, table, c) == outcome(ref_minimal_sufficient, table, c)
+            assert outcome(reduce_to_minimal, table, c) == outcome(ref_reduce_to_minimal, table, c)
+        for terms in term_lists:
+            assert outcome(is_determinative, table, terms) == outcome(ref_determinative, table, terms)
+            assert outcome(is_nonredundant, table, terms) == outcome(ref_nonredundant, table, terms)
+            assert outcome(reduce_to_nonredundant, table, terms) == outcome(
+                ref_reduce_to_nonredundant, table, terms
+            )
+        assert list(canonical_representation(table).terms) == ref_canonical_terms(table)
+
+    def _term_lists(self, rng, table, pool):
+        canonical = list(canonical_representation(table).terms)
+        lists = [canonical, canonical + canonical[:1], canonical + [rng.choice(pool)]]
+        lists += [rng.sample(pool, rng.randint(0, min(4, len(pool)))) for _ in range(4)]
+        return lists
+
+    def test_every_single_parent_table(self):
+        rng = random.Random(41)
+        literal_sets = [(), ("E",), ("~E",), ("Z",), ("~E", "Z")]
+        for k in range(1, 5):
+            for rows in permutations(range(4), k):
+                table = ResponseTable("D", ("E",), rows, (Fraction(1, k),) * k)
+                cocauses = [CoCause.one(), CoCause.zero(), CoCause(CoCauseKind.STATES, (k,))]
+                cocauses += [
+                    CoCause(CoCauseKind.STATES, states)
+                    for size in range(1, k + 1) for states in combinations(range(k), size)
+                ]
+                conjunctions = [
+                    Conjunction(tuple(Literal.parse(l) for l in lits), cocause)
+                    for lits in literal_sets for cocause in cocauses
+                ]
+                pool = [c for c in conjunctions if "Z" not in c.bases() and c.cocause.states != (k,)]
+                self._compare(table, conjunctions, self._term_lists(rng, table, pool) + [conjunctions[:3]])
+
+    def test_seeded_tables_with_two_to_five_parents(self):
+        rng = random.Random(42)
+        for table in seeded_tables(43, 24, min_parents=2, max_parents=5):
+            conjunctions = [random_conjunction(rng, table) for _ in range(30)]
+            pool = [random_conjunction(rng, table, foreign=0) for _ in range(12)]
+            self._compare(table, conjunctions, self._term_lists(rng, table, pool))
+
+    def test_canonical_renders_match_recorded_digest(self):
+        # digest of 1,000 canonical renders recorded before the masks were
+        # built once per call; 0-5 parents, 1-6 states
+        renders = "\n".join(canonical_representation(t).render() for t in seeded_tables(20261018, 1000))
+        assert hashlib.sha256(renders.encode()).hexdigest()[:16] == "c60ed6b2d45eaaf9"
+
+
 class TestEventAlgebra:
     def setup_method(self):
         self.space = EventSpace("B", "C", "E", "F")
@@ -277,35 +350,36 @@ class TestEventAlgebra:
         self.events = {"B": B, "C": C, "D": E & F, "E": E}
 
     def test_minimal_sufficient_conjunctions_without_e(self):
-        got = enumerate_msc_over_events(self.A, {k: self.events[k] for k in ("B", "C", "D")})
+        events = {k: self.events[k] for k in ("B", "C", "D")}
+        got = self.space.minimal_sufficient_conjunctions(self.A, events)
         assert got == [("B",), ("C", "D")]
 
     def test_minimal_sufficient_conjunctions_with_e(self):
-        got = enumerate_msc_over_events(self.A, self.events)
+        got = self.space.minimal_sufficient_conjunctions(self.A, self.events)
         assert got == [("B",), ("C", "D"), ("C", "E")]
 
     def test_b_or_cd_is_not_determinative(self):
         ev = self.events
-        assert not event_determinative(self.A, [[ev["B"]], [ev["C"], ev["D"]]])
+        assert not self.space.determinative(self.A, [[ev["B"]], [ev["C"], ev["D"]]])
 
     def test_b_cd_ce_is_determinative_but_redundant(self):
         ev = self.events
         terms = [[ev["B"]], [ev["C"], ev["D"]], [ev["C"], ev["E"]]]
-        assert event_determinative(self.A, terms)
-        assert not event_nonredundant(self.A, terms)
+        assert self.space.determinative(self.A, terms)
+        assert not self.space.nonredundant(self.A, terms)
 
     def test_b_ce_nonredundant(self):
         ev = self.events
         terms = [[ev["B"]], [ev["C"], ev["E"]]]
-        assert event_determinative(self.A, terms)
-        assert event_nonredundant(self.A, terms)
+        assert self.space.determinative(self.A, terms)
+        assert self.space.nonredundant(self.A, terms)
 
     def test_constant_zero_target(self):
-        assert enumerate_msc_over_events(0, self.events) == []
+        assert self.space.minimal_sufficient_conjunctions(0, self.events) == []
 
     def test_empty_candidates_rejected(self):
         with pytest.raises(ValueError, match="no candidate"):
-            enumerate_msc_over_events(self.A, {})
+            self.space.minimal_sufficient_conjunctions(self.A, {})
 
     def test_derived_event_redundancy(self):
         # target D = AB v EF with the derived event Q = BE: the conjunction AQ
@@ -314,22 +388,36 @@ class TestEventAlgebra:
         A, B, E, F = sp.vars()
         D = (A & B) | (E & F)
         Q = B & E
-        assert event_minimal_sufficient(D, [A, Q])
+        assert sp.minimal_sufficient(D, [A, Q])
         terms = [[A, B], [A, Q], [E, F]]
-        assert event_determinative(D, terms)
-        assert not event_nonredundant(D, terms)
-        assert event_nonredundant(D, [[A, B], [E, F]])
+        assert sp.determinative(D, terms)
+        assert not sp.nonredundant(D, terms)
+        assert sp.nonredundant(D, [[A, B], [E, F]])
 
     def test_event_sufficiency_basics(self):
         ev = self.events
-        assert event_sufficient(self.A, [ev["B"]])
-        assert not event_sufficient(self.A, [ev["C"]])
+        assert self.space.sufficient(self.A, [ev["B"]])
+        assert not self.space.sufficient(self.A, [ev["C"]])
 
     def test_event_reduction_drops_the_middle_conjunction(self):
         ev = self.events
         terms = [[ev["B"]], [ev["C"], ev["D"]], [ev["C"], ev["E"]]]
-        reduced = event_reduce_nonredundant(self.A, terms)
+        reduced = self.space.reduce_nonredundant(self.A, terms)
         assert reduced == [[ev["B"]], [ev["C"], ev["E"]]]
-        assert event_nonredundant(self.A, reduced)
+        assert self.space.nonredundant(self.A, reduced)
         with pytest.raises(ValueError, match="not determinative"):
-            event_reduce_nonredundant(self.A, [[ev["B"]]])
+            self.space.reduce_nonredundant(self.A, [[ev["B"]]])
+
+    def test_empty_conjunction_is_the_sure_event(self):
+        # the meet of no events is the whole space, so only a sure target is
+        # forced by it, and then it is the one minimal sufficient conjunction
+        sp = self.space
+        B, C, E, F = sp.vars()
+        assert sp.sufficient(sp.all, [])
+        assert not sp.sufficient(self.A, [])
+        assert sp.minimal_sufficient(sp.all, [])
+        assert sp.minimal_sufficient_conjunctions(sp.all, {"B": B, "C": C}) == [()]
+        assert not sp.minimal_sufficient(sp.all, [B])
+        assert sp.determinative(sp.all, [[]])
+        assert sp.nonredundant(sp.all, [[]])
+        assert sp.reduce_nonredundant(sp.all, [[B], [], [sp.invert(B)]]) == [[]]

@@ -1,7 +1,11 @@
 """CLI subcommands: reports, verdicts, exit codes."""
 
+import functools
 import json
+import random
+import re
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -333,3 +337,170 @@ class TestContradictoryFlags:
         path.write_text(self.PAIR + "assert rep-flag D E1 E2 a1 zero\nassert rep-flag D E2 E1 a2 zero\n")
         code, _, _ = run(capsys, command, str(path), "--d", "D", "--format", "json")
         assert code == 0
+
+
+class TestCountValidation:
+    ARGS = ("--d", "P1", "--f", "B1", "--g", "P2")
+
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--max-weight", "0", "error: max_weight must be at least 1, got 0\n"),
+        ("--instances", "-3", "error: instances must be at least 1, got -3\n"),
+        ("--instances", "0", "error: instances must be at least 1, got 0\n"),
+    ])
+    def test_bad_count_exits_2_naming_the_parameter(self, capsys, flag, value, message):
+        code, out, err = run(capsys, "oracle-check", fixture("coaggregation_null"), *self.ARGS, flag, value)
+        assert (code, out, err) == (2, "", message)
+
+    def test_generator_constraints_reject_bad_ranges(self):
+        from suffcause import InstanceConstraints
+        with pytest.raises(ValueError, match="max_weight"):
+            InstanceConstraints(max_weight=0)
+        with pytest.raises(ValueError, match="max_tries"):
+            InstanceConstraints(max_tries=0)
+        for states in ((0, 3), (3, 2)):
+            with pytest.raises(ValueError, match="states range"):
+                InstanceConstraints(states=states)
+
+
+class TestInternalError:
+    def test_unexpected_exception_exits_3(self, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "d_separated", broken)
+        code, out, err = run(capsys, "dsep", fixture("pairs_disjoint"), "--x", "E1", "--y", "E3")
+        assert (code, out, err) == (3, "", "internal error: RuntimeError: boom\n")
+
+
+FIXTURE_NAMES = (
+    "coaggregation_full", "coaggregation_null", "pairs_disjoint", "pairs_overlap", "redundancy_base",
+    "redundancy_extra", "transfer_chain_a", "transfer_chain_b", "transfer_descendants",
+    "transfer_shared_a", "transfer_shared_b",
+)
+FUZZ_WORDS = (
+    "node", "edge", "equation", "states", "state", "prob", "bits", "represent", "term", "one",
+    "assert", "no-synergism", "rep-flag", "independent", "cocause-independent", "cov-sign",
+    "a0", "a1", "a2", "a3", "zero", "+", "-", "<=0", ">=0", "=0", "#",
+    "D", "E1", "E2", "A", "B", "P1", "~E1", "~A", "Z",
+    "0", "1", "2", "3", "-1", "99999999999", "1/2", "1/1", "0/1", "1/0", "-1/2", "3/2", "x/y",
+    "0,1", "1,0,5", ",", "01", "0111", "0001", "00011101", "2", "1" * 16, "",
+)
+FUZZ_NODES = ("D", "E1", "E2", "A", "B", "P1", "P2", "Z", "")
+
+
+FUZZ_LINES = (
+    "assert no-synergism {n} {n} {n}", "assert rep-flag {n} {n} {n} {slot} {value}",
+    "assert independent {n} {n}", "assert cocause-independent {n} {n} {n} {slot} {slot}",
+    "assert cov-sign {n} {n} {relation}", "represent {n} term one {lit}",
+    "represent {n} term states {states} {lit} {lit}", "edge {n} {n} {sign}", "edge {n} {n}", "node {n}",
+    "equation {n} states 1\nstate 0 prob 1 bits {bits}",
+)
+
+
+def _fuzz_node(rng, names):
+    """Mostly a node of the model, sometimes any name."""
+    return rng.choice(names) if names and rng.random() < 0.9 else rng.choice(FUZZ_NODES)
+
+
+def _fuzz_line(rng, names):
+    def pick(field):
+        if field == "n":
+            return _fuzz_node(rng, names)
+        if field == "lit":
+            return rng.choice(("", "~")) + pick("n")
+        return rng.choice({
+            "slot": ("a0", "a1", "a2", "a3", "a4"), "value": ("zero", "one", "half"),
+            "relation": ("<=0", ">=0", "=0", "<0"), "states": ("0", "1", "0,1", "2,0", "-1", "x"),
+            "sign": ("+", "-", "*"), "bits": ("0", "1", "01", "0111", "0001", "00011101"),
+        }[field])
+
+    return re.sub(r"\{(\w+)\}", lambda m: pick(m.group(1)), rng.choice(FUZZ_LINES))
+
+
+def _fuzz_model(rng):
+    """A fixture or a small model, then a few grammar-shaped lines and random token edits."""
+    pick = rng.random()
+    if pick < 0.5:
+        text = Path(fixture(rng.choice(FIXTURE_NAMES))).read_text()
+    else:
+        text = REP_ONLY if pick < 0.75 else PAIR_FULL
+    lines = [l.split() for l in text.splitlines()]
+    names = [l[1] for l in lines if len(l) == 2 and l[0] == "node"]
+    for _ in range(rng.choice((0, 0, 1, 1, 2, 3))):
+        op = rng.random()
+        i = rng.randrange(len(lines) + 1)
+        if op < 0.4 or i == len(lines):
+            lines[i:i] = [l.split() for l in _fuzz_line(rng, names).splitlines()]
+        elif op < 0.5:
+            lines.insert(i, [rng.choice(FUZZ_WORDS) for _ in range(rng.randint(1, 7))])
+        elif op < 0.6:
+            del lines[i]
+        elif op < 0.7:
+            lines.insert(i, list(lines[i]))
+        elif lines[i]:
+            j = rng.randrange(len(lines[i]))
+            if op < 0.9:
+                lines[i][j] = rng.choice(FUZZ_WORDS + tuple(names))
+            else:
+                del lines[i][j]
+    return "\n".join(" ".join(l) for l in lines) + "\n"
+
+
+def _fuzz_argv(rng, path, text):
+    lines = [l.split() for l in text.splitlines()]
+    names = [l[1] for l in lines if len(l) == 2 and l[0] == "node"]
+    targets = [l[2] for l in lines if len(l) >= 3 and l[0] == "edge"]
+    node = functools.partial(_fuzz_node, rng, names)
+    command = rng.choice(("canonical", "expand", "dsep", "stratum-ci", "signs", "covsign", "oracle-check"))
+    argv = [command, path]
+    if command in ("canonical", "expand", "stratum-ci") and (command != "canonical" or rng.random() < 0.5):
+        argv += ["--node", node()]
+    if command in ("dsep", "stratum-ci"):
+        argv += ["--x", node(), "--y", node()]
+        argv += ["--z", node()] * rng.randint(0, 1)
+    if command == "stratum-ci":
+        argv += ["--stratum", rng.choice(("0", "1") * 5 + ("2",))]
+    if command in ("covsign", "oracle-check"):
+        argv += ["--d", rng.choice(targets) if targets and rng.random() < 0.8 else node()]
+        for flag in ("--f", "--g", "--q"):
+            if rng.random() < 0.3:
+                argv += [flag, node()]
+        if rng.random() < 0.2:
+            argv += ["--budget", rng.choice(("0", "-1", "4", "64"))]
+    if command == "oracle-check":
+        argv += ["--instances", rng.choice(("1", "2") * 4 + ("0", "-1"))]
+        argv += ["--max-weight", rng.choice(("1", "3") * 4 + ("0",))]
+        argv += ["--seed", rng.choice(("0", "7", "-5"))]
+    if rng.random() < 0.5:
+        argv += ["--format", "json"]
+    if rng.random() < 0.03:
+        argv.insert(rng.randrange(len(argv) + 1), rng.choice(FUZZ_WORDS))
+    return argv
+
+
+
+
+class TestFuzzNeverTraceback:
+    def test_random_token_models_on_every_subcommand(self, capsys, tmp_path, monkeypatch):
+        # one parser for all cases: building it is most of a failing case's cost
+        monkeypatch.setattr(cli, "build_parser", functools.lru_cache(maxsize=None)(cli.build_parser))
+        rng = random.Random(20261018)
+        path = tmp_path / "fuzz.model"
+        codes, answered = {}, set()
+        for _ in range(2000):
+            text = _fuzz_model(rng)
+            path.write_text(text)
+            argv = _fuzz_argv(rng, str(path), text)
+            try:
+                code = main(argv)
+            except SystemExit as e:
+                code = e.code
+            err = capsys.readouterr().err
+            assert code in (0, 1, 2), (argv, text, err)
+            assert "Traceback" not in err and "internal error" not in err, (argv, text, err)
+            codes[code] = codes.get(code, 0) + 1
+            if code != 2:
+                answered.add(argv[0])
+        # enough cases stay valid that every subcommand answers and every code shows up
+        assert answered == {"canonical", "expand", "dsep", "stratum-ci", "signs", "covsign", "oracle-check"}
+        assert min(codes.get(c, 0) for c in (0, 1, 2)) >= 30, codes
