@@ -306,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def pair_query(p):
         p.add_argument("--budget", type=int, default=DEFAULT_WORLD_BUDGET,
-                       help="largest product of response-state counts one exact joint may cover")
+                       help="largest number of rows an exact joint may reach while it is built")
         p.add_argument("--d", required=True, help="conditioning node")
         p.add_argument("--f", default=None)
         p.add_argument("--g", default=None)

@@ -204,14 +204,15 @@ def _flag(states: frozenset[int] | None) -> Flag:
 
 
 def _sets_independent(
-    a: frozenset[int] | None, b: frozenset[int] | None, probs: Sequence[Fraction]
+    a: frozenset[int] | None, b: frozenset[int] | None, mass: Mapping[int, Fraction]
 ) -> bool:
-    universe = frozenset(range(len(probs)))
+    """Whether two co-cause events are independent; ``mass`` maps each state to its probability."""
+    universe = frozenset(mass)
     sa = universe if a is None else a
     sb = universe if b is None else b
-    pa = sum((probs[i] for i in sa), Fraction(0))
-    pb = sum((probs[i] for i in sb), Fraction(0))
-    pab = sum((probs[i] for i in sa & sb), Fraction(0))
+    pa = sum((mass[i] for i in sa), Fraction(0))
+    pb = sum((mass[i] for i in sb), Fraction(0))
+    pab = sum((mass[i] for i in sa & sb), Fraction(0))
     return pab == pa * pb
 
 
@@ -255,7 +256,7 @@ def facts_from_scm(
             )
 
     slots = cocause_state_sets(table, e1, e2)
-    probs = table.probs
+    mass = dict(enumerate(table.probs))
     if dist is None:
         dist = joint_distribution(model)
     cov = oracle.conditional_covariance(dist, e1, e2)
@@ -268,9 +269,9 @@ def facts_from_scm(
         e2=e2,
         **{slot: _flag(states) for slot, states in slots.items()},
         e_indep=oracle.conditional_independent(dist, e1, e2),
-        a1_a2_indep=_sets_independent(slots["a1"], slots["a2"], probs),
-        a0_a1_indep=_sets_independent(slots["a0"], slots["a1"], probs),
-        a0_a2_indep=_sets_independent(slots["a0"], slots["a2"], probs),
+        a1_a2_indep=_sets_independent(slots["a1"], slots["a2"], mass),
+        a0_a1_indep=_sets_independent(slots["a0"], slots["a1"], mass),
+        a0_a2_indep=_sets_independent(slots["a0"], slots["a2"], mass),
         e_cov=e_cov,
         sources=dict.fromkeys(FACT_FIELDS, "oracle"),
     )
@@ -295,6 +296,10 @@ class AssertedFacts:
     and ``cov`` cover every pair of the model, keyed by the sorted pair; a
     cov-sign claim repeated on one pair keeps the meet of its relations, so
     "<=0" with ">=0" reads "=0".
+
+    A target table's slots depend only on its set of distinct rows, so
+    they are worked out once per row set and kept for the life of this
+    object, which is one command's.
     """
 
     target: str
@@ -304,17 +309,47 @@ class AssertedFacts:
     cocause_indep: tuple[tuple[str, str], ...]
     independent: tuple[tuple[str, str], ...]
     cov: Mapping[tuple[str, str], CovFact]
+    _slots: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def cov_of(self, x: str, y: str) -> CovFact | None:
         return self.cov.get(_pair_key(x, y))
 
+    def _slot_rows(
+        self, parents: tuple[str, ...], rows: Sequence[int], negative: tuple[bool, bool]
+    ) -> dict[str, frozenset[int] | None]:
+        """The target's canonical co-cause slots, each as the set of its rows (None: all)."""
+        key = (parents, frozenset(rows), negative)
+        slots = self._slots.get(key)
+        if slots is None:
+            distinct = tuple(dict.fromkeys(rows))
+            uniform = (Fraction(1, len(distinct)),) * len(distinct)
+            table = ResponseTable(self.target, parents, distinct, uniform)
+            frame = _pair_frame(table, self.e1, self.e2, negative)
+            slots = {
+                slot: None if states is None else frozenset(distinct[i] for i in states)
+                for slot, states in cocause_state_sets(frame, self.e1, self.e2).items()
+            }
+            self._slots[key] = slots
+        return slots
+
+    def admits_rows(self, parents: tuple[str, ...], rows: Sequence[int], negative: tuple[bool, bool]) -> bool:
+        """Whether a target table with these rows carries every asserted flag."""
+        slots = self._slot_rows(parents, rows, negative)
+        return all(_flag(slots[slot]) is flag for slot, flag in self.flags.items())
+
+    def admits_table(self, table: ResponseTable, negative: tuple[bool, bool]) -> bool:
+        """Whether the target's table meets the asserted flags and co-cause independences."""
+        if not self.admits_rows(table.parents, table.rows, negative):
+            return False
+        slots = self._slot_rows(table.parents, table.rows, negative)
+        deduped = dedupe_states(table)
+        mass = dict(zip(deduped.rows, deduped.probs))
+        return all(_sets_independent(slots[a], slots[b], mass) for a, b in self.cocause_indep)
+
     def admits(self, model: Scm, dist: ExactDistribution, negative: tuple[bool, bool]) -> bool:
         """Whether a fully specified instance, with joint ``dist``, meets every assertion read."""
-        table = _pair_frame(model.tables[self.target], self.e1, self.e2, negative)
-        slots = cocause_state_sets(table, self.e1, self.e2)
         return (
-            all(_flag(slots[slot]) is flag for slot, flag in self.flags.items())
-            and all(_sets_independent(slots[a], slots[b], table.probs) for a, b in self.cocause_indep)
+            self.admits_table(model.tables[self.target], negative)
             and all(oracle.conditional_independent(dist, x, y) for x, y in self.independent)
             and all(fact.holds(oracle.conditional_covariance(dist, x, y)) for (x, y), fact in self.cov.items())
         )
@@ -814,7 +849,9 @@ class OracleCheck:
 
     ``tallies`` maps each conclusion's key to its checked and violation
     counts; ``failures`` lists every violation with the generator seed of
-    its instance (None when the model itself was checked).
+    its instance (None when the model itself was checked). Every draw ends
+    one way: a generation error, an assertion mismatch, zero mass in a
+    checked stratum, or accepted, so those four counts sum to ``drawn``.
     """
 
     analysis: CovsignAnalysis
@@ -822,6 +859,9 @@ class OracleCheck:
     drawn: int
     tallies: Mapping[str, Mapping[str, int]]
     failures: tuple[dict, ...]
+    generation_errors: int = 0
+    assertion_mismatches: int = 0
+    zero_mass: int = 0
 
     @property
     def ok(self) -> bool:
@@ -843,17 +883,25 @@ def oracle_check(
 
     A fully specified model is checked once, against the joint its facts
     came from. Otherwise models are drawn at generator seeds ``seed``,
-    ``seed + 1``, ... under the signed edges; a draw counts when it
-    satisfies every assertion and both strata of each conclusion have
-    positive mass. Drawing stops at ``instances`` accepted models or
-    ``100 * instances`` draws. ``instances`` and ``max_weight`` must be
-    at least 1; both are checked before any work.
+    ``seed + 1``, ... under the signed edges, with ``d``'s table drawn
+    only among row sets that carry the asserted representation flags (the
+    generator's row filter, so no draw is spent on a table the flags
+    reject). Every draw is still checked against every assertion before
+    its joint is built (flags and co-cause independences) and after
+    (independences and covariance signs); a draw counts when it satisfies
+    them all and both strata of each conclusion have positive mass.
+    Drawing stops at ``instances`` accepted models or ``100 * instances``
+    draws. When ``d``'s first table draw fails, its admissible row sets
+    are enumerated, and ``ValueError`` names the flags if there are none.
+    ``instances`` and ``max_weight`` must be at least 1; both are checked
+    before any work.
     """
     if instances < 1:
         raise ValueError(f"instances must be at least 1, got {instances}")
     monotone: dict[str, tuple[tuple[str, str], ...]] = {}
     for (a, b), s in model.dag.signs.items():
         monotone[b] = monotone.get(b, ()) + ((a, s),)
+    # built before the analysis so that a bad max_weight fails before any work
     constraints = oracle.InstanceConstraints(monotone=monotone, max_weight=max_weight)
     analysis = covsign_analysis(model, d, f, g, q, budget)
     conclusions = analysis.conclusions
@@ -875,22 +923,44 @@ def oracle_check(
         record(analysis.dist, None)
         return OracleCheck(analysis, 1, 1, tallies, tuple(failures))
 
-    accepted = drawn = 0
+    asserted, negative = analysis.asserted, analysis.negative
+    parents = model.dag.parents(d)
+    constraints = replace(
+        constraints, row_filter={d: lambda rows: asserted.admits_rows(parents, rows, negative)}
+    )
+    accepted = drawn = generation_errors = mismatches = zero_mass = 0
+    target_failed = False
     while accepted < instances and drawn < 100 * instances:
         instance_seed = seed + drawn
         drawn += 1
         try:
             scm = oracle.random_instance(model.dag, constraints, instance_seed)
-        except oracle.GenerationError:
+        except oracle.GenerationError as e:
+            if e.node == d and not target_failed:
+                target_failed = True
+                if not oracle.admissible_row_sets(model.dag, constraints, d):
+                    flags = ", ".join(f"{slot}={flag.value}" for slot, flag in sorted(asserted.flags.items()))
+                    raise ValueError(
+                        f"no table the generator can draw for {d} carries the asserted flags "
+                        f"{flags} on ({asserted.e1}, {asserted.e2})"
+                    ) from None
+            generation_errors += 1
+            continue
+        if not asserted.admits_table(scm.tables[d], negative):
+            mismatches += 1
             continue
         dist = joint_distribution(scm, budget)
-        if not analysis.asserted.admits(scm, dist, analysis.negative):
+        if not asserted.admits(scm, dist, negative):
+            mismatches += 1
             continue
         try:
             record(dist, instance_seed)
         except oracle.ConditioningError:
+            zero_mass += 1
             continue
         accepted += 1
     if accepted == 0:
         raise ValueError(f"no premise-satisfying instance found in {drawn} draws")
-    return OracleCheck(analysis, accepted, drawn, tallies, tuple(failures))
+    return OracleCheck(
+        analysis, accepted, drawn, tallies, tuple(failures), generation_errors, mismatches, zero_mass
+    )

@@ -5,9 +5,11 @@ are integer weights on one common scale: conditional covariances sum
 weights and divide once, and conditional independence cross-multiplies
 weights, so the scale cancels. Nothing is rounded and no tolerance enters
 covariances, conditional independence or claim verification. The
-generator draws response tables under structural constraints by rejection
-sampling with post-checks, so accepted models can be re-audited
-independently.
+generator draws each node's response table under its constraints: rows
+that break a row-level requirement are never drawn, and a node's row
+filter (a predicate on the drawn row set, such as asserted representation
+flags) rejects the rows before any probability is drawn, so the accepted
+tables keep the unconstrained distribution conditioned on the filter.
 """
 
 from __future__ import annotations
@@ -16,9 +18,9 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from itertools import combinations
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
-from .causes import Literal, canonical_representation
 from .graph import Dag
 from .scm import ExactDistribution, ResponseTable, Scm, _row_key
 from .signs import _row_direction_holds
@@ -32,7 +34,11 @@ class ConditioningError(ValueError):
 
 
 class GenerationError(RuntimeError):
-    """The constrained generator ran out of attempts."""
+    """The constrained generator ran out of attempts on ``node``."""
+
+    def __init__(self, node: str, reason: str):
+        super().__init__(f"{node}: {reason}")
+        self.node = node
 
 
 def _columns(x: str | Iterable[str]) -> tuple[str, ...]:
@@ -139,13 +145,14 @@ class InstanceConstraints:
     """Structural requirements for generated models.
 
     ``monotone`` lists per-node (parent, sign) requirements enforced row by
-    row; ``forbidden_terms`` lists per-node literal tuples whose canonical
-    co-cause must come out identically zero (the term must be absent);
-    ``allowed_rows`` restricts a node's response rows outright.
+    row; ``row_filter`` maps a node to a predicate on its drawn rows (distinct
+    row values in draw order) that must hold for the table to be kept, such
+    as "this canonical term is absent"; ``allowed_rows`` restricts a node's
+    response rows outright.
     """
 
     monotone: Mapping[str, tuple[tuple[str, str], ...]] = field(default_factory=dict)
-    forbidden_terms: Mapping[str, tuple[tuple[Literal, ...], ...]] = field(default_factory=dict)
+    row_filter: Mapping[str, Callable[[tuple[int, ...]], bool]] = field(default_factory=dict)
     allowed_rows: Mapping[str, tuple[int, ...]] = field(default_factory=dict)
     states: tuple[int, int] = (1, 3)
     max_weight: int = 8
@@ -192,31 +199,41 @@ def _candidate_rows(
     return tuple(r for r in pool if all(_row_direction_holds(r, n_configs, b, s == "+") for b, s in bits))
 
 
+def _node_candidates(g: Dag, constraints: InstanceConstraints, node: str) -> tuple[int, ...] | None:
+    """``node``'s candidate rows (None when drawn by closure), after checking its requirements."""
+    parents = g.parents(node)
+    requirements = tuple((p, s) for p, s in constraints.monotone.get(node, ()))
+    for p, s in requirements:
+        if p not in parents:
+            raise ValueError(f"{node}: monotonicity constraint on non-parent {p!r}")
+        if s not in ("+", "-"):
+            raise ValueError(f"{node}: invalid sign {s!r}")
+    allowed = constraints.allowed_rows.get(node)
+    candidates = _candidate_rows(parents, requirements, None if allowed is None else tuple(allowed))
+    if candidates is not None and not candidates:
+        raise GenerationError(node, "no rows satisfy the constraints")
+    return candidates
+
+
 def random_instance(g: Dag, constraints: InstanceConstraints, seed: int) -> Scm:
     """Draw one model satisfying the constraints, deterministically per seed.
 
-    Rows are sampled (distinct per node) and rejected until every row-level
-    and canonical-term constraint passes; probabilities are small random
-    rationals. Raises ``GenerationError`` after ``max_tries`` rejections.
+    Each node draws a set of distinct rows that meet its row-level
+    requirements; a node with a row filter redraws its rows until the
+    filter accepts them, before any weight is drawn, so a node without one
+    consumes exactly the random numbers it always did. Probabilities are
+    small random rationals. Raises ``GenerationError`` naming the node after
+    ``max_tries`` rejected row sets.
     """
     rng = random.Random(seed)
     tables: dict[str, ResponseTable] = {}
     lo, hi = constraints.states
     for node in g.nodes:
         parents = g.parents(node)
-        m = len(parents)
-        n_configs = 1 << m
-        requirements = tuple((p, s) for p, s in constraints.monotone.get(node, ()))
-        for p, s in requirements:
-            if p not in parents:
-                raise ValueError(f"{node}: monotonicity constraint on non-parent {p!r}")
-            if s not in ("+", "-"):
-                raise ValueError(f"{node}: invalid sign {s!r}")
-        allowed = constraints.allowed_rows.get(node)
-        candidates = _candidate_rows(parents, requirements, None if allowed is None else tuple(allowed))
-        if candidates is not None and not candidates:
-            raise GenerationError(f"{node}: no rows satisfy the constraints")
-        forbidden = [frozenset(t) for t in constraints.forbidden_terms.get(node, ())]
+        n_configs = 1 << len(parents)
+        candidates = _node_candidates(g, constraints, node)
+        keep = constraints.row_filter.get(node)
+        closing = [(1 << parents.index(p), s) for p, s in constraints.monotone.get(node, ())]
 
         for attempt in range(constraints.max_tries):
             if candidates is not None:
@@ -224,7 +241,6 @@ def random_instance(g: Dag, constraints: InstanceConstraints, seed: int) -> Scm:
                 n = min(n, len(candidates))
                 rows = tuple(rng.sample(candidates, n))
             else:
-                closing = [(1 << parents.index(p), s) for p, s in requirements]
                 picked: list[int] = []
                 for _ in range(50):
                     row = _monotone_close(rng.getrandbits(n_configs), n_configs, closing)
@@ -235,16 +251,29 @@ def random_instance(g: Dag, constraints: InstanceConstraints, seed: int) -> Scm:
                 rows = tuple(picked)
                 if not rows:
                     continue
+            if keep is not None and not keep(rows):
+                continue
             weights = [rng.randint(1, constraints.max_weight) for _ in rows]
             total = sum(weights)
-            table = ResponseTable(node, parents, rows, tuple(Fraction(w, total) for w in weights))
-            if forbidden:
-                rep = canonical_representation(table)
-                bad = any(frozenset(term.literals) in forbidden for term in rep.terms)
-                if bad:
-                    continue
-            tables[node] = table
+            tables[node] = ResponseTable(node, parents, rows, tuple(Fraction(w, total) for w in weights))
             break
         else:
-            raise GenerationError(f"{node}: no acceptable table after {constraints.max_tries} tries")
+            raise GenerationError(node, f"no acceptable table after {constraints.max_tries} tries")
     return Scm(g, tables)
+
+
+def admissible_row_sets(g: Dag, constraints: InstanceConstraints, node: str) -> list[tuple[int, ...]]:
+    """Every row set ``random_instance`` can keep for ``node``.
+
+    These are the sets of distinct candidate rows whose size the states
+    range allows and that pass the node's row filter. The candidate rows
+    must be enumerable: at most three parents, or ``allowed_rows``. Sets
+    come by size, then in lexicographic order of their sorted rows.
+    """
+    candidates = _node_candidates(g, constraints, node)
+    if candidates is None:
+        raise ValueError(f"{node}: rows over {len(g.parents(node))} parents are drawn, not enumerated")
+    lo, hi = constraints.states
+    keep = constraints.row_filter.get(node, lambda rows: True)
+    sizes = range(min(lo, len(candidates)), min(hi, len(candidates)) + 1)
+    return [rows for k in sizes for rows in combinations(sorted(candidates), k) if keep(rows)]

@@ -30,7 +30,7 @@ DEFAULT_WORLD_BUDGET = 1 << 24
 
 
 class BudgetExceededError(ValueError):
-    """A model has more worlds (product of state counts) than the budget allows."""
+    """Building a model's exact joint could reach more rows than the budget allows."""
 
 
 def config_index(values: Sequence[int]) -> int:
@@ -267,15 +267,12 @@ def joint_distribution(
 
     Columns are the nodes in declaration order, then ``state_column(n)``
     for each node ``n`` named in ``states`` (declaration order); such a
-    node splits per positive-probability response state instead. The
-    world count (the product of every table's state count) must stay
-    within ``budget``; it bounds the number of rows and is checked before
-    any work.
+    node splits per positive-probability response state instead. Before
+    each node's split, the current row count times the node's largest
+    number of children per row (its positive-probability states, and at
+    most 2 for a value node) must stay within ``budget``, so the rows are
+    bounded before they are built.
     """
-    count = model.world_count()
-    if count > budget:
-        raise BudgetExceededError(f"{count} worlds exceed the budget of {budget}")
-
     nodes = model.graph.nodes
     with_state = frozenset(states)
     model.graph.require(*with_state)
@@ -288,6 +285,13 @@ def joint_distribution(
         lcd = lcm(*(p.denominator for p in t.probs))
         weighted = [(r, p.numerator * (lcd // p.denominator)) for r, p in zip(t.rows, t.probs)]
         scale *= lcd
+        fanout = sum(1 for _, w in weighted if w)
+        if n not in with_state:
+            fanout = min(fanout, 2)
+        if len(rows) * fanout > budget:
+            raise BudgetExceededError(
+                f"{len(rows) * fanout} joint rows at node {n} exceed the budget of {budget}"
+            )
         parent_values = _row_key([position[p] for p in t.parents])
         position[n] = len(rows[0][0])
         # a row's children, keyed by its parent values as parent_values reads them

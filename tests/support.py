@@ -8,6 +8,7 @@ import random
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
+from typing import Callable
 
 from suffcause import (
     CoCause,
@@ -18,6 +19,7 @@ from suffcause import (
     ResponseTable,
     Scm,
     Sign,
+    canonical_representation,
     config_index,
     facts_from_scm,
 )
@@ -49,6 +51,17 @@ def random_dag(rng: random.Random, n_nodes: int, edge_prob: float = 0.4) -> Dag:
         if rng.random() < edge_prob
     ]
     return Dag(nodes, edges)
+
+
+def without_term(node: str, parents: tuple[str, ...], literals) -> Callable[[tuple[int, ...]], bool]:
+    """Row filter: ``node``'s canonical representation has no term over exactly ``literals``."""
+    forbidden = frozenset(literals)
+
+    def keep(rows: tuple[int, ...]) -> bool:
+        table = ResponseTable(node, parents, rows, (Fraction(1, len(rows)),) * len(rows))
+        return all(frozenset(t.literals) != forbidden for t in canonical_representation(table).terms)
+
+    return keep
 
 
 def random_signs(rng: random.Random, g: Dag) -> Dag:

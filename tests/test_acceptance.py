@@ -42,7 +42,7 @@ from suffcause import (
 from suffcause.covsign import Flag, Relation
 from suffcause.oracle import ConditioningError, GenerationError
 
-from support import CASE_RULES, case_instances, fixture, random_dag
+from support import CASE_RULES, case_instances, fixture, random_dag, without_term
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -273,7 +273,7 @@ def test_criterion_7_coaggregation_end_to_end():
         monotone[b] = monotone[b] + ((a, s),)
     constraints = InstanceConstraints(
         monotone=monotone,
-        forbidden_terms={"P1": ((Literal("E1"), Literal("GP")),)},
+        row_filter={"P1": without_term("P1", g.parents("P1"), (Literal("E1"), Literal("GP")))},
         states=(1, 2),
     )
     shared = check_transfer_premises_shared(g, "B1", "P2", "E1", "GP", "P1")
@@ -313,7 +313,7 @@ def test_criterion_7_coaggregation_end_to_end():
         monotone_f[b] = monotone_f[b] + ((a, "+"),)
     constraints_f = InstanceConstraints(
         monotone=monotone_f,
-        forbidden_terms={"P1": ((Literal("E1"), Literal("GP")),)},
+        row_filter={"P1": without_term("P1", gf.parents("P1"), (Literal("E1"), Literal("GP")))},
         states=(1, 2),
     )
     found = None

@@ -5,6 +5,7 @@ import json
 import random
 import re
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -220,7 +221,7 @@ class TestCovsign:
         code, out, err = run(capsys, "covsign", str(path), "--d", "D", "--budget", "2")
         assert code == 2
         assert out == ""
-        assert err.startswith("error: 4 worlds exceed the budget of 2")
+        assert err.startswith("error: 4 joint rows at node E2 exceed the budget of 2")
         assert len(err.splitlines()) == 1
 
     def test_fully_specified_model_uses_oracle_facts(self, capsys):
@@ -478,6 +479,29 @@ def _fuzz_argv(rng, path, text):
     return argv
 
 
+def _flag_lines(rng):
+    """One to four flag assertions on D, in either pair order, often contradictory or unsatisfiable."""
+    lines = []
+    for _ in range(rng.randint(1, 4)):
+        pair = rng.choice(("E1 E2", "E2 E1"))
+        if rng.random() < 0.25:
+            lines.append(f"assert no-synergism D {pair}")
+        else:
+            slot, value = rng.choice(("a0", "a1", "a2", "a3")), rng.choice(("zero", "one"))
+            lines.append(f"assert rep-flag D {pair} {slot} {value}")
+    return lines
+
+
+def _flag_model(rng):
+    """A premise-only pair, or the pair with proxies F and G; random edge signs into D."""
+    s1, s2 = rng.choice("+-"), rng.choice("+-")
+    if rng.random() < 0.5:
+        return f"node E1\nnode E2\nnode D\nedge E1 D {s1}\nedge E2 D {s2}\n", []
+    text = (
+        "node A\nnode E1\nnode E2\nnode D\nnode F\nnode G\n"
+        f"edge A E1 +\nedge E1 D {s1}\nedge E2 D {s2}\nedge E1 F +\nedge E2 G +\n"
+    )
+    return text, ["--f", "F", "--g", "G"]
 
 
 class TestFuzzNeverTraceback:
@@ -504,3 +528,39 @@ class TestFuzzNeverTraceback:
         # enough cases stay valid that every subcommand answers and every code shows up
         assert answered == {"canonical", "expand", "dsep", "stratum-ci", "signs", "covsign", "oracle-check"}
         assert min(codes.get(c, 0) for c in (0, 1, 2)) >= 30, codes
+
+    def test_random_flag_sets_never_traceback(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "build_parser", functools.lru_cache(maxsize=None)(cli.build_parser))
+        rng = random.Random(61018)
+        path = tmp_path / "flags.model"
+        codes, unsatisfiable = {}, 0
+        t0 = time.monotonic()
+        for _ in range(150):
+            text, proxies = _flag_model(rng)
+            path.write_text(text + "\n".join(_flag_lines(rng)) + "\n")
+            argv = ["oracle-check", str(path), "--d", "D", *proxies,
+                    "--instances", rng.choice(("1", "2", "3")), "--seed", str(rng.randrange(50))]
+            code = main(argv)
+            err = capsys.readouterr().err
+            assert code in (0, 1, 2), (argv, path.read_text(), err)
+            assert "Traceback" not in err and "internal error" not in err, (argv, path.read_text(), err)
+            codes[code] = codes.get(code, 0) + 1
+            unsatisfiable += "carries the asserted flags" in err
+        assert time.monotonic() - t0 < 3.0
+        # contradictory and unsatisfiable sets exit 2; satisfiable ones are checked
+        assert codes.get(0, 0) >= 20 and codes.get(2, 0) >= 20 and unsatisfiable >= 10, (codes, unsatisfiable)
+
+    def test_unsatisfiable_flags_exit_2_fast(self, capsys, tmp_path):
+        path = tmp_path / "flags.model"
+        path.write_text(
+            "node E1\nnode E2\nnode D\nedge E1 D +\nedge E2 D +\n"
+            "assert rep-flag D E1 E2 a0 one\nassert rep-flag D E1 E2 a1 one\n"
+        )
+        t0 = time.monotonic()
+        code, out, err = run(capsys, "oracle-check", str(path), "--d", "D", "--instances", "100")
+        assert time.monotonic() - t0 < 1.0
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: no table the generator can draw for D carries the asserted flags "
+            "a0=one, a1=one on (E1, E2)\n"
+        )

@@ -19,6 +19,7 @@ from suffcause import (
     facts_from_scm,
     joint_distribution,
     load_model,
+    oracle_check,
     pair_conclusions,
     parse_model,
     read_assertions,
@@ -471,3 +472,73 @@ class TestAssertionReader:
         asserted = read_assertions(model.assertions, "D", "E1", "E2")
         assert asserted.cov_of("E1", "E2") is CovFact.EQ0
         assert covsign_analysis(model, "D").facts.e_cov is CovFact.EQ0
+
+
+def _premise_variant(assertion: str, e2_sign: str) -> str:
+    """Eight premise-only nodes around the two-parent target D, every edge signed."""
+    return (
+        "".join(f"node {n}\n" for n in ("A1", "A2", "E1", "E2", "D", "F", "G", "H"))
+        + "edge A1 E1 +\nedge A2 E2 +\nedge E1 D +\n"
+        + f"edge E2 D {e2_sign}\n"
+        + "edge E1 F +\nedge E2 G +\nedge D H +\n"
+        + f"assert {assertion}\n"
+    )
+
+
+class TestOracleCheckDraws:
+    """Draw accounting, and the generator drawing only tables that carry the asserted flags."""
+
+    VARIANT_ASSERTIONS = (
+        "no-synergism D E1 E2",
+        "rep-flag D E1 E2 a0 zero",
+        "rep-flag D E1 E2 a1 zero",
+        "rep-flag D E2 E1 a1 one",
+    )
+
+    @staticmethod
+    def split(check):
+        return (check.generation_errors, check.assertion_mismatches, check.zero_mass, check.accepted)
+
+    def test_flagship_draws_no_mismatch(self):
+        model = load_model(fixture("coaggregation_null"))
+        check = oracle_check(model, "P1", "B1", "P2", instances=20, seed=7)
+        assert check.ok
+        assert sum(self.split(check)) == check.drawn
+        assert check.assertion_mismatches == 0
+        assert check.accepted == 20
+
+    def test_every_flag_variant_draws_no_mismatch(self):
+        for assertion in self.VARIANT_ASSERTIONS:
+            for e2_sign in "+-":
+                model = parse_model(_premise_variant(assertion, e2_sign))
+                check = oracle_check(model, "D", "F", "G", instances=5, seed=100)
+                assert check.ok, (assertion, e2_sign)
+                assert sum(self.split(check)) == check.drawn, (assertion, e2_sign)
+                assert check.assertion_mismatches == 0, (assertion, e2_sign, self.split(check))
+
+    def test_mismatches_still_counted_for_assertions_past_the_flags(self):
+        # the row filter covers only the flags; a co-cause independence is
+        # checked on the drawn table, and a failing draw counts as a mismatch
+        model = parse_model(
+            _premise_variant("no-synergism D E1 E2", "+") + "assert cocause-independent D E1 E2 a0 a1\n"
+        )
+        check = oracle_check(model, "D", "F", "G", instances=5, seed=100)
+        assert sum(self.split(check)) == check.drawn
+        assert check.assertion_mismatches > 0
+
+    def test_fully_specified_model_is_one_accepted_draw(self):
+        model = parse_model(
+            TestAssertionReader.PAIR
+            + "equation E1 states 2\nstate 0 prob 1/2 bits 1\nstate 1 prob 1/2 bits 0\n"
+            + "equation E2 states 2\nstate 0 prob 1/2 bits 1\nstate 1 prob 1/2 bits 0\n"
+            + "equation D states 1\nstate 0 prob 1 bits 0111\n"
+        )
+        check = oracle_check(model, "D", instances=5)
+        assert (check.drawn, self.split(check)) == (1, (0, 0, 0, 1))
+
+    def test_unsatisfiable_flags_fail_fast(self):
+        model = parse_model(
+            TestAssertionReader.PAIR + "assert rep-flag D E1 E2 a0 one\nassert rep-flag D E1 E2 a1 one\n"
+        )
+        with pytest.raises(ValueError, match=r"asserted flags a0=one, a1=one on \(E1, E2\)"):
+            oracle_check(model, "D", instances=100)

@@ -1,12 +1,16 @@
 """Exact oracle queries and the constrained random generator."""
 
 import hashlib
+import math
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from suffcause import (
+    CoCauseKind,
     ConditioningError,
     Dag,
     GenerationError,
@@ -22,17 +26,23 @@ from suffcause import (
     detect_monotonic_effect,
     joint_distribution,
     random_instance,
+    read_assertions,
     state_column,
     verify_claim,
 )
 from suffcause.covsign import CovQuantity, Relation, SignConclusion
+from suffcause.modelfile import Assertion
+from suffcause.oracle import admissible_row_sets
 
 from support import (
+    MONOTONE_PAIR_ROWS,
     enumerate_joint,
     random_dag,
     reference_covariance,
+    ref_canonical_terms,
     reference_independent,
     value_marginal,
+    without_term,
 )
 
 half = Fraction(1, 2)
@@ -216,7 +226,7 @@ class TestRandomInstance:
         g = Dag(["E1", "E2", "D"], [("E1", "D"), ("E2", "D")])
         constraints = InstanceConstraints(
             monotone={"D": (("E1", "+"), ("E2", "+"))},
-            forbidden_terms={"D": ((Literal("E1"), Literal("E2")),)},
+            row_filter={"D": without_term("D", ("E1", "E2"), (Literal("E1"), Literal("E2")))},
         )
         for seed in range(60):
             m = random_instance(g, constraints, seed)
@@ -293,3 +303,96 @@ class TestRandomInstance:
             m = random_instance(g, InstanceConstraints(), 7)
             reprs.add(repr(sorted((n, t.rows, t.probs) for n, t in m.tables.items())))
         assert len(reprs) == 1
+
+
+def _chi2_bound(df: int, z: float = 3.0902) -> float:
+    """Upper 0.1% point of the chi-square law with ``df`` degrees of freedom (Wilson-Hilferty)."""
+    h = 2 / (9 * df)
+    return df * (1 - h + z * math.sqrt(h)) ** 3
+
+
+NO_SYNERGY = without_term("D", ("E1", "E2"), (Literal("E1"), Literal("E2")))
+
+
+class TestRowFilter:
+    """A filtered node's rows come from the unfiltered law conditioned on the filter."""
+
+    PARENTS = ("E1", "E2")
+    GRAPH = Dag(["E1", "E2", "D"], [("E1", "D"), ("E2", "D")])
+    MONOTONE = {"D": (("E1", "+"), ("E2", "+"))}
+    SLOT_BASES = {
+        "a0": frozenset(), "a1": frozenset({"E1"}), "a2": frozenset({"E2"}), "a3": frozenset({"E1", "E2"})
+    }
+    DRAWS = 1200
+
+    @classmethod
+    def reference_flags(cls, rows) -> dict[str, str]:
+        """Slot flags from the atom-by-atom canonical terms of a table with these rows."""
+        table = ResponseTable("D", cls.PARENTS, rows, (Fraction(1, len(rows)),) * len(rows))
+        terms = {frozenset(l.base for l in t.literals): t for t in ref_canonical_terms(table)}
+        flags = {}
+        for slot, bases in cls.SLOT_BASES.items():
+            term = terms.get(bases)
+            if term is None:
+                flags[slot] = "zero"
+            else:
+                flags[slot] = "one" if term.cocause.kind is CoCauseKind.ONE else "neither"
+        return flags
+
+    def filters(self):
+        """(name, row filter, reference predicate on a row set) for each case."""
+        out = []
+        for slot in self.SLOT_BASES:
+            for value in ("zero", "one"):
+                flag = Assertion("rep-flag", ("D", "E1", "E2", slot, value))
+                asserted = read_assertions([flag], "D", "E1", "E2")
+                out.append((
+                    f"{slot} {value}",
+                    lambda rows, asserted=asserted: asserted.admits_rows(self.PARENTS, rows, (False, False)),
+                    lambda flags, slot=slot, value=value: flags[slot] == value,
+                ))
+        out.append(("no E1*E2 term", NO_SYNERGY, lambda flags: flags["a3"] == "zero"))
+        return out
+
+    def test_draws_match_brute_force_and_the_conditional_law(self):
+        row_sets = [frozenset(c) for k in (1, 2, 3) for c in combinations(MONOTONE_PAIR_ROWS, k)]
+        assert len(row_sets) == 41
+        flags = {s: self.reference_flags(tuple(sorted(s))) for s in row_sets}
+        for name, keep, holds in self.filters():
+            admissible = {s for s in row_sets if holds(flags[s])}
+            constraints = InstanceConstraints(monotone=self.MONOTONE, row_filter={"D": keep})
+            enumerated = admissible_row_sets(self.GRAPH, constraints, "D")
+            assert {frozenset(r) for r in enumerated} == admissible, name
+            counts = Counter(
+                frozenset(random_instance(self.GRAPH, constraints, seed).tables["D"].rows)
+                for seed in range(self.DRAWS)
+            )
+            assert set(counts) == admissible, name
+            # unfiltered, a draw picks its size uniformly, then a uniform
+            # subset of that size: P(S) is proportional to 1 / C(6, |S|)
+            weight = {s: Fraction(1, math.comb(len(MONOTONE_PAIR_ROWS), len(s))) for s in admissible}
+            total = sum(weight.values())
+            expected = {s: self.DRAWS * w / total for s, w in weight.items()}
+            chi2 = sum((counts[s] - e) ** 2 / e for s, e in expected.items())
+            if len(admissible) > 1:
+                assert chi2 < _chi2_bound(len(admissible) - 1), (name, float(chi2), len(admissible))
+
+    def test_unfiltered_nodes_draw_no_extra_numbers(self):
+        # the filter on D redraws only D's rows: the roots, drawn before
+        # it, keep their tables, and a filter that accepts everything
+        # changes nothing
+        everything = InstanceConstraints(monotone=self.MONOTONE, row_filter={"D": lambda rows: True})
+        plain = InstanceConstraints(monotone=self.MONOTONE)
+        no_synergy = InstanceConstraints(monotone=self.MONOTONE, row_filter={"D": NO_SYNERGY})
+        for seed in range(50):
+            base = random_instance(self.GRAPH, plain, seed).tables
+            assert random_instance(self.GRAPH, everything, seed).tables == base
+            filtered = random_instance(self.GRAPH, no_synergy, seed).tables
+            assert (filtered["E1"], filtered["E2"]) == (base["E1"], base["E2"])
+
+    def test_generation_error_names_the_node(self):
+        constraints = InstanceConstraints(monotone=self.MONOTONE, row_filter={"D": lambda rows: False})
+        with pytest.raises(GenerationError) as caught:
+            random_instance(self.GRAPH, constraints, 0)
+        assert caught.value.node == "D"
+        assert admissible_row_sets(self.GRAPH, constraints, "D") == []

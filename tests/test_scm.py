@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from suffcause import (
+    DEFAULT_WORLD_BUDGET,
     BudgetExceededError,
     Dag,
     ResponseTable,
@@ -127,8 +128,37 @@ class TestJointDistribution:
     def test_budget(self):
         g = Dag(["X", "Y"], [])
         m = Scm(g, {"X": fair("X"), "Y": fair("Y")})
-        with pytest.raises(BudgetExceededError):
+        with pytest.raises(BudgetExceededError, match="4 joint rows at node Y exceed the budget of 3"):
             joint_distribution(m, budget=3)
+        assert len(joint_distribution(m, budget=4).rows) == 4
+
+    def test_budget_counts_rows_not_worlds(self):
+        # every node copies its parent through two identical states: 2^25
+        # worlds, but only the two rows "all 0" and "all 1"
+        nodes = [f"X{i}" for i in range(25)]
+        g = Dag(nodes, list(zip(nodes, nodes[1:])))
+        copy = (Fraction(1, 2), Fraction(1, 2))
+        tables = {n: ResponseTable(n, (p,), (0b10, 0b10), copy) for p, n in zip(nodes, nodes[1:])}
+        m = Scm(g, {"X0": fair("X0"), **tables})
+        assert m.world_count() == 1 << 25 > DEFAULT_WORLD_BUDGET
+        dist = joint_distribution(m)
+        assert sorted(vals for vals, _ in dist.rows) == [(0,) * 25, (1,) * 25]
+        assert dist.mass() == 1
+
+    def test_budget_bounds_a_state_column_by_its_positive_states(self):
+        third = Fraction(1, 3)
+        g = Dag(["X"], [])
+        m = Scm(g, {"X": ResponseTable("X", (), (1, 0, 1, 0), (third, third, third, Fraction(0)))})
+        assert len(joint_distribution(m, budget=2).rows) == 2
+        assert len(joint_distribution(m, budget=3, states=("X",)).rows) == 3
+        with pytest.raises(BudgetExceededError, match="3 joint rows at node X exceed the budget of 2"):
+            joint_distribution(m, budget=2, states=("X",))
+
+    def test_budget_refuses_before_the_rows_are_built(self):
+        g = Dag([f"R{i}" for i in range(40)], [])
+        m = Scm(g, {n: fair(n) for n in g.nodes})
+        with pytest.raises(BudgetExceededError, match="2048 joint rows at node R10 exceed the budget of 2000"):
+            joint_distribution(m, budget=2000)
 
     def test_state_columns_present(self):
         g = Dag(["X"], [])
