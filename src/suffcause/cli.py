@@ -23,8 +23,8 @@ from typing import Sequence
 
 from . import covsign as cs
 from .causes import CoCauseKind, canonical_representation
-from .expansion import expand, stratum_conditioning_set, stratum_independent
-from .graph import d_separated, find_unblocked_path
+from .expansion import expand, stratum_conditioning_set
+from .graph import find_unblocked_path
 from .modelfile import Model, load_model
 from .scm import DEFAULT_WORLD_BUDGET, dedupe_states
 from .signs import detect_monotonic_effect, is_constant_in, monotonically_associated
@@ -177,8 +177,8 @@ def _cmd_expand(args) -> int:
 
 def _cmd_dsep(args) -> int:
     model = load_model(args.model)
-    separated = d_separated(model.dag, args.x, args.y, args.z)
-    witness = None if separated else find_unblocked_path(model.dag, args.x, args.y, args.z)
+    witness = find_unblocked_path(model.dag, args.x, args.y, args.z)
+    separated = witness is None
     report = {
         "command": "dsep",
         "model": args.model,
@@ -197,9 +197,9 @@ def _cmd_dsep(args) -> int:
 def _cmd_stratum_ci(args) -> int:
     model = load_model(args.model)
     exp, rep, source = _expanded(model, args.node)
-    verdict = stratum_independent(exp, args.x, args.y, args.z, args.stratum)
-    cond = sorted(set(args.z) | stratum_conditioning_set(exp, args.stratum), key=exp.dag.index)
-    witness = None if verdict else find_unblocked_path(exp.dag, args.x, args.y, cond)
+    cond = set(args.z) | stratum_conditioning_set(exp, args.stratum)
+    witness = find_unblocked_path(exp.dag, args.x, args.y, cond)
+    verdict = witness is None
     wording = "independent within stratum" if verdict else "not implied independent"
     report = {
         "command": "stratum-ci",
@@ -208,7 +208,7 @@ def _cmd_stratum_ci(args) -> int:
         "stratum": args.stratum,
         "x": args.x, "y": args.y, "z": args.z,
         "representation_source": source,
-        "conditioning_set": cond,
+        "conditioning_set": sorted(cond, key=exp.dag.index),
         "verdict": wording,
         "witness": None if witness is None else str(witness),
     }

@@ -1,5 +1,8 @@
 """Directed acyclic graph core: paths, path signs, d-separation, marginalization.
 
+One active-trail search decides d-separation and names an unblocked path as
+its witness (``find_unblocked_path``; ``d_separated`` is its None test).
+
 Nodes are case-sensitive strings. Declaration order is preserved and drives
 every deterministic iteration downstream (truth-table indexing, witness
 search, report ordering). A ``Dag`` is immutable after construction; all
@@ -124,24 +127,6 @@ class Dag:
             for n in node_list
         }
         self._topo = tuple(topo)
-
-    @classmethod
-    def from_edges(
-        cls,
-        edges: Iterable[tuple[str, str]],
-        nodes: Iterable[str] = (),
-        signs: Mapping[tuple[str, str], str] | None = None,
-    ) -> "Dag":
-        """Build a graph from an edge list; node order is first appearance."""
-        order: list[str] = list(nodes)
-        known = set(order)
-        edge_list = list(edges)
-        for a, b in edge_list:
-            for n in (a, b):
-                if n not in known:
-                    known.add(n)
-                    order.append(n)
-        return cls(order, edge_list, signs)
 
     def __contains__(self, node: str) -> bool:
         return node in self._index
@@ -272,64 +257,37 @@ def d_separated(
     """Whether every path between ``x`` and ``y`` is blocked given ``z``.
 
     A path is blocked when it carries a non-collider that is conditioned on,
-    or a collider with no conditioned descendant (itself included). Uses the
-    linear-time active-trail reachability formulation; agreement with the
-    literal per-path definition is enforced by the test suite.
+    or a collider with no conditioned descendant (itself included). Decided
+    by the witness search: separated exactly when it finds no path.
     """
-    xs, ys, zs = _node_set(g, x), _node_set(g, y), _node_set(g, z)
-    _check_disjoint(xs, ys, zs)
-
-    anc_z: set[str] = set(zs)
-    for n in zs:
-        anc_z |= g.ancestors(n)
-
-    queue: deque[tuple[bool, str]] = deque((True, s) for s in xs)
-    seen: set[tuple[bool, str]] = set()
-    while queue:
-        state = queue.popleft()
-        if state in seen:
-            continue
-        seen.add(state)
-        up, v = state
-        if v in ys:
-            return False
-        if up and v not in zs:
-            for p in g.parents(v):
-                queue.append((True, p))
-            for c in g.children(v):
-                queue.append((False, c))
-        elif not up:
-            if v not in zs:
-                for c in g.children(v):
-                    queue.append((False, c))
-            if v in anc_z:
-                for p in g.parents(v):
-                    queue.append((True, p))
-    return True
+    return find_unblocked_path(g, x, y, z) is None
 
 
 def path_blocked(g: Dag, path: Path, z: str | Iterable[str] = ()) -> bool:
     """Literal blocking test for one path, applied node by node."""
     zs = _node_set(g, z)
-    touches_z = _descendant_touches(g, zs)
+    open_colliders = _ancestral(g, zs)
     for i in range(1, len(path.nodes) - 1):
         v = path.nodes[i]
         collider = path.forward[i - 1] and not path.forward[i]
         if collider:
-            if not touches_z[v]:
+            if v not in open_colliders:
                 return True
         elif v in zs:
             return True
     return False
 
 
-def _descendant_touches(g: Dag, zs: frozenset[str]) -> dict[str, bool]:
-    """For each node: is the node itself or any descendant inside ``zs``?"""
-    marked = {n: n in zs for n in g.nodes}
-    for n in reversed(g.topological()):
-        if not marked[n] and any(marked[c] for c in g.children(n)):
-            marked[n] = True
-    return marked
+def _ancestral(g: Dag, zs: frozenset[str]) -> set[str]:
+    """``zs`` and its ancestors: the nodes that are in ``zs`` or have a descendant there."""
+    out = set(zs)
+    stack = list(zs)
+    while stack:
+        for p in g._parents[stack.pop()]:
+            if p not in out:
+                out.add(p)
+                stack.append(p)
+    return out
 
 
 def find_unblocked_path(
@@ -338,45 +296,55 @@ def find_unblocked_path(
     y: str | Iterable[str],
     z: str | Iterable[str] = (),
 ) -> Path | None:
-    """First unblocked simple path between ``x`` and ``y`` given ``z``.
+    """An unblocked simple path from ``x`` to ``y`` given ``z``, or None.
 
-    Deterministic witness search: sources and neighbors are explored in node
-    declaration order. Returns None exactly when ``d_separated`` holds.
+    Linear-time active-trail (Bayes-ball) search over (up, node) states,
+    where ``up`` means the trail entered the node from a child (Shachter
+    1998; Koller & Friedman 2009, Alg. 3.1). Start states and neighbors
+    follow declaration order, so the witness is deterministic. The first
+    trail to reach ``y`` is read back from the predecessor map, and it is
+    already a simple path that meets ``x`` only at its start:
+
+    - every ``x`` start state is expanded before any other state, and the
+      down state of an ``x`` node adds no successor its up state lacks;
+    - an up state in ``z`` has no successor, so it ends no trail;
+    - otherwise, of a node's two states the later-expanded one adds no new
+      successor, except the up state of a node outside ``z`` and its
+      ancestors expanded after its down state. A trail through that down
+      state only goes further down, so it never returns to the node.
+
+    ``Path.through`` rejects a repeated node, so a breach would raise
+    rather than return a wrong witness.
     """
     xs, ys, zs = _node_set(g, x), _node_set(g, y), _node_set(g, z)
     _check_disjoint(xs, ys, zs)
-    touches_z = _descendant_touches(g, zs)
+    open_colliders = _ancestral(g, zs)
+    parents, children = g._parents, g._children
 
-    def extend(trail: list[str], on_trail: set[str]) -> list[str] | None:
-        v = trail[-1]
-        for w in g.adjacent(v):
-            if w in on_trail:
+    start = [(True, s) for s in g.nodes if s in xs]
+    came_from: dict[tuple[bool, str], tuple[bool, str] | None] = dict.fromkeys(start)
+    queue = deque(start)
+    while queue:
+        state = queue.popleft()
+        up, v = state
+        if v in ys:
+            trail = []
+            while state is not None:
+                trail.append(state[1])
+                state = came_from[state]
+            return Path.through(g, reversed(trail))
+        if up:
+            if v in zs:
                 continue
-            if len(trail) >= 2:
-                u = trail[-2]
-                collider = g.has_edge(u, v) and g.has_edge(w, v)
-                if collider:
-                    if not touches_z[v]:
-                        continue
-                elif v in zs:
-                    continue
-            if w in ys:
-                return trail + [w]
-            on_trail.add(w)
-            trail.append(w)
-            found = extend(trail, on_trail)
-            if found is not None:
-                return found
-            trail.pop()
-            on_trail.remove(w)
-        return None
-
-    for s in g.nodes:
-        if s not in xs:
-            continue
-        found = extend([s], {s})
-        if found is not None:
-            return Path.through(g, found)
+            steps = [(True, p) for p in parents[v]] + [(False, c) for c in children[v]]
+        else:
+            steps = [] if v in zs else [(False, c) for c in children[v]]
+            if v in open_colliders:
+                steps += [(True, p) for p in parents[v]]
+        for nxt in steps:
+            if nxt not in came_from:
+                came_from[nxt] = state
+                queue.append(nxt)
     return None
 
 

@@ -1,6 +1,6 @@
 """Shared helpers: fixture paths, random graphs, references (path enumeration,
-atom-by-atom sufficient causes, world enumeration), and constrained instance
-families."""
+the exhaustive witness search, atom-by-atom sufficient causes, world
+enumeration), and constrained instance families."""
 
 from __future__ import annotations
 
@@ -16,6 +16,7 @@ from suffcause import (
     Conjunction,
     Dag,
     Literal,
+    Path as GraphPath,
     ResponseTable,
     Scm,
     Sign,
@@ -99,6 +100,51 @@ def directed_paths(g: Dag, a: str, b: str, avoid=()) -> list[tuple[str, ...]]:
 
     walk([a])
     return out
+
+
+# -- test-only reference for graph.find_unblocked_path: DFS over simple paths -
+
+def dfs_unblocked_path(g: Dag, x, y, z=()) -> GraphPath | None:
+    """First unblocked simple path between ``x`` and ``y`` given ``z``.
+
+    Exhaustive depth-first search (exponential in the worst case): sources
+    and neighbors are explored in node declaration order, and each step
+    applies the literal blocking rule to the node it passes.
+    """
+    xs, ys, zs = (frozenset([s] if isinstance(s, str) else s) for s in (x, y, z))
+    touches_z = {n: n in zs or bool(g.descendants(n) & zs) for n in g.nodes}
+
+    def extend(trail: list[str], on_trail: set[str]) -> list[str] | None:
+        v = trail[-1]
+        for w in g.adjacent(v):
+            if w in on_trail:
+                continue
+            if len(trail) >= 2:
+                u = trail[-2]
+                collider = g.has_edge(u, v) and g.has_edge(w, v)
+                if collider:
+                    if not touches_z[v]:
+                        continue
+                elif v in zs:
+                    continue
+            if w in ys:
+                return trail + [w]
+            on_trail.add(w)
+            trail.append(w)
+            found = extend(trail, on_trail)
+            if found is not None:
+                return found
+            trail.pop()
+            on_trail.remove(w)
+        return None
+
+    for s in g.nodes:
+        if s not in xs:
+            continue
+        found = extend([s], {s})
+        if found is not None:
+            return GraphPath.through(g, found)
+    return None
 
 
 def path_product(g: Dag, nodes) -> Sign:

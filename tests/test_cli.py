@@ -2,18 +2,22 @@
 
 import functools
 import json
+import os
 import random
 import re
+import subprocess
 import sys
 import time
 from pathlib import Path
 
 import pytest
 
-from suffcause import cli, scm
+from suffcause import cli, find_unblocked_path, scm
 from suffcause.cli import main
 
 from support import fixture
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -28,7 +32,7 @@ class TestDsep:
                            "--x", "P2", "--y", "B1", "--z", "P1")
         assert code == 1
         assert "not separated" in out
-        assert "P2 <- GP -> P1 <- E1 -> B1" in out
+        assert "P2 <- F -> B1" in out
 
     def test_separated_exit_zero(self, capsys):
         code, out, _ = run(capsys, "dsep", fixture("pairs_disjoint"),
@@ -41,17 +45,38 @@ class TestDsep:
                            "--x", "P2", "--y", "B1", "--z", "P1", "--format", "json")
         doc = json.loads(out)
         assert doc["separated"] is False
-        assert doc["witness"] == "P2 <- GP -> P1 <- E1 -> B1"
+        assert doc["witness"] == "P2 <- F -> B1"
 
-    def test_separated_verdict_needs_no_witness_search(self, capsys, monkeypatch):
-        # the exhaustive witness search runs only for a pair that is not separated
-        def refuse(*args, **kwargs):
-            raise AssertionError("witness search on a separated pair")
+    def test_one_search_per_query(self, capsys, monkeypatch):
+        # the verdict and the witness come from a single d-connection search
+        calls = []
 
-        monkeypatch.setattr(cli, "find_unblocked_path", refuse)
-        code, out, _ = run(capsys, "dsep", fixture("pairs_disjoint"), "--x", "E1", "--y", "E3")
-        assert code == 0
-        assert out == "separated\n"
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return find_unblocked_path(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "find_unblocked_path", counted)
+        queries = [
+            (0, "dsep", fixture("pairs_disjoint"), "--x", "E1", "--y", "E3"),
+            (1, "dsep", fixture("coaggregation_full"), "--x", "P2", "--y", "B1", "--z", "P1"),
+            (0, "stratum-ci", fixture("pairs_disjoint"), "--node", "D", "--x", "E1", "--y", "E3"),
+            (1, "stratum-ci", fixture("pairs_overlap"), "--node", "D", "--x", "E1", "--y", "A"),
+        ]
+        for expected, *argv in queries:
+            calls.clear()
+            code, _, _ = run(capsys, *argv)
+            assert (code, len(calls)) == (expected, 1), argv
+
+    def test_set_valued_x_witness_ignores_hash_seed(self):
+        # start states follow declaration order, not set iteration order
+        argv = [sys.executable, "-m", "suffcause", "dsep", fixture("coaggregation_full"),
+                "--x", "E1", "--x", "GB", "--x", "F", "--y", "B1"]
+        outs = set()
+        for seed in ("0", "1"):
+            env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONHASHSEED": seed}
+            proc = subprocess.run(argv, capture_output=True, text=True, env=env)
+            outs.add((proc.returncode, proc.stdout, proc.stderr))
+        assert outs == {(1, "not separated; witness: GB -> B1\n", "")}
 
     def test_unknown_node_is_error(self, capsys):
         code, _, err = run(capsys, "dsep", fixture("pairs_disjoint"), "--x", "NOPE", "--y", "D")
@@ -368,7 +393,7 @@ class TestInternalError:
         def broken(*args, **kwargs):
             raise RuntimeError("boom")
 
-        monkeypatch.setattr(cli, "d_separated", broken)
+        monkeypatch.setattr(cli, "find_unblocked_path", broken)
         code, out, err = run(capsys, "dsep", fixture("pairs_disjoint"), "--x", "E1", "--y", "E3")
         assert (code, out, err) == (3, "", "internal error: RuntimeError: boom\n")
 
