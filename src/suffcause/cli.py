@@ -11,6 +11,11 @@ exits 3 with one "internal error:" line, so a crash never reads as a
 verdict.
 The analysis itself lives in the library (``covsign.covsign_analysis``
 and ``covsign.oracle_check``); this module parses and renders.
+
+``main`` builds only the parser of the subcommand named by its first
+argument, from one table of subcommands (``_COMMANDS``); help, a missing
+or an unknown subcommand build the full parser. The usage and error text
+are the same either way.
 """
 
 from __future__ import annotations
@@ -293,74 +298,90 @@ def _cmd_oracle_check(args) -> int:
     return 0 if check.ok else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="suffcause",
-        description="Sufficient-cause analysis of binary causal DAGs with an exact oracle.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _model_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("model", help="path to a model file")
+    p.add_argument("--format", choices=("text", "json"), default="text")
 
-    def common(p):
-        p.add_argument("model", help="path to a model file")
-        p.add_argument("--format", choices=("text", "json"), default="text")
 
-    def pair_query(p):
-        p.add_argument("--budget", type=int, default=DEFAULT_WORLD_BUDGET,
-                       help="largest number of rows an exact joint may reach while it is built")
-        p.add_argument("--d", required=True, help="conditioning node")
-        p.add_argument("--f", default=None)
-        p.add_argument("--g", default=None)
-        p.add_argument("--q", action="append", default=[])
+def _pair_query_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--budget", type=int, default=DEFAULT_WORLD_BUDGET,
+                   help="largest number of rows an exact joint may reach while it is built")
+    p.add_argument("--d", required=True, help="conditioning node")
+    p.add_argument("--f", default=None)
+    p.add_argument("--g", default=None)
+    p.add_argument("--q", action="append", default=[])
 
-    p = sub.add_parser("canonical", help="canonical co-cause representation per node")
-    common(p)
+
+def _canonical_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--node", action="append", default=None)
-    p.set_defaults(fn=_cmd_canonical)
 
-    p = sub.add_parser("expand", help="graph expanded with sufficient-cause nodes")
-    common(p)
+
+def _expand_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--node", required=True)
-    p.set_defaults(fn=_cmd_expand)
 
-    p = sub.add_parser("dsep", help="d-separation query with witness path")
-    common(p)
+
+def _dsep_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--x", action="append", required=True)
     p.add_argument("--y", action="append", required=True)
     p.add_argument("--z", action="append", default=[])
-    p.set_defaults(fn=_cmd_dsep)
 
-    p = sub.add_parser("stratum-ci", help="conditional independence inside one stratum")
-    common(p)
+
+def _stratum_ci_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--node", required=True)
     p.add_argument("--x", required=True)
     p.add_argument("--y", required=True)
     p.add_argument("--z", action="append", default=[])
     p.add_argument("--stratum", type=int, choices=(0, 1), default=0)
-    p.set_defaults(fn=_cmd_stratum_ci)
 
-    p = sub.add_parser("signs", help="monotonicity and association tables")
-    common(p)
-    p.set_defaults(fn=_cmd_signs)
 
-    p = sub.add_parser("covsign", help="conditional covariance sign conclusions")
-    common(p)
-    pair_query(p)
-    p.set_defaults(fn=_cmd_covsign)
-
-    p = sub.add_parser("oracle-check", help="verify conclusions against the exact oracle")
-    common(p)
-    pair_query(p)
+def _oracle_check_args(p: argparse.ArgumentParser) -> None:
+    _pair_query_args(p)
     p.add_argument("--seed", type=int, default=0, help="generator seed of the first drawn instance")
     p.add_argument("--instances", type=int, default=100)
     p.add_argument("--max-weight", type=int, default=8)
-    p.set_defaults(fn=_cmd_oracle_check)
 
+
+# name -> (help, adder of the arguments after the model and --format, handler)
+_COMMANDS = {
+    "canonical": ("canonical co-cause representation per node", _canonical_args, _cmd_canonical),
+    "expand": ("graph expanded with sufficient-cause nodes", _expand_args, _cmd_expand),
+    "dsep": ("d-separation query with witness path", _dsep_args, _cmd_dsep),
+    "stratum-ci": ("conditional independence inside one stratum", _stratum_ci_args, _cmd_stratum_ci),
+    "signs": ("monotonicity and association tables", lambda p: None, _cmd_signs),
+    "covsign": ("conditional covariance sign conclusions", _pair_query_args, _cmd_covsign),
+    "oracle-check": ("verify conclusions against the exact oracle", _oracle_check_args, _cmd_oracle_check),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The suffcause parser with every subcommand, or with ``command``'s alone.
+
+    A one-command parser names all subcommands in its usage line, so its
+    usage and error text match the full parser's. Help, no command and an
+    unknown command need the full parser.
+    """
+    parser = argparse.ArgumentParser(
+        prog="suffcause",
+        description="Sufficient-cause analysis of binary causal DAGs with an exact oracle.",
+    )
+    # an explicit metavar would also rename the action in the full parser's
+    # "required" and "invalid choice" errors, so only the one-command parser gets it
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in _COMMANDS if command is None else (command,):
+        help_text, add_args, fn = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        _model_args(p)
+        add_args(p)
+        p.set_defaults(fn=fn)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         return args.fn(args)
     except (ValueError, OSError) as e:

@@ -348,6 +348,18 @@ def find_unblocked_path(
     return None
 
 
+# path_signs carries each node's set of path signs as a 3-bit mask: + = 1,
+# - = 2, ? = 4. Crossing an edge maps the mask through the edge's table: "+"
+# keeps it, "-" swaps the + and - bits, and an unsigned edge makes any
+# non-empty set {?}.
+_EDGE_MASK = {"+": (0, 1, 2, 3, 4, 5, 6, 7), "-": (0, 2, 1, 3, 4, 6, 5, 7)}
+_UNSIGNED_MASK = (0, 4, 4, 4, 4, 4, 4, 4)
+_MASK_SIGNS = tuple(
+    frozenset(s for bit, s in ((1, Sign.POSITIVE), (2, Sign.NEGATIVE), (4, Sign.UNDEFINED)) if m & bit)
+    for m in range(8)
+)
+
+
 def path_signs(g: Dag, b: str, avoid: str | Iterable[str] = ()) -> dict[str, frozenset[Sign]]:
     """Sign products of the directed paths into ``b``, grouped by source.
 
@@ -358,19 +370,17 @@ def path_signs(g: Dag, b: str, avoid: str | Iterable[str] = ()) -> dict[str, fro
     """
     g.require(b)
     avoid_set = _node_set(g, avoid) - {b}
-    out: dict[str, frozenset[Sign]] = {b: frozenset((Sign.POSITIVE,))}
+    masks = {b: 1}
     topo = g.topological()
     # only nodes before b in topological order can reach it
     for v in reversed(topo[:topo.index(b)]):
-        signs = {
-            Sign.of_edge(g.signs.get((v, c))) * s
-            for c in g._children[v]
-            if c in out and c not in avoid_set
-            for s in out[c]
-        }
-        if signs:
-            out[v] = frozenset(signs)
-    return {a: out[a] for a in g.nodes if a in out and a != b}
+        mask = 0
+        for c in g._children[v]:
+            if c in masks and c not in avoid_set:
+                mask |= _EDGE_MASK.get(g.signs.get((v, c)), _UNSIGNED_MASK)[masks[c]]
+        if mask:
+            masks[v] = mask
+    return {a: _MASK_SIGNS[masks[a]] for a in g.nodes if a in masks and a != b}
 
 
 def common_causes(g: Dag, x: str, y: str) -> tuple[str, ...]:

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from pathlib import Path
 from typing import Callable
 
@@ -75,6 +75,18 @@ def random_signs(rng: random.Random, g: Dag) -> Dag:
         elif r < 0.8:
             signs[e] = "-"
     return Dag(g.nodes, g.edges, signs)
+
+
+def labeled_dags(n_nodes: int, seed: int):
+    """Every DAG on ``n_nodes`` nodes, seeded edge labels, shuffled declaration order."""
+    rng = random.Random(seed)
+    names = ["A", "B", "C", "D", "E"][:n_nodes]
+    slots = list(combinations(range(n_nodes), 2))
+    for mask in range(1 << len(slots)):
+        edges = [(names[i], names[j]) for k, (i, j) in enumerate(slots) if mask >> k & 1]
+        order = names[:]
+        rng.shuffle(order)
+        yield random_signs(rng, Dag(order, edges))
 
 
 # -- test-only reference for graph.path_signs: enumerate every directed path --

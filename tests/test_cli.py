@@ -1,5 +1,6 @@
 """CLI subcommands: reports, verdicts, exit codes."""
 
+import argparse
 import functools
 import json
 import os
@@ -398,6 +399,76 @@ class TestInternalError:
         assert (code, out, err) == (3, "", "internal error: RuntimeError: boom\n")
 
 
+COMMANDS = ("canonical", "expand", "dsep", "stratum-ci", "signs", "covsign", "oracle-check")
+
+
+def _exit(capsys, parse) -> tuple[int, str, str]:
+    with pytest.raises(SystemExit) as exc:
+        parse()
+    out = capsys.readouterr()
+    return exc.value.code, out.out, out.err
+
+
+class TestParser:
+    """``main`` builds only the requested subcommand's parser; no text may change."""
+
+    @pytest.mark.parametrize("argv", [
+        ["dsep", fixture("coaggregation_full"), "--x", "P2", "--y", "B1", "extra"],
+        ["canonical", fixture("coaggregation_full"), "--bogus"],
+    ])
+    def test_unrecognized_arguments_usage_lists_every_subcommand(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert _exit(capsys, lambda: main(argv)) == (2, "", (
+            "usage: suffcause [-h]\n"
+            "                 {canonical,expand,dsep,stratum-ci,signs,covsign,oracle-check}\n"
+            "                 ...\n"
+            f"suffcause: error: unrecognized arguments: {argv[-1]}\n"
+        ))
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_one_command_parser_text_matches_full_parser(self, capsys, monkeypatch, command):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert cli.build_parser(command).format_usage() == cli.build_parser().format_usage()
+        for argv in ([command, "-h"], [command], [command, fixture("pairs_overlap"), "--bogus"]):
+            full = _exit(capsys, lambda: cli.build_parser().parse_args(argv))
+            assert _exit(capsys, lambda: main(argv)) == full, argv
+
+    @staticmethod
+    def _parsers_built(capsys, monkeypatch, argv) -> tuple[int, int]:
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
+        capsys.readouterr()
+        return code, len(built)
+
+    @pytest.mark.parametrize("argv", [
+        ["canonical", fixture("pairs_overlap")],
+        ["expand", fixture("pairs_overlap"), "--node", "D"],
+        ["dsep", fixture("pairs_overlap"), "--x", "E1", "--y", "E2"],
+        ["stratum-ci", fixture("pairs_overlap"), "--node", "D", "--x", "E1", "--y", "E2"],
+        ["signs", fixture("transfer_shared_b")],
+        ["covsign", fixture("transfer_shared_b"), "--d", "D"],
+        ["oracle-check", fixture("coaggregation_null"), "--d", "P1", "--f", "B1", "--g", "P2", "--instances", "1"],
+    ])
+    def test_valid_call_builds_two_parsers(self, capsys, monkeypatch, argv):
+        # the top-level parser and the requested subcommand's
+        code, built = self._parsers_built(capsys, monkeypatch, argv)
+        assert code in (0, 1) and built == 2, (code, built)
+
+    @pytest.mark.parametrize("argv, code", [(["-h"], 0), ([], 2), (["bogus"], 2)])
+    def test_help_and_unknown_commands_build_every_parser(self, capsys, monkeypatch, argv, code):
+        assert self._parsers_built(capsys, monkeypatch, argv) == (code, 1 + len(COMMANDS))
+
+
 FIXTURE_NAMES = (
     "coaggregation_full", "coaggregation_null", "pairs_disjoint", "pairs_overlap", "redundancy_base",
     "redundancy_extra", "transfer_chain_a", "transfer_chain_b", "transfer_descendants",
@@ -530,9 +601,7 @@ def _flag_model(rng):
 
 
 class TestFuzzNeverTraceback:
-    def test_random_token_models_on_every_subcommand(self, capsys, tmp_path, monkeypatch):
-        # one parser for all cases: building it is most of a failing case's cost
-        monkeypatch.setattr(cli, "build_parser", functools.lru_cache(maxsize=None)(cli.build_parser))
+    def test_random_token_models_on_every_subcommand(self, capsys, tmp_path):
         rng = random.Random(20261018)
         path = tmp_path / "fuzz.model"
         codes, answered = {}, set()
@@ -554,8 +623,7 @@ class TestFuzzNeverTraceback:
         assert answered == {"canonical", "expand", "dsep", "stratum-ci", "signs", "covsign", "oracle-check"}
         assert min(codes.get(c, 0) for c in (0, 1, 2)) >= 30, codes
 
-    def test_random_flag_sets_never_traceback(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setattr(cli, "build_parser", functools.lru_cache(maxsize=None)(cli.build_parser))
+    def test_random_flag_sets_never_traceback(self, capsys, tmp_path):
         rng = random.Random(61018)
         path = tmp_path / "flags.model"
         codes, unsatisfiable = {}, 0

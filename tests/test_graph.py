@@ -21,7 +21,7 @@ from suffcause import (
     path_signs,
 )
 
-from support import dfs_unblocked_path, directed_paths, path_product, random_dag, random_signs
+from support import dfs_unblocked_path, directed_paths, labeled_dags, path_product, random_dag, random_signs
 
 POS, NEG, UND = Sign.POSITIVE, Sign.NEGATIVE, Sign.UNDEFINED
 
@@ -292,18 +292,6 @@ class TestPathsAndCommonCauses:
         assert common_causes(chain, "A", "B") == ()
 
 
-def _labeled_dags(n_nodes: int, seed: int):
-    """Every DAG on ``n_nodes`` nodes, seeded edge labels, shuffled declaration order."""
-    rng = random.Random(seed)
-    names = ["A", "B", "C", "D", "E"][:n_nodes]
-    slots = list(combinations(range(n_nodes), 2))
-    for mask in range(1 << len(slots)):
-        edges = [(names[i], names[j]) for k, (i, j) in enumerate(slots) if mask >> k & 1]
-        order = names[:]
-        rng.shuffle(order)
-        yield random_signs(rng, Dag(order, edges))
-
-
 def _assert_path_signs_match_enumeration(g: Dag) -> None:
     for avoid in [()] + [(n,) for n in g.nodes]:
         for b in g.nodes:
@@ -318,7 +306,7 @@ def _assert_path_signs_match_enumeration(g: Dag) -> None:
 class TestPathSignsMatchEnumeration:
     @pytest.mark.parametrize("n_nodes", [4, 5])
     def test_exhaustive_small_graphs(self, n_nodes):
-        for g in _labeled_dags(n_nodes, 1000 + n_nodes):
+        for g in labeled_dags(n_nodes, 1000 + n_nodes):
             _assert_path_signs_match_enumeration(g)
 
     def test_random_six_to_nine_nodes(self):

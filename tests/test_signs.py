@@ -23,7 +23,7 @@ from suffcause import (
 )
 from suffcause.signs import directional_effect_holds
 
-from support import random_dag
+from support import directed_paths, labeled_dags, path_product, random_dag, random_signs
 
 
 def det(parents, fn):
@@ -177,6 +177,47 @@ class TestAssociation:
             g = Dag(g.nodes, g.edges, signs)
             x, y = rng.sample(list(g.nodes), 2)
             assert monotonically_associated(g, x, y) == monotonically_associated(g, y, x)
+
+
+def _reference_association(g: Dag, x: str, y: str) -> Sign:
+    """``monotonically_associated`` by its docstring, over enumerated paths."""
+    def signs(a, b, avoid=()):
+        return {path_product(g, p) for p in directed_paths(g, a, b, avoid)}
+
+    between = signs(x, y) | signs(y, x)
+    groups = [(signs(c, x, [y]), signs(c, y, [x])) for c in g.nodes if c not in (x, y)]
+    groups = [(to_x, to_y) for to_x, to_y in groups if to_x and to_y]
+    if not between and not groups:
+        return Sign.ZERO
+    defined = [(to_x, to_y) for to_x, to_y in groups
+               if len(to_x) == len(to_y) == 1 and Sign.UNDEFINED not in to_x | to_y]
+    if len(defined) == len(groups):
+        if between <= {Sign.POSITIVE} and all(to_x == to_y for to_x, to_y in groups):
+            return Sign.POSITIVE
+        if between <= {Sign.NEGATIVE} and all(to_x != to_y for to_x, to_y in groups):
+            return Sign.NEGATIVE
+    return Sign.UNDEFINED
+
+
+class TestAssociationMatchesEnumeration:
+    @staticmethod
+    def _check(g: Dag) -> None:
+        for x in g.nodes:
+            for y in g.nodes:
+                if x != y:
+                    assert monotonically_associated(g, x, y) is _reference_association(g, x, y), (g, x, y)
+
+    def test_every_labeled_four_node_dag(self):
+        for g in labeled_dags(4, 4004):
+            self._check(g)
+
+    def test_random_five_to_seven_nodes(self):
+        rng = random.Random(5577)
+        for _ in range(150):
+            g = random_dag(rng, rng.randint(5, 7), rng.uniform(0.3, 0.7))
+            order = list(g.nodes)
+            rng.shuffle(order)
+            self._check(random_signs(rng, Dag(order, g.edges)))
 
 
 class TestCovarianceClaimsAgainstOracle:
