@@ -18,12 +18,10 @@ from .causes import (
 )
 from .covsign import (
     AssertedFacts,
-    CovFact,
     CovQuantity,
     CovsignAnalysis,
     Flag,
     OracleCheck,
-    Relation,
     RepFacts,
     SignConclusion,
     TransferPremises,
@@ -81,6 +79,7 @@ from .scm import (
     substitute,
 )
 from .signs import (
+    Relation,
     Sign,
     detect_monotonic_effect,
     is_constant_in,

@@ -32,7 +32,7 @@ from .expansion import expand, stratum_conditioning_set
 from .graph import find_unblocked_path
 from .modelfile import Model, load_model
 from .scm import DEFAULT_WORLD_BUDGET, dedupe_states
-from .signs import detect_monotonic_effect, is_constant_in, monotonically_associated
+from .signs import Relation, detect_monotonic_effect, is_constant_in, monotonically_associated
 
 
 def _frac(x: Fraction) -> str:
@@ -71,7 +71,7 @@ def _facts_dict(facts: cs.RepFacts) -> dict:
     out = {}
     for f in cs.FACT_FIELDS:
         v = getattr(facts, f)
-        if isinstance(v, (cs.Flag, cs.CovFact)):
+        if isinstance(v, (cs.Flag, Relation)):
             v = v.value
         out[f] = {"value": v, "source": facts.sources.get(f, "none")}
     return out
@@ -247,8 +247,8 @@ def _cmd_signs(args) -> int:
     for i in range(len(nodes)):
         for j in range(i + 1, len(nodes)):
             s = monotonically_associated(model.dag, nodes[i], nodes[j])
-            claim = cs.CovFact.of_association(s)
-            claim = None if claim is cs.CovFact.UNKNOWN else claim.value
+            claim = Relation.of_association(s)
+            claim = None if claim is Relation.UNKNOWN else claim.value
             assoc.append({
                 "x": nodes[i], "y": nodes[j],
                 "association": s.value,

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
+from functools import reduce
 from typing import Iterable, Mapping, Sequence
 
 from . import oracle
@@ -30,64 +31,13 @@ from .scm import (
     dedupe_states,
     joint_distribution,
 )
-from .signs import Sign, detect_monotonic_effect, monotonically_associated, sign_agreement
+from .signs import Relation, Sign, detect_monotonic_effect, monotonically_associated, sign_agreement
 
 
 class Flag(Enum):
     ZERO = "zero"
     ONE = "one"
     NEITHER = "neither"
-
-
-class CovFact(Enum):
-    LE0 = "<=0"
-    GE0 = ">=0"
-    EQ0 = "=0"
-    UNKNOWN = "unknown"
-
-    def allows_le0(self) -> bool:
-        return self in (CovFact.LE0, CovFact.EQ0)
-
-    def allows_ge0(self) -> bool:
-        return self in (CovFact.GE0, CovFact.EQ0)
-
-    def flipped(self) -> "CovFact":
-        if self is CovFact.LE0:
-            return CovFact.GE0
-        if self is CovFact.GE0:
-            return CovFact.LE0
-        return self
-
-    def meet(self, other: "CovFact") -> "CovFact":
-        """Both claims at once: two different signed claims leave only "=0"."""
-        if self is other or other is CovFact.UNKNOWN:
-            return self
-        if self is CovFact.UNKNOWN:
-            return other
-        return CovFact.EQ0
-
-    def holds(self, cov: Fraction) -> bool:
-        """Whether an exact covariance satisfies the claim."""
-        return (cov <= 0 or not self.allows_le0()) and (cov >= 0 or not self.allows_ge0())
-
-    @classmethod
-    def of_association(cls, sign: Sign) -> "CovFact":
-        """The claim a monotone association licenses about the covariance."""
-        return {Sign.POSITIVE: cls.GE0, Sign.NEGATIVE: cls.LE0, Sign.ZERO: cls.EQ0}.get(sign, cls.UNKNOWN)
-
-
-class Relation(Enum):
-    LE0 = "<=0"
-    GE0 = ">=0"
-    EQ0 = "=0"
-    SIGN_EQUALS = "sign-equals"
-
-    def flipped(self) -> "Relation":
-        if self is Relation.LE0:
-            return Relation.GE0
-        if self is Relation.GE0:
-            return Relation.LE0
-        return self
 
 
 @dataclass(frozen=True)
@@ -149,13 +99,16 @@ class RepFacts:
     a1_a2_indep: bool = False
     a0_a1_indep: bool = False
     a0_a2_indep: bool = False
-    e_cov: CovFact = CovFact.UNKNOWN
+    e_cov: Relation = Relation.UNKNOWN
     sources: Mapping[str, str] = field(default_factory=dict)
 
     def source(self, fact: str) -> str:
         return self.sources.get(fact, "assertion")
 
-    def describe(self, fact: str, value: str) -> str:
+    def describe(self, fact: str) -> str:
+        """The fact as a premise: its value and how it was established."""
+        value = getattr(self, fact)
+        value = value.value if isinstance(value, Enum) else str(value).lower()
         return f"{fact}={value} ({self.source(fact)})"
 
 
@@ -260,9 +213,7 @@ def facts_from_scm(
     if dist is None:
         dist = joint_distribution(model)
     cov = oracle.conditional_covariance(dist, e1, e2)
-    if sum(negative) % 2 == 1:
-        cov = -cov
-    e_cov = CovFact.EQ0 if cov == 0 else (CovFact.LE0 if cov < 0 else CovFact.GE0)
+    e_cov = Relation.of_value(-cov if sum(negative) % 2 else cov)
     return RepFacts(
         target=d,
         e1=e1,
@@ -308,10 +259,10 @@ class AssertedFacts:
     flags: Mapping[str, Flag]
     cocause_indep: tuple[tuple[str, str], ...]
     independent: tuple[tuple[str, str], ...]
-    cov: Mapping[tuple[str, str], CovFact]
+    cov: Mapping[tuple[str, str], Relation]
     _slots: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def cov_of(self, x: str, y: str) -> CovFact | None:
+    def cov_of(self, x: str, y: str) -> Relation | None:
         return self.cov.get(_pair_key(x, y))
 
     def _slot_rows(
@@ -366,7 +317,7 @@ def read_assertions(assertions: Iterable[Assertion], d: str, e1: str, e2: str) -
     flags: dict[str, Flag] = {}
     cocause: dict[tuple[str, str], None] = {}
     independent: dict[tuple[str, str], None] = {}
-    cov: dict[tuple[str, str], CovFact] = {}
+    cov: dict[tuple[str, str], Relation] = {}
     for a in assertions:
         if a.kind in ("no-synergism", "rep-flag") and a.args[0] == d:
             s = slot(a.args[1], a.args[2], "a3" if a.kind == "no-synergism" else a.args[3])
@@ -384,7 +335,7 @@ def read_assertions(assertions: Iterable[Assertion], d: str, e1: str, e2: str) -
             independent[_pair_key(a.args[0], a.args[1])] = None
         elif a.kind == "cov-sign":
             key = _pair_key(a.args[0], a.args[1])
-            cov[key] = cov.get(key, CovFact.UNKNOWN).meet(CovFact(a.args[2]))
+            cov[key] = cov.get(key, Relation.UNKNOWN).meet(Relation(a.args[2]))
     return AssertedFacts(d, e1, e2, flags, tuple(cocause), tuple(independent), cov)
 
 
@@ -414,8 +365,8 @@ def _facts_from_assertions(
     if e_cov is not None:
         sources["e_cov"] = "assertion"
     else:
-        e_cov = CovFact.of_association(monotonically_associated(graph, e1, e2))
-        if e_cov is not CovFact.UNKNOWN:
+        e_cov = Relation.of_association(monotonically_associated(graph, e1, e2))
+        if e_cov is not Relation.UNKNOWN:
             sources["e_cov"] = "structural"
     return RepFacts(
         target=asserted.target, e1=e1, e2=e2,
@@ -441,59 +392,34 @@ def pair_conclusions(facts: RepFacts) -> tuple[SignConclusion, ...]:
     )
     out: list[SignConclusion] = []
 
-    def emit(quantity: CovQuantity, relation: Relation, rule: str, *premises: str) -> None:
-        out.append(SignConclusion(quantity, relation, rule, monotone + premises))
+    def emit(quantity: CovQuantity, relation: Relation, rule: str, *names: str) -> None:
+        out.append(SignConclusion(quantity, relation, rule, monotone + tuple(map(facts.describe, names))))
 
     if facts.a0 is Flag.ZERO:
-        emit(d1, Relation.LE0, "no_background_d1", facts.describe("a0", "zero"))
+        emit(d1, Relation.LE0, "no_background_d1", "a0")
         if facts.a1_a2_indep and facts.e_indep:
-            emit(
-                d0, Relation.LE0, "no_background_d0",
-                facts.describe("a0", "zero"),
-                facts.describe("a1_a2_indep", "true"),
-                facts.describe("e_indep", "true"),
-            )
+            emit(d0, Relation.LE0, "no_background_d0", "a0", "a1_a2_indep", "e_indep")
     if facts.a1 is Flag.ONE or facts.a2 is Flag.ONE:
         which = "a1" if facts.a1 is Flag.ONE else "a2"
-        if facts.e_cov.allows_le0():
-            emit(
-                d1, Relation.LE0, "lone_cause_certain_d1",
-                facts.describe(which, "one"), facts.describe("e_cov", facts.e_cov.value),
-            )
-        emit(d0, Relation.EQ0, "lone_cause_certain_d0", facts.describe(which, "one"))
+        if facts.e_cov.implies(Relation.LE0):
+            emit(d1, Relation.LE0, "lone_cause_certain_d1", which, "e_cov")
+        emit(d0, Relation.EQ0, "lone_cause_certain_d0", which)
     if facts.a1 is Flag.ZERO or facts.a2 is Flag.ZERO:
         which = "a1" if facts.a1 is Flag.ZERO else "a2"
-        if facts.e_cov.allows_ge0():
-            emit(
-                d1, Relation.GE0, "lone_cause_absent_d1",
-                facts.describe(which, "zero"), facts.describe("e_cov", facts.e_cov.value),
-            )
+        if facts.e_cov.implies(Relation.GE0):
+            emit(d1, Relation.GE0, "lone_cause_absent_d1", which, "e_cov")
             # The zero-stratum claim needs independent parents: with a
             # positively correlated pair and the lone-cause slot empty, the
             # zero stratum can keep a strictly positive covariance (see the
             # frozen counterexample in the tests).
             if facts.e_indep:
-                emit(
-                    d0, Relation.LE0, "lone_cause_absent_d0",
-                    facts.describe(which, "zero"),
-                    facts.describe("e_indep", "true"),
-                    facts.describe("e_cov", facts.e_cov.value),
-                )
+                emit(d0, Relation.LE0, "lone_cause_absent_d0", which, "e_indep", "e_cov")
     if facts.a3 is Flag.ZERO:
-        if facts.e_cov.allows_le0():
-            emit(
-                d1, Relation.LE0, "no_synergy_d1",
-                facts.describe("a3", "zero"), facts.describe("e_cov", facts.e_cov.value),
-            )
+        if facts.e_cov.implies(Relation.LE0):
+            emit(d1, Relation.LE0, "no_synergy_d1", "a3", "e_cov")
         if facts.a1_a2_indep and facts.e_indep and (facts.a0_a1_indep or facts.a0_a2_indep):
             which = "a0_a1_indep" if facts.a0_a1_indep else "a0_a2_indep"
-            emit(
-                d0, Relation.EQ0, "no_synergy_d0",
-                facts.describe("a3", "zero"),
-                facts.describe("a1_a2_indep", "true"),
-                facts.describe("e_indep", "true"),
-                facts.describe(which, "true"),
-            )
+            emit(d0, Relation.EQ0, "no_synergy_d0", "a3", "a1_a2_indep", "e_indep", which)
     return tuple(out)
 
 
@@ -508,9 +434,9 @@ def pair_conclusions_signed(
     original variables again.
     """
     base = pair_conclusions(facts)
-    flips = sum(negative) % 2
-    if flips == 0 and not any(negative):
+    if not any(negative):
         return base
+    flips = sum(negative) % 2
     note = f"polarity=({'-' if negative[0] else '+'},{'-' if negative[1] else '+'})"
     out = []
     for c in base:
@@ -557,12 +483,12 @@ def _require_pair(graph: Dag, f: str, g: str, e1: str, e2: str, d: str, *q: str)
 
 
 def _cov_nonneg_check(
-    g: Dag, a: str, b: str, name: str, asserted: CovFact | None
+    g: Dag, a: str, b: str, name: str, asserted: Relation | None
 ) -> PremiseCheck:
     sign = monotonically_associated(g, a, b)
     if sign in (Sign.POSITIVE, Sign.ZERO):
         return PremiseCheck(name, True, "structural", f"association {sign.value}")
-    if asserted is not None and asserted.allows_ge0():
+    if asserted is not None and asserted.implies(Relation.GE0):
         return PremiseCheck(name, True, "assertion", f"asserted {asserted.value}")
     return PremiseCheck(name, False, "structural", f"association {sign.value}")
 
@@ -574,8 +500,8 @@ def check_transfer_premises_direct(
     e1: str,
     e2: str,
     d: str,
-    cov_f_e1: CovFact | None = None,
-    cov_g_e2: CovFact | None = None,
+    cov_f_e1: Relation | None = None,
+    cov_g_e2: Relation | None = None,
 ) -> TransferPremises:
     """Premises for the direct transfer: sign(Cov(F,G|D)) = sign(Cov(E1,E2|D)).
 
@@ -709,17 +635,11 @@ def transfer_sign(premises: TransferPremises, inner: SignConclusion) -> tuple[Si
         f"q_same_sign={str(premises.q_same_sign).lower()}",
         f"q_opposite_sign={str(premises.q_opposite_sign).lower()}",
     )
-    if inner.relation is Relation.GE0 and premises.q_same_sign:
-        return (SignConclusion(outer, Relation.GE0, f"proxy-shared+{inner.rule}", prem, other=iq),)
-    if inner.relation is Relation.LE0 and premises.q_opposite_sign:
-        return (SignConclusion(outer, Relation.LE0, f"proxy-shared+{inner.rule}", prem, other=iq),)
-    if inner.relation is Relation.EQ0:
-        if premises.q_same_sign and premises.q_opposite_sign:
-            return (SignConclusion(outer, Relation.EQ0, f"proxy-shared+{inner.rule}", prem, other=iq),)
-        if premises.q_same_sign:
-            return (SignConclusion(outer, Relation.GE0, f"proxy-shared+{inner.rule}", prem, other=iq),)
-        if premises.q_opposite_sign:
-            return (SignConclusion(outer, Relation.LE0, f"proxy-shared+{inner.rule}", prem, other=iq),)
+    directions = ((Relation.GE0, premises.q_same_sign), (Relation.LE0, premises.q_opposite_sign))
+    kept = [r for r, allowed in directions if allowed and inner.relation.implies(r)]
+    relation = reduce(Relation.meet, kept, Relation.UNKNOWN)
+    if relation is not Relation.UNKNOWN:
+        return (SignConclusion(outer, relation, f"proxy-shared+{inner.rule}", prem, other=iq),)
     raise ValueError(
         f"no transferable direction: inner {inner.relation.value} with "
         f"q_same_sign={premises.q_same_sign}, q_opposite_sign={premises.q_opposite_sign}"

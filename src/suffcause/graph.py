@@ -43,14 +43,6 @@ class Sign(Enum):
             return Sign.ZERO
         return Sign.POSITIVE if self is other else Sign.NEGATIVE
 
-    @classmethod
-    def of_edge(cls, label: str | None) -> "Sign":
-        if label == "+":
-            return cls.POSITIVE
-        if label == "-":
-            return cls.NEGATIVE
-        return cls.UNDEFINED
-
 
 class Dag:
     """A finite directed acyclic graph with optionally signed edges.
@@ -60,7 +52,7 @@ class Dag:
     which is all the sign layer and ``marginalize`` need of them.
     """
 
-    __slots__ = ("nodes", "edges", "signs", "_index", "_parents", "_children", "_adjacent", "_topo")
+    __slots__ = ("nodes", "edges", "signs", "_index", "_parents", "_children", "_topo")
 
     def __init__(
         self,
@@ -122,10 +114,6 @@ class Dag:
         self._index = index
         self._parents = {n: tuple(parents[n]) for n in node_list}
         self._children = {n: tuple(children[n]) for n in node_list}
-        self._adjacent = {
-            n: tuple(sorted(set(parents[n]) | set(children[n]), key=index.__getitem__))
-            for n in node_list
-        }
         self._topo = tuple(topo)
 
     def __contains__(self, node: str) -> bool:
@@ -154,11 +142,6 @@ class Dag:
     def has_edge(self, a: str, b: str) -> bool:
         return b in self._children.get(a, ())
 
-    def sign(self, a: str, b: str) -> str | None:
-        if not self.has_edge(a, b):
-            raise GraphError(f"no edge ({a!r}, {b!r})")
-        return self.signs.get((a, b))
-
     def parents(self, node: str) -> tuple[str, ...]:
         self.require(node)
         return self._parents[node]
@@ -168,8 +151,9 @@ class Dag:
         return self._children[node]
 
     def adjacent(self, node: str) -> tuple[str, ...]:
+        """Parents and children of ``node``, in declaration order."""
         self.require(node)
-        return self._adjacent[node]
+        return tuple(sorted(self._parents[node] + self._children[node], key=self._index.__getitem__))
 
     def topological(self) -> tuple[str, ...]:
         return self._topo

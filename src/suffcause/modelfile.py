@@ -26,7 +26,7 @@ from typing import Mapping
 from .causes import CoCause, CoCauseKind, Conjunction, Literal, Representation, validate_representation
 from .graph import Dag, GraphError
 from .scm import ResponseTable, Scm
-from .signs import directional_effect_holds
+from .signs import Relation, directional_effect_holds
 
 
 class ModelError(ValueError):
@@ -53,7 +53,7 @@ _ASSERT_ARITY = {
     "cocause-independent": 5,
     "cov-sign": 3,
 }
-_COV_RELATIONS = ("<=0", ">=0", "=0")
+_COV_RELATIONS = tuple(r.value for r in (Relation.LE0, Relation.GE0, Relation.EQ0))
 _FLAG_SLOTS = ("a0", "a1", "a2", "a3")
 
 

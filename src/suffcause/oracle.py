@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 from .graph import Dag
 from .scm import ExactDistribution, ResponseTable, Scm, _row_key
-from .signs import _row_direction_holds
+from .signs import Relation, _row_direction_holds
 
 if TYPE_CHECKING:  # pragma: no cover
     from .covsign import CovQuantity, SignConclusion
@@ -119,25 +119,13 @@ def verify_claim(dist: ExactDistribution, claim: "SignConclusion") -> bool:
     a nonnegative multiple of the inner one, so a strictly signed inner
     forces the weak inequality and an exactly-zero inner forces exact zero.
     """
-    from .covsign import Relation
-
     cov = _quantity_covariance(dist, claim.quantity)
-    if claim.relation is Relation.LE0:
-        return cov <= 0
-    if claim.relation is Relation.GE0:
-        return cov >= 0
-    if claim.relation is Relation.EQ0:
-        return cov == 0
-    if claim.relation is Relation.SIGN_EQUALS:
+    relation = claim.relation
+    if relation is Relation.SIGN_EQUALS:
         if claim.other is None:
             raise ValueError("sign-equality claim without a reference quantity")
-        inner = _quantity_covariance(dist, claim.other)
-        if inner > 0:
-            return cov >= 0
-        if inner < 0:
-            return cov <= 0
-        return cov == 0
-    raise ValueError(f"unknown relation {claim.relation!r}")
+        relation = Relation.of_value(_quantity_covariance(dist, claim.other))
+    return relation.holds(cov)
 
 
 @dataclass(frozen=True)
@@ -156,7 +144,6 @@ class InstanceConstraints:
     allowed_rows: Mapping[str, tuple[int, ...]] = field(default_factory=dict)
     states: tuple[int, int] = (1, 3)
     max_weight: int = 8
-    max_tries: int = 500
 
     def __post_init__(self):
         lo, hi = self.states
@@ -164,8 +151,6 @@ class InstanceConstraints:
             raise ValueError(f"states range {self.states} needs 1 <= low <= high")
         if self.max_weight < 1:
             raise ValueError(f"max_weight must be at least 1, got {self.max_weight}")
-        if self.max_tries < 1:
-            raise ValueError(f"max_tries must be at least 1, got {self.max_tries}")
 
 
 def _monotone_close(row: int, n_configs: int, requirements: Sequence[tuple[int, str]]) -> int:
@@ -215,6 +200,10 @@ def _node_candidates(g: Dag, constraints: InstanceConstraints, node: str) -> tup
     return candidates
 
 
+# row sets a node may draw before the generator gives up on it
+_MAX_TRIES = 500
+
+
 def random_instance(g: Dag, constraints: InstanceConstraints, seed: int) -> Scm:
     """Draw one model satisfying the constraints, deterministically per seed.
 
@@ -223,7 +212,7 @@ def random_instance(g: Dag, constraints: InstanceConstraints, seed: int) -> Scm:
     filter accepts them, before any weight is drawn, so a node without one
     consumes exactly the random numbers it always did. Probabilities are
     small random rationals. Raises ``GenerationError`` naming the node after
-    ``max_tries`` rejected row sets.
+    ``_MAX_TRIES`` rejected row sets.
     """
     rng = random.Random(seed)
     tables: dict[str, ResponseTable] = {}
@@ -235,7 +224,7 @@ def random_instance(g: Dag, constraints: InstanceConstraints, seed: int) -> Scm:
         keep = constraints.row_filter.get(node)
         closing = [(1 << parents.index(p), s) for p, s in constraints.monotone.get(node, ())]
 
-        for attempt in range(constraints.max_tries):
+        for _ in range(_MAX_TRIES):
             if candidates is not None:
                 n = rng.randint(lo, max(lo, min(hi, len(candidates))))
                 n = min(n, len(candidates))
@@ -258,7 +247,7 @@ def random_instance(g: Dag, constraints: InstanceConstraints, seed: int) -> Scm:
             tables[node] = ResponseTable(node, parents, rows, tuple(Fraction(w, total) for w in weights))
             break
         else:
-            raise GenerationError(node, f"no acceptable table after {constraints.max_tries} tries")
+            raise GenerationError(node, f"no acceptable table after {_MAX_TRIES} tries")
     return Scm(g, tables)
 
 

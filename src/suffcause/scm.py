@@ -24,7 +24,7 @@ from math import lcm
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .graph import Dag
+from .graph import Dag, marginalize, path_signs
 
 DEFAULT_WORLD_BUDGET = 1 << 24
 
@@ -342,17 +342,13 @@ def substitute(model: Scm, w: str | Iterable[str]) -> Scm:
     member states. Requires the marginalization to be legal, which also
     guarantees the absorbed nodes partition cleanly among retained nodes.
     """
-    from .graph import marginalize as marginalize_graph
-
     ws = frozenset((w,) if isinstance(w, str) else w)
-    g2 = marginalize_graph(model.graph, ws)
+    g2 = marginalize(model.graph, ws)
 
     tables: dict[str, ResponseTable] = {}
     for v in g2.nodes:
-        absorbed = [
-            u for u in model.graph.nodes
-            if u in ws and _feeds_through(model.graph, u, v, ws)
-        ]
+        # nodes that feed v through absorbed nodes only, in declaration order
+        absorbed = [u for u in path_signs(model.graph, v, avoid=g2.nodes) if u in ws]
         if not absorbed:
             old = model.tables[v]
             if old.parents == g2.parents(v):
@@ -383,17 +379,3 @@ def substitute(model: Scm, w: str | Iterable[str]) -> Scm:
         tables[v] = ResponseTable(v, inputs, tuple(new_rows), tuple(new_probs))
     return Scm(g2, tables)
 
-
-def _feeds_through(g: Dag, u: str, v: str, ws: frozenset[str]) -> bool:
-    """Directed path u -> ... -> v whose interior stays inside ``ws``."""
-    stack = [u]
-    seen = {u}
-    while stack:
-        n = stack.pop()
-        for c in g.children(n):
-            if c == v:
-                return True
-            if c in ws and c not in seen:
-                seen.add(c)
-                stack.append(c)
-    return False

@@ -4,14 +4,64 @@ An edge carries a "+" when the child's equation is nondecreasing in that
 parent for every response state and every setting of the other parents, and
 a "-" for nonincreasing. Path signs multiply (``graph.path_signs``);
 monotone association of two nodes then yields a sign claim about their
-exact covariance.
+exact covariance. ``Relation`` is the one type of such claims, from a
+model's ``cov-sign`` assertions through the rule set to the oracle's verdict.
 """
 
 from __future__ import annotations
 
+from enum import Enum
+
 from .causes import canonical_representation
 from .graph import Dag, GraphError, Sign, path_signs
 from .scm import ResponseTable
+
+
+class Relation(Enum):
+    """A qualitative claim about a covariance.
+
+    The first four members read as the sets of signs they allow: "<=0"
+    allows negative and zero, ">=0" zero and positive, "=0" zero alone and
+    "unknown" all three; ``meet``, ``implies`` and ``holds`` are set
+    operations on that reading. ``SIGN_EQUALS`` ties a covariance's sign to
+    another one's and is resolved against it (``oracle.verify_claim``).
+    """
+
+    LE0 = "<=0"
+    GE0 = ">=0"
+    EQ0 = "=0"
+    UNKNOWN = "unknown"
+    SIGN_EQUALS = "sign-equals"
+
+    @classmethod
+    def of_value(cls, x) -> "Relation":
+        """The strongest claim an exact value satisfies."""
+        return cls.EQ0 if x == 0 else cls.LE0 if x < 0 else cls.GE0
+
+    @classmethod
+    def of_association(cls, sign: Sign) -> "Relation":
+        """The claim a monotone association licenses about the covariance."""
+        return {Sign.POSITIVE: cls.GE0, Sign.NEGATIVE: cls.LE0, Sign.ZERO: cls.EQ0}.get(sign, cls.UNKNOWN)
+
+    def flipped(self) -> "Relation":
+        """The claim about the covariance with one variable negated."""
+        return {Relation.LE0: Relation.GE0, Relation.GE0: Relation.LE0}.get(self, self)
+
+    def meet(self, other: "Relation") -> "Relation":
+        """Both claims at once: two different signed claims leave only "=0"."""
+        return _OF_SIGNS[_SIGNS[self] & _SIGNS[other]]
+
+    def implies(self, other: "Relation") -> bool:
+        return self.meet(other) is self
+
+    def holds(self, x) -> bool:
+        """Whether an exact covariance satisfies the claim."""
+        return Relation.of_value(x).implies(self)
+
+
+# allowed signs as a mask: bit 0 negative, bit 1 zero, bit 2 positive
+_SIGNS = {Relation.LE0: 0b011, Relation.GE0: 0b110, Relation.EQ0: 0b010, Relation.UNKNOWN: 0b111}
+_OF_SIGNS = {mask: r for r, mask in _SIGNS.items()}
 
 
 def _row_direction_holds(row: int, n_configs: int, bit: int, nondecreasing: bool) -> bool:

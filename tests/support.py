@@ -25,6 +25,7 @@ from suffcause import (
     facts_from_scm,
 )
 from suffcause.covsign import Flag, RepFacts
+from suffcause.signs import Relation
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -163,7 +164,8 @@ def path_product(g: Dag, nodes) -> Sign:
     """Product of edge signs along a directed node sequence."""
     out = Sign.POSITIVE
     for a, b in zip(nodes, nodes[1:]):
-        out = out * Sign.of_edge(g.signs.get((a, b)))
+        label = g.signs.get((a, b))
+        out = out * {"+": Sign.POSITIVE, "-": Sign.NEGATIVE}.get(label, Sign.UNDEFINED)
     return out
 
 
@@ -494,18 +496,18 @@ def _case_premises_hold(rule: str, facts: RepFacts) -> bool:
     if rule == "no_background_d0":
         return facts.a0 is Flag.ZERO and facts.a1_a2_indep and facts.e_indep
     if rule == "lone_cause_certain_d1":
-        return (facts.a1 is Flag.ONE or facts.a2 is Flag.ONE) and facts.e_cov.allows_le0()
+        return (facts.a1 is Flag.ONE or facts.a2 is Flag.ONE) and facts.e_cov.implies(Relation.LE0)
     if rule == "lone_cause_certain_d0":
         return facts.a1 is Flag.ONE or facts.a2 is Flag.ONE
     if rule == "lone_cause_absent_d1":
-        return (facts.a1 is Flag.ZERO or facts.a2 is Flag.ZERO) and facts.e_cov.allows_ge0()
+        return (facts.a1 is Flag.ZERO or facts.a2 is Flag.ZERO) and facts.e_cov.implies(Relation.GE0)
     if rule == "lone_cause_absent_d0":
         return (
             (facts.a1 is Flag.ZERO or facts.a2 is Flag.ZERO)
-            and facts.e_cov.allows_ge0() and facts.e_indep
+            and facts.e_cov.implies(Relation.GE0) and facts.e_indep
         )
     if rule == "no_synergy_d1":
-        return facts.a3 is Flag.ZERO and facts.e_cov.allows_le0()
+        return facts.a3 is Flag.ZERO and facts.e_cov.implies(Relation.LE0)
     if rule == "no_synergy_d0":
         return (
             facts.a3 is Flag.ZERO and facts.a1_a2_indep and facts.e_indep

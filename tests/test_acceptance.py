@@ -39,8 +39,9 @@ from suffcause import (
     transfer_sign,
     verify_claim,
 )
-from suffcause.covsign import Flag, Relation
+from suffcause.covsign import Flag
 from suffcause.oracle import ConditioningError, GenerationError
+from suffcause.signs import Relation
 
 from support import CASE_RULES, case_instances, fixture, random_dag, without_term
 
@@ -289,7 +290,7 @@ def test_criterion_7_coaggregation_end_to_end():
         except GenerationError:
             continue
         facts = facts_from_scm(m, "P1", "E1", "GP")
-        if facts.a3 is not Flag.ZERO or not facts.e_cov.allows_le0():
+        if facts.a3 is not Flag.ZERO or not facts.e_cov.implies(Relation.LE0):
             continue
         dist = joint_distribution(m)
         try:

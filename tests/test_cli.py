@@ -9,14 +9,16 @@ import re
 import subprocess
 import sys
 import time
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 
-from suffcause import cli, find_unblocked_path, scm
+from suffcause import cli, find_unblocked_path, load_model, scm
 from suffcause.cli import main
+from suffcause.covsign import FACT_FIELDS
 
-from support import fixture
+from support import FIXTURES, fixture
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -337,6 +339,38 @@ class TestOracleCheck:
         assert len(err.splitlines()) == 1
 
 
+class TestPremisesMatchFacts:
+    """A premise naming a fact repeats the value and source of the report's ``facts`` block."""
+
+    PREMISE = re.compile(r"(\w+)=(\S+) \((\w+)\)")
+
+    def reports(self, capsys):
+        for path in sorted(FIXTURES.glob("*.model")):
+            nodes = load_model(path).dag.nodes
+            for d in nodes:
+                others = [n for n in nodes if n != d]
+                queries = [("covsign",), ("oracle-check", "--instances", "2")]
+                queries += [("covsign", "--f", f, "--g", g) for f, g in combinations(others, 2)]
+                for command, *extra in queries:
+                    code, out, _ = run(capsys, command, str(path), "--d", d, *extra, "--format", "json")
+                    if code != 2:
+                        yield json.loads(out)
+
+    def test_every_fact_premise_agrees_with_the_facts(self, capsys):
+        checked = 0
+        for report in self.reports(capsys):
+            for c in report["parent_conclusions"] + report.get("transferred_conclusions", []):
+                for premise in c["premises"]:
+                    m = self.PREMISE.fullmatch(premise)
+                    if m is None or m[1] not in FACT_FIELDS:
+                        continue
+                    fact = report["facts"][m[1]]
+                    value = str(fact["value"]).lower() if isinstance(fact["value"], bool) else fact["value"]
+                    assert (m[2], m[3]) == (value, fact["source"]), (report["target"], c["rule"], premise)
+                    checked += 1
+        assert checked >= 100
+
+
 CONTRADICTIONS = (
     ("assert rep-flag D E1 E2 a1 zero\nassert rep-flag D E2 E1 a2 one\n", "slot a1", "zero and one"),
     ("assert no-synergism D E1 E2\nassert rep-flag D E1 E2 a3 one\n", "slot a3", "zero and one"),
@@ -382,8 +416,6 @@ class TestCountValidation:
         from suffcause import InstanceConstraints
         with pytest.raises(ValueError, match="max_weight"):
             InstanceConstraints(max_weight=0)
-        with pytest.raises(ValueError, match="max_tries"):
-            InstanceConstraints(max_tries=0)
         for states in ((0, 3), (3, 2)):
             with pytest.raises(ValueError, match="states range"):
                 InstanceConstraints(states=states)

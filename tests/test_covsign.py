@@ -11,6 +11,7 @@ from suffcause import (
     ResponseTable,
     Scm,
     SignConclusion,
+    TransferPremises,
     check_transfer_premises_direct,
     check_transfer_premises_shared,
     conditional_covariance,
@@ -27,8 +28,9 @@ from suffcause import (
     transfer_sign,
     verify_claim,
 )
-from suffcause.covsign import CovFact, CovQuantity, Flag, Relation
+from suffcause.covsign import CovQuantity, Flag
 from suffcause.scm import complement_parent
+from suffcause.signs import Relation
 
 from support import (
     CASE_RULES,
@@ -61,23 +63,23 @@ class TestPairConclusions:
         assert ("no_background_d0", 0, Relation.LE0) in got
 
     def test_lone_cause_certain(self):
-        got = rules_of(pair_conclusions(facts(a1=Flag.ONE, e_cov=CovFact.LE0)))
+        got = rules_of(pair_conclusions(facts(a1=Flag.ONE, e_cov=Relation.LE0)))
         assert ("lone_cause_certain_d1", 1, Relation.LE0) in got
         assert ("lone_cause_certain_d0", 0, Relation.EQ0) in got
         # without the marginal side condition only the zero-stratum claim fires
-        got = rules_of(pair_conclusions(facts(a2=Flag.ONE, e_cov=CovFact.UNKNOWN)))
+        got = rules_of(pair_conclusions(facts(a2=Flag.ONE, e_cov=Relation.UNKNOWN)))
         assert got == {("lone_cause_certain_d0", 0, Relation.EQ0)}
 
     def test_lone_cause_absent_needs_nonnegative_cov(self):
-        got = rules_of(pair_conclusions(facts(a1=Flag.ZERO, e_cov=CovFact.GE0, e_indep=True)))
+        got = rules_of(pair_conclusions(facts(a1=Flag.ZERO, e_cov=Relation.GE0, e_indep=True)))
         assert ("lone_cause_absent_d1", 1, Relation.GE0) in got
         assert ("lone_cause_absent_d0", 0, Relation.LE0) in got
-        assert rules_of(pair_conclusions(facts(a1=Flag.ZERO, e_cov=CovFact.LE0))) == set()
+        assert rules_of(pair_conclusions(facts(a1=Flag.ZERO, e_cov=Relation.LE0))) == set()
 
     def test_lone_cause_absent_zero_stratum_needs_independence(self):
         # Without independent parents the zero-stratum claim is not emitted;
         # the frozen model below is an exact counterexample to the claim.
-        got = rules_of(pair_conclusions(facts(a1=Flag.ZERO, e_cov=CovFact.GE0)))
+        got = rules_of(pair_conclusions(facts(a1=Flag.ZERO, e_cov=Relation.GE0)))
         assert ("lone_cause_absent_d1", 1, Relation.GE0) in got
         assert ("lone_cause_absent_d0", 0, Relation.LE0) not in got
 
@@ -90,14 +92,14 @@ class TestPairConclusions:
                                (Fraction(1, 6), Fraction(1, 6), Fraction(2, 3))),
         })
         f = facts_from_scm(m, "D", "E1", "E2")
-        assert f.a1 is Flag.ZERO and f.e_cov is CovFact.GE0 and not f.e_indep
+        assert f.a1 is Flag.ZERO and f.e_cov is Relation.GE0 and not f.e_indep
         dist = joint_distribution(m)
         assert conditional_covariance(dist, "E1", "E2", {"D": 0}) == Fraction(4, 175)
 
     def test_no_synergy(self):
-        got = rules_of(pair_conclusions(facts(a3=Flag.ZERO, e_cov=CovFact.EQ0)))
+        got = rules_of(pair_conclusions(facts(a3=Flag.ZERO, e_cov=Relation.EQ0)))
         assert ("no_synergy_d1", 1, Relation.LE0) in got
-        full = facts(a3=Flag.ZERO, e_cov=CovFact.EQ0, a1_a2_indep=True,
+        full = facts(a3=Flag.ZERO, e_cov=Relation.EQ0, a1_a2_indep=True,
                      e_indep=True, a0_a1_indep=True)
         assert ("no_synergy_d0", 0, Relation.EQ0) in rules_of(pair_conclusions(full))
 
@@ -122,7 +124,7 @@ class TestFactsFromScm:
     def test_disjunction_flags(self):
         f = facts_from_scm(self.build(lambda a, b: a | b), "D", "E1", "E2")
         assert (f.a0, f.a1, f.a2, f.a3) == (Flag.ZERO, Flag.ONE, Flag.ONE, Flag.ZERO)
-        assert f.e_indep and f.e_cov is CovFact.EQ0
+        assert f.e_indep and f.e_cov is Relation.EQ0
 
     def test_conjunction_flags(self):
         f = facts_from_scm(self.build(lambda a, b: a & b), "D", "E1", "E2")
@@ -297,6 +299,34 @@ class TestTransferSign:
         assert [c.relation for c in out] == [Relation.SIGN_EQUALS, Relation.EQ0]
         assert all(c.quantity.stratum == 0 for c in out)
 
+    # (inner, q_same_sign, q_opposite_sign) -> transferred relation, None: refused
+    SHARED_RULE = {
+        (Relation.LE0, True, True): Relation.LE0,
+        (Relation.LE0, True, False): None,
+        (Relation.LE0, False, True): Relation.LE0,
+        (Relation.LE0, False, False): None,
+        (Relation.GE0, True, True): Relation.GE0,
+        (Relation.GE0, True, False): Relation.GE0,
+        (Relation.GE0, False, True): None,
+        (Relation.GE0, False, False): None,
+        (Relation.EQ0, True, True): Relation.EQ0,
+        (Relation.EQ0, True, False): Relation.GE0,
+        (Relation.EQ0, False, True): Relation.LE0,
+        (Relation.EQ0, False, False): None,
+    }
+
+    @pytest.mark.parametrize("inner,same,opposite", list(SHARED_RULE))
+    def test_shared_rule_table(self, inner, same, opposite):
+        prem = TransferPremises("proxy-shared", "F", "G", "E1", "E2", "D", (), (), same, opposite)
+        expected = self.SHARED_RULE[inner, same, opposite]
+        if expected is None:
+            with pytest.raises(ValueError, match="no transferable direction"):
+                transfer_sign(prem, self._inner(inner))
+        else:
+            (c,) = transfer_sign(prem, self._inner(inner))
+            assert (c.relation, c.rule) == (expected, "proxy-shared+no_background_d1")
+            assert c.quantity == CovQuantity("F", "G", "D", 1)
+
     def test_inner_quantity_must_match(self):
         g = load_model(fixture("transfer_chain_a")).dag
         prem = check_transfer_premises_direct(g, "F", "G", "E1", "E2", "D")
@@ -465,13 +495,13 @@ class TestAssertionReader:
         assert dict(asserted.flags) == {} and asserted.cocause_indep == ()
         # independence and covariance claims on any pair are still read
         assert asserted.independent == (("E1", "H"),)
-        assert asserted.cov_of("E2", "H") is CovFact.GE0
+        assert asserted.cov_of("E2", "H") is Relation.GE0
 
     def test_repeated_cov_sign_keeps_the_meet(self):
         model = parse_model(self.PAIR + "assert cov-sign E1 E2 <=0\nassert cov-sign E2 E1 >=0\n")
         asserted = read_assertions(model.assertions, "D", "E1", "E2")
-        assert asserted.cov_of("E1", "E2") is CovFact.EQ0
-        assert covsign_analysis(model, "D").facts.e_cov is CovFact.EQ0
+        assert asserted.cov_of("E1", "E2") is Relation.EQ0
+        assert covsign_analysis(model, "D").facts.e_cov is Relation.EQ0
 
 
 def _premise_variant(assertion: str, e2_sign: str) -> str:

@@ -30,9 +30,10 @@ from suffcause import (
     state_column,
     verify_claim,
 )
-from suffcause.covsign import CovQuantity, Relation, SignConclusion
+from suffcause.covsign import CovQuantity, SignConclusion
 from suffcause.modelfile import Assertion
 from suffcause.oracle import admissible_row_sets
+from suffcause.signs import Relation
 
 from support import (
     MONOTONE_PAIR_ROWS,

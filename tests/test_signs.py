@@ -21,7 +21,7 @@ from suffcause import (
     path_signs,
     random_instance,
 )
-from suffcause.signs import directional_effect_holds
+from suffcause.signs import Relation, directional_effect_holds
 
 from support import directed_paths, labeled_dags, path_product, random_dag, random_signs
 
@@ -42,6 +42,45 @@ class TestSignAlgebra:
         assert Sign.NEGATIVE * Sign.NEGATIVE is Sign.POSITIVE
         assert Sign.ZERO * Sign.NEGATIVE is Sign.ZERO
         assert Sign.UNDEFINED * Sign.ZERO is Sign.UNDEFINED
+
+
+class TestRelationLattice:
+    """The four plain relations read as the sets of signs they allow."""
+
+    ALLOWS = {
+        Relation.LE0: {-1, 0},
+        Relation.GE0: {0, 1},
+        Relation.EQ0: {0},
+        Relation.UNKNOWN: {-1, 0, 1},
+    }
+
+    def test_meet_implies_and_flipped_are_set_operations(self):
+        by_set = {frozenset(v): r for r, v in self.ALLOWS.items()}
+        for a, sa in self.ALLOWS.items():
+            assert self.ALLOWS[a.flipped()] == {-x for x in sa}
+            for b, sb in self.ALLOWS.items():
+                assert a.meet(b) is by_set[frozenset(sa & sb)]
+                assert a.implies(b) is (sa <= sb)
+
+    def test_holds_and_of_value(self):
+        for x in (-1, 0, 1):
+            assert Relation.of_value(x) is {-1: Relation.LE0, 0: Relation.EQ0, 1: Relation.GE0}[x]
+            assert Relation.of_value(Fraction(x, 3)) is Relation.of_value(x)
+            for r, allowed in self.ALLOWS.items():
+                assert r.holds(x) is (x in allowed)
+                assert r.holds(Fraction(x, 7)) is (x in allowed)
+
+    def test_of_association(self):
+        expected = {
+            Sign.POSITIVE: Relation.GE0,
+            Sign.NEGATIVE: Relation.LE0,
+            Sign.ZERO: Relation.EQ0,
+            Sign.UNDEFINED: Relation.UNKNOWN,
+        }
+        assert {s: Relation.of_association(s) for s in Sign} == expected
+
+    def test_sign_equality_flips_to_itself(self):
+        assert Relation.SIGN_EQUALS.flipped() is Relation.SIGN_EQUALS
 
 
 class TestMonotonicEffect:
