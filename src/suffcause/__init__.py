@@ -71,7 +71,6 @@ from .scm import (
     ExactDistribution,
     ResponseTable,
     Scm,
-    complement_parent,
     config_index,
     dedupe_states,
     joint_distribution,

@@ -10,7 +10,11 @@ exits 2 with one "error:" line on stderr. Any other exception is a bug: it
 exits 3 with one "internal error:" line, so a crash never reads as a
 verdict.
 The analysis itself lives in the library (``covsign.covsign_analysis``
-and ``covsign.oracle_check``); this module parses and renders.
+and ``covsign.oracle_check``); this module parses and renders. Each
+subcommand handler takes the loaded model and the parsed arguments and
+returns (body, lines, ok): the JSON report's fields after "command" and
+"model", the text lines, and the verdict. ``main`` loads the model, renders
+one of the two forms and maps the verdict to the exit status.
 
 ``main`` builds only the parser of the subcommand named by its first
 argument, from one table of subcommands (``_COMMANDS``); help, a missing
@@ -59,14 +63,6 @@ def _conclusion_dict(c: cs.SignConclusion) -> dict:
     return out
 
 
-def _emit(report: dict, text_lines: list[str], fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps(report, indent=2))
-    else:
-        for line in text_lines:
-            print(line)
-
-
 def _facts_dict(facts: cs.RepFacts) -> dict:
     out = {}
     for f in cs.FACT_FIELDS:
@@ -113,8 +109,7 @@ def _analysis_dict(a: cs.CovsignAnalysis) -> dict:
 
 # -- subcommands --------------------------------------------------------------
 
-def _cmd_canonical(args) -> int:
-    model = load_model(args.model)
+def _cmd_canonical(model: Model, args) -> tuple[dict, list[str], bool]:
     nodes = args.node or [n for n in model.dag.nodes if n in model.tables]
     entries = []
     lines = []
@@ -136,8 +131,7 @@ def _cmd_canonical(args) -> int:
         })
         lines.append(f"{n} = {rep.render()}")
         lines += [f"  state {s['index']} prob {s['prob']} bits {s['bits']}" for s in states]
-    _emit({"command": "canonical", "model": args.model, "representations": entries}, lines, args.format)
-    return 0
+    return {"representations": entries}, lines, True
 
 
 def _choose_representation(model: Model, node: str):
@@ -156,8 +150,7 @@ def _expanded(model: Model, node: str):
     return expand(model.dag, node, rep, table), rep, source
 
 
-def _cmd_expand(args) -> int:
-    model = load_model(args.model)
+def _cmd_expand(model: Model, args) -> tuple[dict, list[str], bool]:
     exp, rep, source = _expanded(model, args.node)
     nodes = [{"name": n, "kind": exp.kind_of(n)} for n in exp.dag.nodes]
     edges = [
@@ -168,25 +161,19 @@ def _cmd_expand(args) -> int:
     for e in edges:
         suffix = f" {e['sign']}" if e["sign"] else ""
         lines.append(f"edge {e['from']} {e['to']}{suffix}")
-    report = {
-        "command": "expand",
-        "model": args.model,
+    body = {
         "target": args.node,
         "representation": {"source": source, "terms": [_term_dict(t) for t in rep.terms]},
         "nodes": nodes,
         "edges": edges,
     }
-    _emit(report, lines, args.format)
-    return 0
+    return body, lines, True
 
 
-def _cmd_dsep(args) -> int:
-    model = load_model(args.model)
+def _cmd_dsep(model: Model, args) -> tuple[dict, list[str], bool]:
     witness = find_unblocked_path(model.dag, args.x, args.y, args.z)
     separated = witness is None
-    report = {
-        "command": "dsep",
-        "model": args.model,
+    body = {
         "x": args.x, "y": args.y, "z": args.z,
         "separated": separated,
         "witness": None if witness is None else str(witness),
@@ -195,20 +182,16 @@ def _cmd_dsep(args) -> int:
         ("separated" if separated else "not separated")
         + (f"; witness: {witness}" if witness else "")
     ]
-    _emit(report, lines, args.format)
-    return 0 if separated else 1
+    return body, lines, separated
 
 
-def _cmd_stratum_ci(args) -> int:
-    model = load_model(args.model)
+def _cmd_stratum_ci(model: Model, args) -> tuple[dict, list[str], bool]:
     exp, rep, source = _expanded(model, args.node)
     cond = set(args.z) | stratum_conditioning_set(exp, args.stratum)
     witness = find_unblocked_path(exp.dag, args.x, args.y, cond)
     verdict = witness is None
     wording = "independent within stratum" if verdict else "not implied independent"
-    report = {
-        "command": "stratum-ci",
-        "model": args.model,
+    body = {
         "target": args.node,
         "stratum": args.stratum,
         "x": args.x, "y": args.y, "z": args.z,
@@ -218,12 +201,10 @@ def _cmd_stratum_ci(args) -> int:
         "witness": None if witness is None else str(witness),
     }
     lines = [wording + (f"; witness: {witness}" if witness else "")]
-    _emit(report, lines, args.format)
-    return 0 if verdict else 1
+    return body, lines, verdict
 
 
-def _cmd_signs(args) -> int:
-    model = load_model(args.model)
+def _cmd_signs(model: Model, args) -> tuple[dict, list[str], bool]:
     edges = []
     lines = []
     for a, b in model.dag.edges:
@@ -231,7 +212,7 @@ def _cmd_signs(args) -> int:
         computed = None
         degenerate = None
         if b in model.tables:
-            table = dedupe_states(model.tables[b])
+            table = model.tables[b]
             computed = detect_monotonic_effect(table, a).value
             degenerate = is_constant_in(table, a)
         edges.append({
@@ -255,15 +236,11 @@ def _cmd_signs(args) -> int:
                 "cov_claim": claim,
             })
             lines.append(f"assoc {nodes[i]} ~ {nodes[j]}: {s.value} cov {claim or 'no claim'}")
-    report = {"command": "signs", "model": args.model, "edges": edges, "associations": assoc}
-    _emit(report, lines, args.format)
-    return 0
+    return {"edges": edges, "associations": assoc}, lines, True
 
 
-def _cmd_covsign(args) -> int:
-    model = load_model(args.model)
+def _cmd_covsign(model: Model, args) -> tuple[dict, list[str], bool]:
     analysis = cs.covsign_analysis(model, args.d, args.f, args.g, args.q, args.budget)
-    report = {"command": "covsign", "model": args.model, **_analysis_dict(analysis)}
     lines = []
     for c in analysis.conclusions:
         lines.append(f"{c.quantity.render()} {c.relation.value}  [{c.rule}]")
@@ -271,19 +248,15 @@ def _cmd_covsign(args) -> int:
         lines.append(f"not applicable: {json.dumps(na)}")
     if not lines:
         lines.append("no conclusions established")
-    _emit(report, lines, args.format)
-    return 0 if analysis.ok else 1
+    return _analysis_dict(analysis), lines, analysis.ok
 
 
-def _cmd_oracle_check(args) -> int:
-    model = load_model(args.model)
+def _cmd_oracle_check(model: Model, args) -> tuple[dict, list[str], bool]:
     check = cs.oracle_check(
         model, args.d, args.f, args.g, args.q, args.budget,
         instances=args.instances, max_weight=args.max_weight, seed=args.seed,
     )
-    report = {
-        "command": "oracle-check",
-        "model": args.model,
+    body = {
         "seed": args.seed,
         "instances_accepted": check.accepted,
         "instances_drawn": check.drawn,
@@ -294,8 +267,7 @@ def _cmd_oracle_check(args) -> int:
     lines = [f"instances: {check.accepted} accepted of {check.drawn} drawn"]
     for k, v in check.tallies.items():
         lines.append(f"{k}: {v['checked']} checked, {v['violations']} violations")
-    _emit(report, lines, args.format)
-    return 0 if check.ok else 1
+    return body, lines, check.ok
 
 
 def _model_args(p: argparse.ArgumentParser) -> None:
@@ -383,7 +355,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     command = argv[0] if argv and argv[0] in _COMMANDS else None
     args = build_parser(command).parse_args(argv)
     try:
-        return args.fn(args)
+        body, lines, ok = args.fn(load_model(args.model), args)
+        if args.format == "json":
+            print(json.dumps({"command": args.command, "model": args.model, **body}, indent=2))
+        else:
+            for line in lines:
+                print(line)
+        return 0 if ok else 1
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -19,7 +19,7 @@ from functools import reduce
 from typing import Iterable, Mapping, Sequence
 
 from . import oracle
-from .causes import CoCauseKind, canonical_representation
+from .causes import CoCauseKind, Literal, canonical_representation
 from .graph import Dag, common_causes, d_separated, path_signs
 from .modelfile import Assertion, Model
 from .scm import (
@@ -27,11 +27,12 @@ from .scm import (
     ExactDistribution,
     ResponseTable,
     Scm,
-    complement_parent,
     dedupe_states,
     joint_distribution,
 )
-from .signs import Relation, Sign, detect_monotonic_effect, monotonically_associated, sign_agreement
+from .signs import (
+    Relation, Sign, detect_monotonic_effect, directional_effect_holds, monotonically_associated, sign_agreement
+)
 
 
 class Flag(Enum):
@@ -112,40 +113,37 @@ class RepFacts:
         return f"{fact}={value} ({self.source(fact)})"
 
 
-def cocause_state_sets(
-    table: ResponseTable, e1: str, e2: str
+def _table_slots(
+    table: ResponseTable, e1: str, e2: str, negative: tuple[bool, bool]
 ) -> dict[str, frozenset[int] | None]:
-    """Canonical co-cause state sets keyed a0..a3; None encodes "all states".
+    """The co-cause slots a0..a3 of the frame where each negative parent is complemented.
 
-    The table must have exactly the parents {e1, e2} and a representation
-    free of complemented literals (guaranteed under positive monotonicity).
+    Complementing only relabels literals, so the slots are read off the
+    table's own canonical terms, keyed by their literals at the parents'
+    polarity. A slot is the set of its table rows, or None for all rows.
     """
-    if set(table.parents) != {e1, e2} or len(table.parents) != 2:
-        raise ValueError(
-            f"{table.node}: expected exactly the parents {{{e1}, {e2}}}, got {table.parents}"
-        )
-    rep = canonical_representation(table)
-    slots: dict[str, frozenset[int] | None] = {
-        "a0": frozenset(), "a1": frozenset(), "a2": frozenset(), "a3": frozenset()
-    }
-    key_for = {
-        frozenset(): "a0",
-        frozenset({e1}): "a1",
-        frozenset({e2}): "a2",
-        frozenset({e1, e2}): "a3",
-    }
-    for term in rep.terms:
-        if any(l.complemented for l in term.literals):
+    table = dedupe_states(table)
+    l1, l2 = Literal(e1, negative[0]), Literal(e2, negative[1])
+    key_for = {(): "a0", (l1,): "a1", (l2,): "a2", tuple(sorted((l1, l2))): "a3"}
+    slots: dict[str, frozenset[int] | None] = dict.fromkeys(("a0", "a1", "a2", "a3"), frozenset())
+    for term in canonical_representation(table).terms:
+        slot = key_for.get(term.literals)
+        if slot is None:
             raise ValueError(
-                f"{table.node}: canonical term {term.render()} uses a complement; "
-                "the two-parent rule set needs positive monotone effects"
+                f"{table.node}: canonical term {term.render()} fits no slot of the ({l1.render()}, "
+                f"{l2.render()}) frame; the two-parent rule set needs monotone effects"
             )
-        key = key_for[frozenset(l.base for l in term.literals)]
-        if term.cocause.kind is CoCauseKind.ONE:
-            slots[key] = None
-        else:
-            slots[key] = frozenset(term.cocause.states)
+        states = term.cocause.states
+        slots[slot] = None if term.cocause.kind is CoCauseKind.ONE else frozenset(table.rows[i] for i in states)
     return slots
+
+
+def _row_mass(table: ResponseTable) -> dict[int, Fraction]:
+    """Each distinct row of the table with its summed probability."""
+    mass: dict[int, Fraction] = {}
+    for row, p in zip(table.rows, table.probs):
+        mass[row] = mass.get(row, Fraction(0)) + p
+    return mass
 
 
 def _flag(states: frozenset[int] | None) -> Flag:
@@ -159,7 +157,7 @@ def _flag(states: frozenset[int] | None) -> Flag:
 def _sets_independent(
     a: frozenset[int] | None, b: frozenset[int] | None, mass: Mapping[int, Fraction]
 ) -> bool:
-    """Whether two co-cause events are independent; ``mass`` maps each state to its probability."""
+    """Whether two co-cause events are independent; ``mass`` maps each row to its probability."""
     universe = frozenset(mass)
     sa = universe if a is None else a
     sb = universe if b is None else b
@@ -167,15 +165,6 @@ def _sets_independent(
     pb = sum((mass[i] for i in sb), Fraction(0))
     pab = sum((mass[i] for i in sa & sb), Fraction(0))
     return pab == pa * pb
-
-
-def _pair_frame(table: ResponseTable, e1: str, e2: str, negative: tuple[bool, bool]) -> ResponseTable:
-    """The target's deduplicated table with every negative parent complemented."""
-    table = dedupe_states(table)
-    for (p, neg) in zip((e1, e2), negative):
-        if neg:
-            table = complement_parent(table, p)
-    return table
 
 
 def facts_from_scm(
@@ -200,16 +189,16 @@ def facts_from_scm(
             f"{d} must have exactly the parents {{{e1}, {e2}}} (marginalize other parents first); "
             f"got {parents}"
         )
-    table = _pair_frame(model.tables[d], e1, e2, negative)
-    for p in (e1, e2):
-        if detect_monotonic_effect(table, p) is not Sign.POSITIVE:
+    table = model.tables[d]
+    for p, neg in zip((e1, e2), negative):
+        if not directional_effect_holds(table, p, "-" if neg else "+"):
             raise ValueError(
                 f"{d}: parent {p} lacks the required positive monotone effect"
-                f"{' after complementing' if negative[(e1, e2).index(p)] else ''}"
+                f"{' after complementing' if neg else ''}"
             )
 
-    slots = cocause_state_sets(table, e1, e2)
-    mass = dict(enumerate(table.probs))
+    slots = _table_slots(table, e1, e2, negative)
+    mass = _row_mass(table)
     if dist is None:
         dist = joint_distribution(model)
     cov = oracle.conditional_covariance(dist, e1, e2)
@@ -272,15 +261,9 @@ class AssertedFacts:
         key = (parents, frozenset(rows), negative)
         slots = self._slots.get(key)
         if slots is None:
-            distinct = tuple(dict.fromkeys(rows))
-            uniform = (Fraction(1, len(distinct)),) * len(distinct)
-            table = ResponseTable(self.target, parents, distinct, uniform)
-            frame = _pair_frame(table, self.e1, self.e2, negative)
-            slots = {
-                slot: None if states is None else frozenset(distinct[i] for i in states)
-                for slot, states in cocause_state_sets(frame, self.e1, self.e2).items()
-            }
-            self._slots[key] = slots
+            uniform = (Fraction(1, len(rows)),) * len(rows)
+            table = ResponseTable(self.target, parents, tuple(rows), uniform)
+            slots = self._slots[key] = _table_slots(table, self.e1, self.e2, negative)
         return slots
 
     def admits_rows(self, parents: tuple[str, ...], rows: Sequence[int], negative: tuple[bool, bool]) -> bool:
@@ -293,8 +276,7 @@ class AssertedFacts:
         if not self.admits_rows(table.parents, table.rows, negative):
             return False
         slots = self._slot_rows(table.parents, table.rows, negative)
-        deduped = dedupe_states(table)
-        mass = dict(zip(deduped.rows, deduped.probs))
+        mass = _row_mass(table)
         return all(_sets_independent(slots[a], slots[b], mass) for a, b in self.cocause_indep)
 
     def admits(self, model: Scm, dist: ExactDistribution, negative: tuple[bool, bool]) -> bool:
@@ -689,7 +671,7 @@ def _parent_pair(model: Model, d: str) -> tuple[str, str]:
 
 def _pair_polarity(model: Model, d: str, e1: str, e2: str) -> tuple[bool, bool]:
     """Which parents act negatively: read off d's equation, else the edge signs."""
-    table = dedupe_states(model.tables[d]) if d in model.tables else None
+    table = model.tables.get(d)
     out = []
     for p in (e1, e2):
         if table is None:

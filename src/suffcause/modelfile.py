@@ -80,16 +80,6 @@ class Model:
             raise ModelError([(0, f"model lacks equations for {missing}")])
         return Scm(self.dag, self.tables)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Model):
-            return NotImplemented
-        return (
-            self.dag == other.dag
-            and self.tables == other.tables
-            and self.representations == other.representations
-            and self.assertions == other.assertions
-        )
-
 
 def _tokens(text: str) -> list[tuple[int, list[str]]]:
     out = []

@@ -138,20 +138,6 @@ def dedupe_states(table: ResponseTable) -> ResponseTable:
     return ResponseTable(table.node, table.parents, tuple(order), tuple(mass[r] for r in order))
 
 
-def complement_parent(table: ResponseTable, parent: str) -> ResponseTable:
-    """Reexpress the equation in terms of the complement of one parent."""
-    i = table.parent_index(parent)
-    bit = 1 << i
-    new_rows = []
-    for row in table.rows:
-        flipped = 0
-        for c in range(table.n_configs):
-            if (row >> (c ^ bit)) & 1:
-                flipped |= 1 << c
-        new_rows.append(flipped)
-    return ResponseTable(table.node, table.parents, tuple(new_rows), table.probs)
-
-
 @dataclass(frozen=True)
 class Scm:
     """A causal model: a DAG plus one response table per node.

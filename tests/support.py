@@ -1,6 +1,6 @@
 """Shared helpers: fixture paths, random graphs, references (path enumeration,
 the exhaustive witness search, atom-by-atom sufficient causes, world
-enumeration), and constrained instance families."""
+enumeration, complemented parents), and constrained instance families."""
 
 from __future__ import annotations
 
@@ -42,6 +42,24 @@ MONOTONE_PAIR_ROWS = (ROW_CONST0, ROW_AND, ROW_E1, ROW_E2, ROW_OR, ROW_CONST1)
 
 def fixture(name: str) -> str:
     return str(FIXTURES / f"{name}.model")
+
+
+def complement_parent(table: ResponseTable, parent: str) -> ResponseTable:
+    """Reexpress the equation in terms of the complement of one parent.
+
+    The reference for the pair frame, where each negative parent is
+    complemented (``covsign._table_slots`` reads that frame off the table).
+    """
+    i = table.parent_index(parent)
+    bit = 1 << i
+    new_rows = []
+    for row in table.rows:
+        flipped = 0
+        for c in range(table.n_configs):
+            if (row >> (c ^ bit)) & 1:
+                flipped |= 1 << c
+        new_rows.append(flipped)
+    return ResponseTable(table.node, table.parents, tuple(new_rows), table.probs)
 
 
 def random_dag(rng: random.Random, n_nodes: int, edge_prob: float = 0.4) -> Dag:

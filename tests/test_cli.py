@@ -431,6 +431,27 @@ class TestInternalError:
         assert (code, out, err) == (3, "", "internal error: RuntimeError: boom\n")
 
 
+class TestRendering:
+    """``main`` prints a handler's report, and a failed write is an error, not a crash."""
+
+    class _BrokenPipe:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_broken_stdout_exits_2_with_one_error_line(self, capsys, monkeypatch, fmt):
+        monkeypatch.setattr(sys, "stdout", self._BrokenPipe())
+        code = main(["signs", fixture("coaggregation_full"), "--format", fmt])
+        err = capsys.readouterr().err
+        assert (code, err) == (2, "error: [Errno 32] Broken pipe\n")
+
+    def test_empty_text_report_prints_nothing(self, capsys):
+        # coaggregation_null has no equations, so canonical has no lines to print
+        assert run(capsys, "canonical", fixture("coaggregation_null")) == (0, "", "")
+        code, out, _ = run(capsys, "canonical", fixture("coaggregation_null"), "--format", "json")
+        assert code == 0 and json.loads(out)["representations"] == []
+
+
 COMMANDS = ("canonical", "expand", "dsep", "stratum-ci", "signs", "covsign", "oracle-check")
 
 

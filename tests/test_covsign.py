@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 
@@ -28,15 +29,17 @@ from suffcause import (
     transfer_sign,
     verify_claim,
 )
-from suffcause.covsign import CovQuantity, Flag
-from suffcause.scm import complement_parent
-from suffcause.signs import Relation
+from suffcause.causes import CoCauseKind, canonical_representation
+from suffcause.covsign import CovQuantity, Flag, _table_slots
+from suffcause.scm import dedupe_states
+from suffcause.signs import Relation, directional_effect_holds
 
 from support import (
     CASE_RULES,
     MONOTONE_PAIR_ROWS,
     ROW_E1,
     case_instances,
+    complement_parent,
     fixture,
 )
 
@@ -396,6 +399,70 @@ class TestDoubleComplement:
                 {(c.rule, c.quantity.stratum, c.relation) for c in plain}
             checked += 1
         assert checked == 40
+
+
+class TestTableSlots:
+    """``_table_slots`` reads the complemented frame's slots off the target's own table."""
+
+    @staticmethod
+    def _frame_slots(table, e1, e2, negative):
+        """The reference: complement each negative parent, then read the plain-literal terms."""
+        frame = dedupe_states(table)
+        for p, neg in zip((e1, e2), negative):
+            if neg:
+                frame = complement_parent(frame, p)
+        rows = dedupe_states(table).rows
+        key_for = {frozenset(): "a0", frozenset({e1}): "a1", frozenset({e2}): "a2", frozenset({e1, e2}): "a3"}
+        slots = dict.fromkeys(("a0", "a1", "a2", "a3"), frozenset())
+        for term in canonical_representation(frame).terms:
+            assert not any(l.complemented for l in term.literals)
+            slot = key_for[frozenset(l.base for l in term.literals)]
+            slots[slot] = None if term.cocause.kind is CoCauseKind.ONE else frozenset(
+                rows[i] for i in term.cocause.states
+            )
+        return slots
+
+    def test_complement_parent_round_trip(self):
+        rng = random.Random(3)
+        for _ in range(50):
+            rows = tuple(rng.sample(range(16), 3))
+            t = ResponseTable("D", ("A", "B"), rows, (Fraction(1, 3),) * 3)
+            assert complement_parent(complement_parent(t, "A"), "A") == t
+
+    def test_every_small_monotone_table_matches_the_complemented_frame(self):
+        checked = 0
+        for parents in (("E1", "E2"), ("E2", "E1")):
+            for negative in product((False, True), repeat=2):
+                signs = {p: "-" if n else "+" for p, n in zip(("E1", "E2"), negative)}
+                monotone = [
+                    r for r in range(16)
+                    if all(directional_effect_holds(ResponseTable("D", parents, (r,), (Fraction(1),)), p, s)
+                           for p, s in signs.items())
+                ]
+                assert len(monotone) == 6
+                for k in range(1, 6):
+                    for rows in combinations(monotone, k):
+                        table = ResponseTable("D", parents, rows, (Fraction(1, k),) * k)
+                        for e1, e2, neg in (("E1", "E2", negative), ("E2", "E1", negative[::-1])):
+                            assert _table_slots(table, e1, e2, neg) == self._frame_slots(table, e1, e2, neg), \
+                                (parents, rows, e1, neg)
+                        checked += 1
+        assert checked == 496
+
+    def test_duplicate_rows_key_the_same_slots(self):
+        table = ResponseTable("D", ("E1", "E2"), (ROW_E1, 14, ROW_E1), (Fraction(1, 3),) * 3)
+        assert _table_slots(table, "E1", "E2", (False, False)) == \
+            _table_slots(dedupe_states(table), "E1", "E2", (False, False))
+
+    @pytest.mark.parametrize("rows, negative, frame", [
+        ((6,), (False, False), "E1, E2"),          # E1 xor E2: monotone at no polarity
+        ((14,), (True, False), "~E1, E2"),         # E1 or E2 is positive in E1
+        ((ROW_E1, 12), (False, True), "E1, ~E2"),  # E2 alone is positive in E2
+    ])
+    def test_a_table_not_monotone_in_the_frame_raises(self, rows, negative, frame):
+        table = ResponseTable("D", ("E1", "E2"), rows, (Fraction(1, len(rows)),) * len(rows))
+        with pytest.raises(ValueError, match=rf"fits no slot of the \({frame}\) frame"):
+            _table_slots(table, "E1", "E2", negative)
 
 
 def _chain_a_scm(rng, d_rows):

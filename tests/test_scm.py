@@ -12,7 +12,6 @@ from suffcause import (
     ResponseTable,
     Scm,
     can_marginalize,
-    complement_parent,
     config_index,
     dedupe_states,
     joint_distribution,
@@ -60,13 +59,6 @@ class TestResponseTable:
             ResponseTable("D", (), (0, 1), (Fraction(3, 2), Fraction(-1, 2)))
         with pytest.raises(ValueError, match="at least one"):
             ResponseTable("D", (), (), ())
-
-    def test_complement_parent_round_trip(self):
-        rng = random.Random(3)
-        for _ in range(50):
-            rows = tuple(rng.sample(range(16), 3))
-            t = ResponseTable("D", ("A", "B"), rows, (Fraction(1, 3),) * 3)
-            assert complement_parent(complement_parent(t, "A"), "A") == t
 
 
 class TestDedupe:
