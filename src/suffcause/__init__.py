@@ -32,7 +32,6 @@ from .covsign import (
     facts_from_scm,
     oracle_check,
     pair_conclusions,
-    pair_conclusions_signed,
     read_assertions,
     transfer_sign,
 )

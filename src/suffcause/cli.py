@@ -94,7 +94,7 @@ def _analysis_dict(a: cs.CovsignAnalysis) -> dict:
         "parents": {
             "e1": a.facts.e1,
             "e2": a.facts.e2,
-            "polarity": ["-" if n else "+" for n in a.negative],
+            "polarity": ["-" if n else "+" for n in a.facts.negative],
         },
         "facts": _facts_dict(a.facts),
         "parent_conclusions": [_conclusion_dict(c) for c in a.inner],
@@ -134,19 +134,16 @@ def _cmd_canonical(model: Model, args) -> tuple[dict, list[str], bool]:
     return {"representations": entries}, lines, True
 
 
-def _choose_representation(model: Model, node: str):
-    if node in model.representations:
-        return model.representations[node], "declared"
-    if node in model.tables:
-        return canonical_representation(dedupe_states(model.tables[node])), "canonical"
-    raise ValueError(f"no representation or equation for {node!r}")
-
-
 def _expanded(model: Model, node: str):
-    rep, source = _choose_representation(model, node)
+    """``node``'s expansion under its declared representation, else its canonical one."""
     table = model.tables.get(node)
-    if source == "canonical":
+    if node in model.representations:
+        rep, source = model.representations[node], "declared"
+    elif table is not None:
         table = dedupe_states(table)
+        rep, source = canonical_representation(table), "canonical"
+    else:
+        raise ValueError(f"no representation or equation for {node!r}")
     return expand(model.dag, node, rep, table), rep, source
 
 

@@ -86,12 +86,15 @@ class RepFacts:
 
     Boolean fields mean "established", not merely "not known false"; the
     ``sources`` map records how each fact was established (oracle,
-    structural, or assertion).
+    structural, or assertion). ``negative`` marks the parents whose effect
+    is negative: the facts are stated in the frame where those parents are
+    complemented.
     """
 
     target: str
     e1: str
     e2: str
+    negative: tuple[bool, bool] = (False, False)
     a0: Flag = Flag.NEITHER
     a1: Flag = Flag.NEITHER
     a2: Flag = Flag.NEITHER
@@ -140,10 +143,8 @@ def _table_slots(
 
 def _row_mass(table: ResponseTable) -> dict[int, Fraction]:
     """Each distinct row of the table with its summed probability."""
-    mass: dict[int, Fraction] = {}
-    for row, p in zip(table.rows, table.probs):
-        mass[row] = mass.get(row, Fraction(0)) + p
-    return mass
+    table = dedupe_states(table)
+    return dict(zip(table.rows, table.probs))
 
 
 def _flag(states: frozenset[int] | None) -> Flag:
@@ -178,10 +179,9 @@ def facts_from_scm(
     """Establish representation facts exactly from a fully specified model.
 
     ``negative`` marks parents whose monotone effect is negative; the facts
-    are then computed in the frame where those parents are complemented, and
-    conclusions drawn from them must be flipped back accordingly (see
-    ``pair_conclusions_signed``). ``dist`` is the model's joint distribution
-    when the caller already holds it; otherwise it is built here.
+    are then computed, and kept, in the frame where those parents are
+    complemented. ``dist`` is the model's joint distribution when the caller
+    already holds it; otherwise it is built here.
     """
     parents = model.graph.parents(d)
     if set(parents) != {e1, e2} or len(parents) != 2:
@@ -207,6 +207,7 @@ def facts_from_scm(
         target=d,
         e1=e1,
         e2=e2,
+        negative=negative,
         **{slot: _flag(states) for slot, states in slots.items()},
         e_indep=oracle.conditional_independent(dist, e1, e2),
         a1_a2_indep=_sets_independent(slots["a1"], slots["a2"], mass),
@@ -229,13 +230,13 @@ def _pair_key(x: str, y: str) -> tuple[str, str]:
 class AssertedFacts:
     """A model's assertions, read once for a target and its parent pair.
 
-    Slots speak about the (e1, e2) frame: an assertion naming the pair
-    reversed lands in the swapped slot, and a flag or co-cause assertion
-    about another target or pair is left out. ``flags`` holds one flag per
-    slot: two different flags on one slot raise ``ValueError``. ``independent``
-    and ``cov`` cover every pair of the model, keyed by the sorted pair; a
-    cov-sign claim repeated on one pair keeps the meet of its relations, so
-    "<=0" with ">=0" reads "=0".
+    Slots speak about the (e1, e2) frame, with each parent that ``negative``
+    marks complemented: an assertion naming the pair reversed lands in the
+    swapped slot, and a flag or co-cause assertion about another target or
+    pair is left out. ``flags`` holds one flag per slot: two different flags
+    on one slot raise ``ValueError``. ``independent`` and ``cov`` cover every
+    pair of the model, keyed by the sorted pair; a cov-sign claim repeated on
+    one pair keeps the meet of its relations, so "<=0" with ">=0" reads "=0".
 
     A target table's slots depend only on its set of distinct rows, so
     they are worked out once per row set and kept for the life of this
@@ -249,47 +250,49 @@ class AssertedFacts:
     cocause_indep: tuple[tuple[str, str], ...]
     independent: tuple[tuple[str, str], ...]
     cov: Mapping[tuple[str, str], Relation]
+    negative: tuple[bool, bool] = (False, False)
     _slots: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def cov_of(self, x: str, y: str) -> Relation | None:
         return self.cov.get(_pair_key(x, y))
 
-    def _slot_rows(
-        self, parents: tuple[str, ...], rows: Sequence[int], negative: tuple[bool, bool]
-    ) -> dict[str, frozenset[int] | None]:
+    def _slot_rows(self, parents: tuple[str, ...], rows: Sequence[int]) -> dict[str, frozenset[int] | None]:
         """The target's canonical co-cause slots, each as the set of its rows (None: all)."""
-        key = (parents, frozenset(rows), negative)
+        key = (parents, frozenset(rows))
         slots = self._slots.get(key)
         if slots is None:
             uniform = (Fraction(1, len(rows)),) * len(rows)
             table = ResponseTable(self.target, parents, tuple(rows), uniform)
-            slots = self._slots[key] = _table_slots(table, self.e1, self.e2, negative)
+            slots = self._slots[key] = _table_slots(table, self.e1, self.e2, self.negative)
         return slots
 
-    def admits_rows(self, parents: tuple[str, ...], rows: Sequence[int], negative: tuple[bool, bool]) -> bool:
-        """Whether a target table with these rows carries every asserted flag."""
-        slots = self._slot_rows(parents, rows, negative)
+    def _carries_flags(self, slots: Mapping[str, frozenset[int] | None]) -> bool:
         return all(_flag(slots[slot]) is flag for slot, flag in self.flags.items())
 
-    def admits_table(self, table: ResponseTable, negative: tuple[bool, bool]) -> bool:
+    def admits_rows(self, rows: Sequence[int]) -> bool:
+        """Whether a target table with these rows over (e1, e2) carries every asserted flag."""
+        return self._carries_flags(self._slot_rows((self.e1, self.e2), rows))
+
+    def admits_table(self, table: ResponseTable) -> bool:
         """Whether the target's table meets the asserted flags and co-cause independences."""
-        if not self.admits_rows(table.parents, table.rows, negative):
+        slots = self._slot_rows(table.parents, table.rows)
+        if not self._carries_flags(slots):
             return False
-        slots = self._slot_rows(table.parents, table.rows, negative)
         mass = _row_mass(table)
         return all(_sets_independent(slots[a], slots[b], mass) for a, b in self.cocause_indep)
 
-    def admits(self, model: Scm, dist: ExactDistribution, negative: tuple[bool, bool]) -> bool:
-        """Whether a fully specified instance, with joint ``dist``, meets every assertion read."""
+    def admits(self, dist: ExactDistribution) -> bool:
+        """Whether an instance's joint ``dist`` meets every asserted independence and covariance sign."""
         return (
-            self.admits_table(model.tables[self.target], negative)
-            and all(oracle.conditional_independent(dist, x, y) for x, y in self.independent)
+            all(oracle.conditional_independent(dist, x, y) for x, y in self.independent)
             and all(fact.holds(oracle.conditional_covariance(dist, x, y)) for (x, y), fact in self.cov.items())
         )
 
 
-def read_assertions(assertions: Iterable[Assertion], d: str, e1: str, e2: str) -> AssertedFacts:
-    """Normalize a model's assertions for target ``d`` with parents (e1, e2)."""
+def read_assertions(
+    assertions: Iterable[Assertion], d: str, e1: str, e2: str, negative: tuple[bool, bool] = (False, False)
+) -> AssertedFacts:
+    """Normalize a model's assertions for target ``d`` with parents (e1, e2) of polarity ``negative``."""
 
     def slot(x: str, y: str, name: str) -> str | None:
         if (x, y) == (e1, e2):
@@ -318,19 +321,18 @@ def read_assertions(assertions: Iterable[Assertion], d: str, e1: str, e2: str) -
         elif a.kind == "cov-sign":
             key = _pair_key(a.args[0], a.args[1])
             cov[key] = cov.get(key, Relation.UNKNOWN).meet(Relation(a.args[2]))
-    return AssertedFacts(d, e1, e2, flags, tuple(cocause), tuple(independent), cov)
+    return AssertedFacts(d, e1, e2, flags, tuple(cocause), tuple(independent), cov, negative)
 
 
-def _facts_from_assertions(
-    graph: Dag, asserted: AssertedFacts, negative: tuple[bool, bool] = (False, False)
-) -> RepFacts:
+def _facts_from_assertions(graph: Dag, asserted: AssertedFacts) -> RepFacts:
     """Representation facts from assertions, completed from the signed graph.
 
     Parent independence falls back to d-separation and the sign of
     Cov(e1, e2) to monotone association; like ``facts_from_scm``, the facts
-    speak about the frame where negative parents are complemented.
+    speak about the frame where the assertions' negative parents are
+    complemented.
     """
-    e1, e2 = asserted.e1, asserted.e2
+    e1, e2, negative = asserted.e1, asserted.e2, asserted.negative
     sources = dict.fromkeys(asserted.flags, "assertion")
     indep = dict.fromkeys(("e_indep",) + _SLOT_INDEP, False)
     if _pair_key(e1, e2) in asserted.independent:
@@ -351,7 +353,7 @@ def _facts_from_assertions(
         if e_cov is not Relation.UNKNOWN:
             sources["e_cov"] = "structural"
     return RepFacts(
-        target=asserted.target, e1=e1, e2=e2,
+        target=asserted.target, e1=e1, e2=e2, negative=negative,
         **{slot: asserted.flags.get(slot, Flag.NEITHER) for slot in ("a0", "a1", "a2", "a3")},
         **indep,
         e_cov=e_cov.flipped() if sum(negative) % 2 else e_cov,
@@ -363,8 +365,11 @@ def pair_conclusions(facts: RepFacts) -> tuple[SignConclusion, ...]:
     """All stratum sign conclusions licensed by the established facts.
 
     Cases whose side conditions are not established are suppressed, never
-    guessed. Both parents are assumed positively monotone (the facts
-    builders enforce this).
+    guessed. The rules hold for positively monotone parents (the facts
+    builders enforce this in the facts' frame); the rule set reaches a
+    negative parent by complementing it, so each relation is flipped once
+    per complemented parent to speak about the original variables again,
+    and the polarity joins the premises.
     """
     d1 = CovQuantity(facts.e1, facts.e2, facts.target, 1)
     d0 = CovQuantity(facts.e1, facts.e2, facts.target, 0)
@@ -372,10 +377,14 @@ def pair_conclusions(facts: RepFacts) -> tuple[SignConclusion, ...]:
         f"monotone({facts.e1})=+",
         f"monotone({facts.e2})=+",
     )
+    neg = facts.negative
+    polarity = (f"polarity=({'-' if neg[0] else '+'},{'-' if neg[1] else '+'})",) if any(neg) else ()
+    flips = sum(neg) % 2
     out: list[SignConclusion] = []
 
     def emit(quantity: CovQuantity, relation: Relation, rule: str, *names: str) -> None:
-        out.append(SignConclusion(quantity, relation, rule, monotone + tuple(map(facts.describe, names))))
+        premises = monotone + tuple(map(facts.describe, names)) + polarity
+        out.append(SignConclusion(quantity, relation.flipped() if flips else relation, rule, premises))
 
     if facts.a0 is Flag.ZERO:
         emit(d1, Relation.LE0, "no_background_d1", "a0")
@@ -402,28 +411,6 @@ def pair_conclusions(facts: RepFacts) -> tuple[SignConclusion, ...]:
         if facts.a1_a2_indep and facts.e_indep and (facts.a0_a1_indep or facts.a0_a2_indep):
             which = "a0_a1_indep" if facts.a0_a1_indep else "a0_a2_indep"
             emit(d0, Relation.EQ0, "no_synergy_d0", "a3", "a1_a2_indep", "e_indep", which)
-    return tuple(out)
-
-
-def pair_conclusions_signed(
-    facts: RepFacts, negative: tuple[bool, bool] = (False, False)
-) -> tuple[SignConclusion, ...]:
-    """Rule set extended to negatively monotone parents by relabeling.
-
-    ``facts`` must describe the representation in the complemented frame
-    (every negative parent replaced by its complement); each conclusion's
-    relation is flipped once per complemented parent to speak about the
-    original variables again.
-    """
-    base = pair_conclusions(facts)
-    if not any(negative):
-        return base
-    flips = sum(negative) % 2
-    note = f"polarity=({'-' if negative[0] else '+'},{'-' if negative[1] else '+'})"
-    out = []
-    for c in base:
-        relation = c.relation.flipped() if flips else c.relation
-        out.append(replace(c, relation=relation, premises=c.premises + (note,)))
     return tuple(out)
 
 
@@ -635,13 +622,12 @@ def transfer_sign(premises: TransferPremises, inner: SignConclusion) -> tuple[Si
 class CovsignAnalysis:
     """Facts, conclusions and transfer premises for one target and its pair.
 
-    ``facts`` names the target and its parents (e1, e2); ``negative`` gives
-    their polarity. ``premises`` holds the (direct, shared) transfer reports
-    when a transfer to proxies was asked for; ``dist`` is the joint of a
-    fully specified model.
+    ``facts`` names the target, its parents (e1, e2) and their polarity.
+    ``premises`` holds the (direct, shared) transfer reports when a transfer
+    to proxies was asked for; ``dist`` is the joint of a fully specified
+    model.
     """
 
-    negative: tuple[bool, bool]
     asserted: AssertedFacts
     facts: RepFacts
     inner: tuple[SignConclusion, ...]
@@ -706,16 +692,16 @@ def covsign_analysis(
     model.dag.require(d, *(n for n in (f, g) if n), *q)
     e1, e2 = _parent_pair(model, d)
     negative = _pair_polarity(model, d, e1, e2)
-    asserted = read_assertions(model.assertions, d, e1, e2)
+    asserted = read_assertions(model.assertions, d, e1, e2, negative)
     dist = None
     if model.fully_specified:
         scm = model.to_scm()
         dist = joint_distribution(scm, budget)
         facts = facts_from_scm(scm, d, e1, e2, negative, dist)
     else:
-        facts = _facts_from_assertions(model.dag, asserted, negative)
-    inner = pair_conclusions_signed(facts, negative)
-    analysis = CovsignAnalysis(negative, asserted, facts, inner, dist=dist)
+        facts = _facts_from_assertions(model.dag, asserted)
+    inner = pair_conclusions(facts)
+    analysis = CovsignAnalysis(asserted, facts, inner, dist=dist)
     if f is None or g is None or {f, g} == {e1, e2}:
         return analysis
 
@@ -793,8 +779,10 @@ def oracle_check(
     (independences and covariance signs); a draw counts when it satisfies
     them all and both strata of each conclusion have positive mass.
     Drawing stops at ``instances`` accepted models or ``100 * instances``
-    draws. When ``d``'s first table draw fails, its admissible row sets
-    are enumerated, and ``ValueError`` names the flags if there are none.
+    draws. ``d``'s table is drawn monotone in each parent under the
+    declared edge sign and under the pair's polarity, the frame its flags
+    are read in. When ``d``'s first table draw fails, its admissible row
+    sets are enumerated, and ``ValueError`` names the flags if there are none.
     ``instances`` and ``max_weight`` must be at least 1; both are checked
     before any work.
     """
@@ -825,10 +813,10 @@ def oracle_check(
         record(analysis.dist, None)
         return OracleCheck(analysis, 1, 1, tallies, tuple(failures))
 
-    asserted, negative = analysis.asserted, analysis.negative
-    parents = model.dag.parents(d)
+    asserted = analysis.asserted
+    pair = tuple((p, "-" if neg else "+") for p, neg in zip((asserted.e1, asserted.e2), asserted.negative))
     constraints = replace(
-        constraints, row_filter={d: lambda rows: asserted.admits_rows(parents, rows, negative)}
+        constraints, monotone={**monotone, d: monotone.get(d, ()) + pair}, row_filter={d: asserted.admits_rows}
     )
     accepted = drawn = generation_errors = mismatches = zero_mass = 0
     target_failed = False
@@ -848,11 +836,11 @@ def oracle_check(
                     ) from None
             generation_errors += 1
             continue
-        if not asserted.admits_table(scm.tables[d], negative):
+        if not asserted.admits_table(scm.tables[d]):
             mismatches += 1
             continue
         dist = joint_distribution(scm, budget)
-        if not asserted.admits(scm, dist, negative):
+        if not asserted.admits(dist):
             mismatches += 1
             continue
         try:

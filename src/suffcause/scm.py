@@ -127,15 +127,10 @@ def dedupe_states(table: ResponseTable) -> ResponseTable:
     Keeps first-occurrence row order; zero-probability rows survive as long
     as their row value is distinct, so the row set is unchanged as a set.
     """
-    order: list[int] = []
     mass: dict[int, Fraction] = {}
     for row, p in zip(table.rows, table.probs):
-        if row not in mass:
-            order.append(row)
-            mass[row] = p
-        else:
-            mass[row] += p
-    return ResponseTable(table.node, table.parents, tuple(order), tuple(mass[r] for r in order))
+        mass[row] = mass.get(row, 0) + p
+    return ResponseTable(table.node, table.parents, tuple(mass), tuple(mass.values()))
 
 
 @dataclass(frozen=True)

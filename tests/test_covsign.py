@@ -1,6 +1,7 @@
 """Pair covariance rules, premise checkers, and sign transfer."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -25,19 +26,20 @@ from suffcause import (
     pair_conclusions,
     parse_model,
     read_assertions,
-    pair_conclusions_signed,
     transfer_sign,
     verify_claim,
 )
+from suffcause import oracle
 from suffcause.causes import CoCauseKind, canonical_representation
 from suffcause.covsign import CovQuantity, Flag, _table_slots
 from suffcause.scm import dedupe_states
-from suffcause.signs import Relation, directional_effect_holds
+from suffcause.signs import Relation, directional_effect_holds, is_constant_in
 
 from support import (
     CASE_RULES,
     MONOTONE_PAIR_ROWS,
     ROW_E1,
+    ROW_E2,
     case_instances,
     complement_parent,
     fixture,
@@ -182,7 +184,7 @@ class TestNegativeAnalogue:
                 continue
             f2 = facts_from_scm(flipped, "D", "E1", "E2", negative=(True, False))
             assert f2.a0 is Flag.ZERO
-            out = pair_conclusions_signed(f2, (True, False))
+            out = pair_conclusions(f2)
             wanted = [c for c in out if c.rule == "no_background_d1"]
             assert wanted and wanted[0].relation is Relation.GE0
             for c in out:
@@ -194,15 +196,16 @@ class TestNegativeAnalogue:
 
     def test_double_flip_matches_original(self):
         for scm, f in case_instances("no_background_d1", 5, seed=12):
-            out_pos = pair_conclusions_signed(f, (False, False))
-            assert rules_of(out_pos) == rules_of(pair_conclusions(f))
+            double = pair_conclusions(replace(f, negative=(True, True)))
+            assert rules_of(double) == rules_of(pair_conclusions(f))
 
         g = Dag(["E1", "E2", "D"], [("E1", "D"), ("E2", "D")])
         table = ResponseTable.deterministic("D", ("E1", "E2"), lambda a, b: (1 - a) | (1 - b))
         m = Scm(g, {"E1": ResponseTable.bernoulli("E1", half),
                     "E2": ResponseTable.bernoulli("E2", half), "D": table})
         f = facts_from_scm(m, "D", "E1", "E2", negative=(True, True))
-        out = pair_conclusions_signed(f, (True, True))
+        assert f.negative == (True, True)
+        out = pair_conclusions(f)
         assert ("no_background_d1", 1, Relation.LE0) in rules_of(out)
         dist = joint_distribution(m)
         for c in out:
@@ -393,7 +396,7 @@ class TestDoubleComplement:
             t = complement_parent(complement_parent(t, "E1"), "E2")
             tables["D"] = t
             assert Scm(scm.graph, tables).tables["D"] == scm.tables["D"]
-            double = pair_conclusions_signed(f, (True, True))
+            double = pair_conclusions(replace(f, negative=(True, True)))
             plain = pair_conclusions(f)
             assert {(c.rule, c.quantity.stratum, c.relation) for c in double} == \
                 {(c.rule, c.quantity.stratum, c.relation) for c in plain}
@@ -550,7 +553,7 @@ class TestAssertionReader:
         # D = E2 has a2 = one; D = E1 has a1 = one and a2 = zero
         for row, admitted in ((0b1100, True), (0b1010, False)):
             m = self.instance(row)
-            assert asserted.admits(m, joint_distribution(m), (False, False)) is admitted
+            assert asserted.admits_table(m.tables["D"]) is admitted
 
     def test_other_targets_and_pairs_are_left_out_of_the_slots(self):
         model = parse_model(
@@ -639,3 +642,102 @@ class TestOracleCheckDraws:
         )
         with pytest.raises(ValueError, match=r"asserted flags a0=one, a1=one on \(E1, E2\)"):
             oracle_check(model, "D", instances=100)
+
+
+def _partial_pair_model(rows, probs, edge_signs=("", ""), flag="D E1 E2 a0 zero") -> str:
+    """E1, E2 -> D with an equation for D alone: premise-only parents, one flag on D."""
+    states = "".join(
+        f"state {i} prob {p.numerator}/{p.denominator} bits {''.join(str((r >> c) & 1) for c in range(4))}\n"
+        for i, (r, p) in enumerate(zip(rows, probs))
+    )
+    edges = "".join(f"edge {e} D {s}".rstrip() + "\n" for e, s in zip(("E1", "E2"), edge_signs))
+    return f"node E1\nnode E2\nnode D\n{edges}equation D states {len(rows)}\n{states}assert rep-flag {flag}\n"
+
+
+class TestPolarityDrawnOnce:
+    """oracle-check draws the target in the frame its polarity is read in, from its equation."""
+
+    @staticmethod
+    def run(monkeypatch, model, seed):
+        """The check at ``seed`` and every target table the generator drew for it."""
+        drawn = []
+        draw = oracle.random_instance
+
+        def recording(g, constraints, instance_seed):
+            scm = draw(g, constraints, instance_seed)
+            drawn.append(scm.tables["D"])
+            return scm
+
+        monkeypatch.setattr(oracle, "random_instance", recording)
+        return oracle_check(model, "D", instances=5, seed=seed), drawn
+
+    def assert_checked_in_frame(self, model, check, drawn):
+        assert check.accepted == 5 and not check.failures
+        assert all(v["violations"] == 0 for v in check.tallies.values())
+        polarity = dict(zip(("E1", "E2"), check.analysis.facts.negative))
+        assert drawn
+        for table in drawn:
+            for p, neg in polarity.items():
+                assert directional_effect_holds(table, p, "-" if neg else "+"), (table.rows, p)
+            for (p, _), s in model.dag.signs.items():
+                assert directional_effect_holds(table, p, s), (table.rows, p, s)
+
+    @pytest.mark.parametrize("seed", (0, 3, 11))
+    @pytest.mark.parametrize("row, negative", [
+        (0b1110, (False, False)),  # E1 or E2
+        (0b1101, (True, False)),   # not E1, or E2
+        (0b1011, (False, True)),   # E1, or not E2
+        (0b0111, (True, True)),    # not E1, or not E2
+    ])
+    def test_unsigned_edges_take_the_equation_polarity(self, monkeypatch, row, negative, seed):
+        model = parse_model(_partial_pair_model((row,), (Fraction(1),)))
+        check, drawn = self.run(monkeypatch, model, seed)
+        assert check.analysis.facts.negative == negative
+        self.assert_checked_in_frame(model, check, drawn)
+
+    @pytest.mark.parametrize("seed", (0, 3, 11))
+    def test_negative_edge_on_a_parent_the_equation_ignores(self, monkeypatch, seed):
+        # D = E2 is constant in E1, which reads positive; the declared "-" then
+        # leaves the generator only tables constant in E1
+        model = parse_model(_partial_pair_model((ROW_E2,), (Fraction(1),), ("-", "")))
+        check, drawn = self.run(monkeypatch, model, seed)
+        assert check.analysis.facts.negative == (False, False)
+        self.assert_checked_in_frame(model, check, drawn)
+        assert all(is_constant_in(table, "E1") for table in drawn)
+
+    LICENSING_FLAGS = ("a0 zero", "a1 zero", "a1 one", "a2 zero", "a2 one", "a3 zero")
+
+    def test_seeded_sweep_of_partial_models(self):
+        rng = random.Random(2024)
+        outcomes = {"checked": 0, "no table": 0, "no instance": 0}
+        for i in range(400):
+            negative = (rng.random() < 0.5, rng.random() < 0.5)
+            signs = {p: "-" if neg else "+" for p, neg in zip(("E1", "E2"), negative)}
+            pool = [
+                r for r in range(16)
+                if all(directional_effect_holds(ResponseTable("D", ("E1", "E2"), (r,), (Fraction(1),)), p, s)
+                       for p, s in signs.items())
+            ]
+            rows = tuple(rng.sample(pool, rng.randint(1, 3)))
+            weights = [rng.randint(1, 4) for _ in rows]
+            probs = tuple(Fraction(w, sum(weights)) for w in weights)
+            table = ResponseTable("D", ("E1", "E2"), rows, probs)
+            edge_signs = tuple(
+                rng.choice([""] + [s for s in "+-" if directional_effect_holds(table, p, s)]) for p in ("E1", "E2")
+            )
+            # a0=one and a3=one license no rule, so they leave nothing to check
+            flag = f"D {rng.choice(('E1 E2', 'E2 E1'))} {rng.choice(self.LICENSING_FLAGS)}"
+            text = _partial_pair_model(rows, probs, edge_signs, flag)
+            try:
+                check = oracle_check(parse_model(text), "D", instances=3, seed=i)
+            except ValueError as e:
+                if str(e).startswith("no table the generator can draw"):
+                    outcomes["no table"] += 1
+                elif str(e).startswith("no premise-satisfying instance"):
+                    outcomes["no instance"] += 1
+                else:
+                    raise AssertionError(f"{e}\n{text}") from None
+                continue
+            assert not check.failures, text
+            outcomes["checked"] += 1
+        assert outcomes["checked"] >= 350, outcomes

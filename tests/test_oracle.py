@@ -349,7 +349,7 @@ class TestRowFilter:
                 asserted = read_assertions([flag], "D", "E1", "E2")
                 out.append((
                     f"{slot} {value}",
-                    lambda rows, asserted=asserted: asserted.admits_rows(self.PARENTS, rows, (False, False)),
+                    asserted.admits_rows,
                     lambda flags, slot=slot, value=value: flags[slot] == value,
                 ))
         out.append(("no E1*E2 term", NO_SYNERGY, lambda flags: flags["a3"] == "zero"))
