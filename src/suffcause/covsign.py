@@ -656,15 +656,19 @@ def _parent_pair(model: Model, d: str) -> tuple[str, str]:
 
 
 def _pair_polarity(model: Model, d: str, e1: str, e2: str) -> tuple[bool, bool]:
-    """Which parents act negatively: read off d's equation, else the edge signs."""
+    """Which parents act negatively: the declared edge sign, else read off d's equation.
+
+    ``parse_model`` rejects a sign that contradicts the equation, so the
+    equation is read only for unsigned edges; a declared "-" on a parent the
+    equation is constant in stays negative.
+    """
     table = model.tables.get(d)
     out = []
     for p in (e1, e2):
-        if table is None:
-            label = model.dag.signs.get((p, d))
-            if label is None:
+        label = model.dag.signs.get((p, d))
+        if label is None:
+            if table is None:
                 raise ValueError(f"edge {p}->{d} carries no sign and no equation is given")
-        else:
             sign = detect_monotonic_effect(table, p)
             if sign is Sign.UNDEFINED:
                 raise ValueError(f"{p} has no monotonic effect on {d}; the rule set does not apply")

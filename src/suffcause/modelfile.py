@@ -46,15 +46,16 @@ class Assertion:
         return f"assert {self.kind} {' '.join(self.args)}".rstrip()
 
 
-_ASSERT_ARITY = {
-    "no-synergism": 3,
-    "rep-flag": 5,
-    "independent": 2,
-    "cocause-independent": 5,
-    "cov-sign": 3,
-}
-_COV_RELATIONS = tuple(r.value for r in (Relation.LE0, Relation.GE0, Relation.EQ0))
 _FLAG_SLOTS = ("a0", "a1", "a2", "a3")
+# kind -> (count of leading node arguments, label of a bad later argument,
+#          allowed values of each later argument); the arity is their sum
+_ASSERTS: dict[str, tuple[int, str, tuple[tuple[str, ...], ...]]] = {
+    "no-synergism": (3, "", ()),
+    "rep-flag": (3, "bad slot/value", (_FLAG_SLOTS, ("zero", "one"))),
+    "independent": (2, "", ()),
+    "cocause-independent": (3, "bad slots", (_FLAG_SLOTS, _FLAG_SLOTS)),
+    "cov-sign": (2, "bad relation", (tuple(r.value for r in (Relation.LE0, Relation.GE0, Relation.EQ0)),)),
+}
 
 
 @dataclass(frozen=True)
@@ -97,117 +98,104 @@ def _parse_prob(tok: str) -> Fraction:
     return Fraction(int(tok))
 
 
+def _parse_term(spec: list[str]) -> Conjunction:
+    """A ``represent`` line's co-cause and literals, everything after ``term``."""
+    if not spec:
+        raise ValueError("representation term missing its co-cause")
+    if spec[0] == "one":
+        return Conjunction(tuple(Literal.parse(l) for l in spec[1:]), CoCause.one())
+    if spec[0] != "states":
+        raise ValueError(f"unknown co-cause {spec[0]!r} (use 'one' or 'states I,J,...')")
+    if len(spec) < 2:
+        raise ValueError("expected state indices after 'states'")
+    try:
+        states = tuple(int(s) for s in spec[1].split(","))
+    except ValueError:
+        raise ValueError(f"bad state list {spec[1]!r}") from None
+    return Conjunction(tuple(Literal.parse(l) for l in spec[2:]), CoCause(CoCauseKind.STATES, states))
+
+
+def _parse_assertion(rest: list[str]) -> Assertion:
+    """An ``assert`` line's kind and arguments, with its arity and later values checked."""
+    if not rest or rest[0] not in _ASSERTS:
+        raise ValueError(f"unknown assertion {' '.join(rest) or '(empty)'!r}")
+    kind, args = rest[0], tuple(rest[1:])
+    n_nodes, label, allowed = _ASSERTS[kind]
+    if len(args) != n_nodes + len(allowed):
+        raise ValueError(f"assert {kind} expects {n_nodes + len(allowed)} arguments")
+    if any(v not in ok for v, ok in zip(args[n_nodes:], allowed)):
+        raise ValueError(f"assert {kind}: {label} {' '.join(repr(v) for v in args[n_nodes:])}")
+    return Assertion(kind, args)
+
+
 def parse_model(text: str) -> Model:
-    """Parse and validate a model file; raises ModelError listing every problem."""
+    """Parse and validate a model file; raises ModelError listing every problem.
+
+    Each problem names the line of its directive, except the graph-wide ones
+    ``Dag`` raises (a cycle, an edge to an unknown node, a self-loop, a
+    duplicate edge), which are reported as line 0 and end parsing.
+    """
     problems: list[tuple[int, str]] = []
     nodes: list[str] = []
     edges: list[tuple[str, str]] = []
-    signs: dict[tuple[str, str], str] = {}
+    signs: dict[tuple[str, str], tuple[str, int]] = {}
     equations: list[tuple[int, str, int, list[tuple[int, int, Fraction, str]]]] = []
     rep_terms: dict[str, list[tuple[int, Conjunction]]] = {}
-    rep_order: list[str] = []
-    assertions: list[Assertion] = []
+    assertions: list[tuple[int, Assertion]] = []
 
     current_eq: tuple[int, str, int, list] | None = None
     for lineno, toks in _tokens(text):
         head, rest = toks[0], toks[1:]
-        if head == "node":
-            if len(rest) != 1:
-                problems.append((lineno, "expected: node NAME"))
-                continue
-            if rest[0] in nodes:
-                problems.append((lineno, f"duplicate node {rest[0]!r}"))
-                continue
-            nodes.append(rest[0])
-        elif head == "edge":
-            if len(rest) not in (2, 3):
-                problems.append((lineno, "expected: edge FROM TO [+|-]"))
-                continue
-            a, b = rest[0], rest[1]
-            edges.append((a, b))
-            if len(rest) == 3:
-                if rest[2] not in ("+", "-"):
-                    problems.append((lineno, f"invalid edge sign {rest[2]!r}"))
-                else:
-                    signs[(a, b)] = rest[2]
-        elif head == "equation":
-            if len(rest) != 3 or rest[1] != "states":
-                problems.append((lineno, "expected: equation NODE states N"))
+        try:
+            if head == "node":
+                if len(rest) != 1:
+                    raise ValueError("expected: node NAME")
+                if rest[0] in nodes:
+                    raise ValueError(f"duplicate node {rest[0]!r}")
+                nodes.append(rest[0])
+            elif head == "edge":
+                if len(rest) not in (2, 3):
+                    raise ValueError("expected: edge FROM TO [+|-]")
+                edges.append((rest[0], rest[1]))
+                if len(rest) == 3:
+                    if rest[2] not in ("+", "-"):
+                        raise ValueError(f"invalid edge sign {rest[2]!r}")
+                    signs[(rest[0], rest[1])] = (rest[2], lineno)
+            elif head == "equation":
                 current_eq = None
-                continue
-            try:
-                n = int(rest[2])
-            except ValueError:
-                problems.append((lineno, f"bad state count {rest[2]!r}"))
-                current_eq = None
-                continue
-            current_eq = (lineno, rest[0], n, [])
-            equations.append(current_eq)
-        elif head == "state":
-            if current_eq is None:
-                problems.append((lineno, "state line outside an equation block"))
-                continue
-            if len(rest) != 5 or rest[1] != "prob" or rest[3] != "bits":
-                problems.append((lineno, "expected: state INDEX prob NUM/DEN bits BITSTRING"))
-                continue
-            try:
-                idx = int(rest[0])
-                prob = _parse_prob(rest[2])
-            except (ValueError, ZeroDivisionError):
-                problems.append((lineno, f"bad state index or probability: {' '.join(rest)}"))
-                continue
-            if set(rest[4]) - {"0", "1"}:
-                problems.append((lineno, f"bit string {rest[4]!r} must be 0/1"))
-                continue
-            current_eq[3].append((lineno, idx, prob, rest[4]))
-        elif head == "represent":
-            if len(rest) < 2 or rest[1] != "term":
-                problems.append((lineno, "expected: represent NODE term (one|states I,J,...) [LITERAL ...]"))
-                continue
-            target, spec = rest[0], rest[2:]
-            if not spec:
-                problems.append((lineno, "representation term missing its co-cause"))
-                continue
-            if spec[0] == "one":
-                cocause = CoCause.one()
-                lits = spec[1:]
-            elif spec[0] == "states":
-                if len(spec) < 2:
-                    problems.append((lineno, "expected state indices after 'states'"))
-                    continue
+                if len(rest) != 3 or rest[1] != "states":
+                    raise ValueError("expected: equation NODE states N")
                 try:
-                    states = tuple(int(s) for s in spec[1].split(","))
+                    current_eq = (lineno, rest[0], int(rest[2]), [])
                 except ValueError:
-                    problems.append((lineno, f"bad state list {spec[1]!r}"))
-                    continue
-                cocause = CoCause(CoCauseKind.STATES, states)
-                lits = spec[2:]
+                    raise ValueError(f"bad state count {rest[2]!r}") from None
+                equations.append(current_eq)
+            elif head == "state":
+                if current_eq is None:
+                    raise ValueError("state line outside an equation block")
+                if len(rest) != 5 or rest[1] != "prob" or rest[3] != "bits":
+                    raise ValueError("expected: state INDEX prob NUM/DEN bits BITSTRING")
+                try:
+                    idx, prob = int(rest[0]), _parse_prob(rest[2])
+                except (ValueError, ZeroDivisionError):
+                    raise ValueError(f"bad state index or probability: {' '.join(rest)}") from None
+                if set(rest[4]) - {"0", "1"}:
+                    raise ValueError(f"bit string {rest[4]!r} must be 0/1")
+                current_eq[3].append((lineno, idx, prob, rest[4]))
+            elif head == "represent":
+                if len(rest) < 2 or rest[1] != "term":
+                    raise ValueError("expected: represent NODE term (one|states I,J,...) [LITERAL ...]")
+                term = _parse_term(rest[2:])  # before registering: no target without terms
+                rep_terms.setdefault(rest[0], []).append((lineno, term))
+            elif head == "assert":
+                assertions.append((lineno, _parse_assertion(rest)))
             else:
-                problems.append((lineno, f"unknown co-cause {spec[0]!r} (use 'one' or 'states I,J,...')"))
-                continue
-            try:
-                term = Conjunction(tuple(Literal.parse(l) for l in lits), cocause)
-            except ValueError as e:
-                problems.append((lineno, str(e)))
-                continue
-            if target not in rep_terms:
-                rep_terms[target] = []
-                rep_order.append(target)
-            rep_terms[target].append((lineno, term))
-        elif head == "assert":
-            if not rest or rest[0] not in _ASSERT_ARITY:
-                problems.append((lineno, f"unknown assertion {' '.join(rest) or '(empty)'!r}"))
-                continue
-            kind, args = rest[0], tuple(rest[1:])
-            if len(args) != _ASSERT_ARITY[kind]:
-                problems.append((lineno, f"assert {kind} expects {_ASSERT_ARITY[kind]} arguments"))
-                continue
-            assertions.append(Assertion(kind, args))
-        else:
-            problems.append((lineno, f"unknown directive {head!r}"))
+                raise ValueError(f"unknown directive {head!r}")
+        except ValueError as e:
+            problems.append((lineno, str(e)))
 
     try:
-        dag = Dag(nodes, edges, signs)
+        dag = Dag(nodes, edges, {edge: s for edge, (s, _) in signs.items()})
     except GraphError as e:
         problems.append((0, str(e)))
         raise ModelError(problems)
@@ -245,13 +233,12 @@ def parse_model(text: str) -> Model:
         except ValueError as e:
             problems.append((lineno, str(e)))
 
-    for (a, b), s in signs.items():
+    for (a, b), (s, lineno) in signs.items():
         if b in tables and not directional_effect_holds(tables[b], a, s):
-            problems.append((0, f"declared sign {s!r} on edge {a}->{b} contradicts the equation of {b}"))
+            problems.append((lineno, f"declared sign {s!r} on edge {a}->{b} contradicts the equation of {b}"))
 
     representations: dict[str, Representation] = {}
-    for target in rep_order:
-        lines = rep_terms[target]
+    for target, lines in rep_terms.items():
         if target not in dag:
             problems.append((lines[0][0], f"representation for unknown node {target!r}"))
             continue
@@ -273,27 +260,14 @@ def parse_model(text: str) -> Model:
                 continue
         representations[target] = rep
 
-    for a in assertions:
-        names = {
-            "no-synergism": a.args[:3],
-            "rep-flag": a.args[:3],
-            "independent": a.args[:2],
-            "cocause-independent": a.args[:3],
-            "cov-sign": a.args[:2],
-        }[a.kind]
-        for n in names:
+    for lineno, a in assertions:
+        for n in a.args[:_ASSERTS[a.kind][0]]:
             if n not in dag:
-                problems.append((0, f"assert {a.kind}: unknown node {n!r}"))
-        if a.kind == "rep-flag" and (a.args[3] not in _FLAG_SLOTS or a.args[4] not in ("zero", "one")):
-            problems.append((0, f"assert rep-flag: bad slot/value {a.args[3]!r} {a.args[4]!r}"))
-        if a.kind == "cocause-independent" and (a.args[3] not in _FLAG_SLOTS or a.args[4] not in _FLAG_SLOTS):
-            problems.append((0, f"assert cocause-independent: bad slots {a.args[3:]!r}"))
-        if a.kind == "cov-sign" and a.args[2] not in _COV_RELATIONS:
-            problems.append((0, f"assert cov-sign: bad relation {a.args[2]!r}"))
+                problems.append((lineno, f"assert {a.kind}: unknown node {n!r}"))
 
     if problems:
         raise ModelError(problems)
-    return Model(dag, tables, representations, tuple(assertions))
+    return Model(dag, tables, representations, tuple(a for _, a in assertions))
 
 
 def serialize_model(model: Model) -> str:

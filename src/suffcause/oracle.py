@@ -238,8 +238,6 @@ def random_instance(g: Dag, constraints: InstanceConstraints, seed: int) -> Scm:
                     if len(picked) >= rng.randint(lo, hi):
                         break
                 rows = tuple(picked)
-                if not rows:
-                    continue
             if keep is not None and not keep(rows):
                 continue
             weights = [rng.randint(1, constraints.max_weight) for _ in rows]

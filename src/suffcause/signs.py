@@ -14,7 +14,7 @@ from enum import Enum
 
 from .causes import canonical_representation
 from .graph import Dag, GraphError, Sign, path_signs
-from .scm import ResponseTable
+from .scm import ResponseTable, dedupe_states
 
 
 class Relation(Enum):
@@ -103,14 +103,14 @@ def detect_monotonic_effect(table: ResponseTable, parent: str) -> Sign:
 
 
 def monotonic_effect_via_canonical(table: ResponseTable, parent: str) -> Sign:
-    """Same verdict, read off the canonical representation.
+    """Same verdict, read off the canonical representation of the deduplicated table.
 
     Positive when no canonical conjunction contains the parent's complement;
     negative when none contains the parent plain. Must agree with
     ``detect_monotonic_effect``; the equivalence is enforced by tests.
     """
     table.parent_index(parent)
-    rep = canonical_representation(table)
+    rep = canonical_representation(dedupe_states(table))
     has_plain = any(
         lit.base == parent and not lit.complemented
         for term in rep.terms for lit in term.literals

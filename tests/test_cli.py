@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from suffcause import cli, find_unblocked_path, load_model, scm
+from suffcause import ModelError, cli, find_unblocked_path, load_model, parse_model, scm
 from suffcause.cli import main
 from suffcause.covsign import FACT_FIELDS
 
@@ -596,6 +596,11 @@ def _fuzz_model(rng):
     return "\n".join(" ".join(l) for l in lines) + "\n"
 
 
+DAG_PROBLEM = re.compile(
+    r"graph contains a directed cycle|edge \(.*\) references an unknown node|self-loop on .*|duplicate edge \(.*\)"
+)
+
+
 def _fuzz_argv(rng, path, text):
     lines = [l.split() for l in text.splitlines()]
     names = [l[1] for l in lines if len(l) == 2 and l[0] == "node"]
@@ -672,6 +677,11 @@ class TestFuzzNeverTraceback:
             codes[code] = codes.get(code, 0) + 1
             if code != 2:
                 answered.add(argv[0])
+            try:
+                parse_model(text)
+            except ModelError as e:
+                # only the graph-wide problems Dag raises lack a directive's line
+                assert all(n > 0 or DAG_PROBLEM.fullmatch(m) for n, m in e.problems), (text, e.problems)
         # enough cases stay valid that every subcommand answers and every code shows up
         assert answered == {"canonical", "expand", "dsep", "stratum-ci", "signs", "covsign", "oracle-check"}
         assert min(codes.get(c, 0) for c in (0, 1, 2)) >= 30, codes

@@ -51,6 +51,11 @@ class TestDiagnostics:
             parse_model(text)
         assert needle in str(exc.value)
 
+    def problems(self, text):
+        with pytest.raises(ModelError) as exc:
+            parse_model(text)
+        return exc.value.problems
+
     def test_bad_probability_sum_names_the_node(self):
         text = MINIMAL + "equation B states 2\nstate 0 prob 1/2 bits 01\nstate 1 prob 5/8 bits 11\n"
         self.assert_problem(text, "B: state probabilities sum to 9/8")
@@ -91,6 +96,29 @@ class TestDiagnostics:
         self.assert_problem(MINIMAL + "assert cov-sign A B ~0\n", "bad relation")
         self.assert_problem(MINIMAL + "assert no-synergism A B\n", "expects 3")
         self.assert_problem(MINIMAL + "assert independent A Z\n", "unknown node")
+
+    def test_checks_after_the_graph_name_their_directive_line(self):
+        text = ("node E1\nnode E2\nnode D\nedge E1 D +\nedge E2 D\n"
+                "equation D states 1\nstate 0 prob 1 bits 1011\n"
+                "assert rep-flag D E1 E2 a9 one\n")
+        assert self.problems(text) == [
+            (8, "assert rep-flag: bad slot/value 'a9' 'one'"),
+            (4, "declared sign '+' on edge E1->D contradicts the equation of D"),
+        ]
+
+    @pytest.mark.parametrize("line, message", [
+        ("assert rep-flag B A A a1 two", "assert rep-flag: bad slot/value 'a1' 'two'"),
+        ("assert cocause-independent B A A a2 a4", "assert cocause-independent: bad slots 'a2' 'a4'"),
+        ("assert cov-sign A B ~0", "assert cov-sign: bad relation '~0'"),
+        ("assert independent A Z", "assert independent: unknown node 'Z'"),
+    ])
+    def test_assertion_problems_name_their_line(self, line, message):
+        assert self.problems(MINIMAL + line + "\n") == [(5, message)]
+
+    def test_bad_assertion_values_survive_a_graph_error(self):
+        text = "node A\nnode B\nedge A B\nedge B A\nassert cov-sign A B ~0\n"
+        assert self.problems(text) == [(5, "assert cov-sign: bad relation '~0'"),
+                                       (0, "graph contains a directed cycle")]
 
     def test_multiple_problems_collected(self):
         with pytest.raises(ModelError) as exc:

@@ -145,6 +145,17 @@ class TestCanonicalCriterion:
             for p in ("E1", "E2"):
                 assert detect_monotonic_effect(t, p) is monotonic_effect_via_canonical(t, p)
 
+    def test_agreement_on_tables_with_repeated_rows(self):
+        t = ResponseTable("D", ("A", "B"), (8, 8, 14), (Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)))
+        assert monotonic_effect_via_canonical(t, "A") is Sign.POSITIVE
+        rng = random.Random(7)
+        for _ in range(200):
+            support = rng.sample(range(16), rng.randint(1, 4))
+            rows = tuple(support + rng.choices(support, k=rng.randint(1, 3)))
+            t = ResponseTable("D", ("E1", "E2"), rows, (Fraction(1, len(rows)),) * len(rows))
+            for p in ("E1", "E2"):
+                assert detect_monotonic_effect(t, p) is monotonic_effect_via_canonical(t, p)
+
 
 class TestPathSign:
     def g(self):
