@@ -11,7 +11,7 @@ pins every AND node to 0, which is what stratum queries exploit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .causes import CoCauseKind, Conjunction, Representation, validate_representation
 from .graph import Dag, GraphError, d_separated
@@ -24,65 +24,35 @@ EXOGENOUS_NAME = "U"
 class ExpandedDag:
     """A base graph rewired through sufficient-cause AND nodes.
 
-    ``and_nodes`` are aligned with ``terms``; a term with no parent literals
-    collapses into its co-cause node, which then appears in both
-    ``cocause_nodes`` and ``and_nodes``.
+    ``cocause_nodes`` and ``and_nodes`` are aligned with ``terms``: term
+    ``i`` has co-cause node ``cocause_nodes[i]`` (None for an unrestricted
+    co-cause) and AND node ``and_nodes[i]``. A term with no parent literals
+    collapses into its co-cause node, which then fills both slots.
     """
 
     dag: Dag
     base: Dag
     target: str
     exogenous: str | None
-    cocause_nodes: tuple[str, ...]
+    cocause_nodes: tuple[str | None, ...]
     and_nodes: tuple[str, ...]
     terms: tuple[Conjunction, ...]
 
     @property
     def auxiliary_nodes(self) -> tuple[str, ...]:
-        extra = () if self.exogenous is None else (self.exogenous,)
-        seen: dict[str, None] = dict.fromkeys(extra + self.cocause_nodes + self.and_nodes)
-        return tuple(seen)
+        """The nodes the expansion added, in ``dag`` order."""
+        return tuple(n for n in self.dag.nodes if n not in self.base)
 
     def kind_of(self, node: str) -> str:
         if node == self.target:
             return "or"
         if node == self.exogenous:
             return "exogenous"
-        if node in self.and_nodes:
-            return "and" if node not in self.cocause_nodes else "cocause"
         if node in self.cocause_nodes:
             return "cocause"
+        if node in self.and_nodes:
+            return "and"
         return "base"
-
-
-def _term_node_names(
-    terms: Iterable[Conjunction], taken: set[str]
-) -> tuple[list[str | None], list[str]]:
-    """Pick fresh node names: conjunction labels, with M{i}/cocause{i} fallbacks."""
-
-    def fresh(*candidates: str) -> str:
-        for name in candidates:
-            if name not in taken:
-                taken.add(name)
-                return name
-        raise GraphError(f"cannot find a free node name among {candidates}")
-
-    cocause_names: list[str | None] = []
-    and_names: list[str] = []
-    for i, term in enumerate(terms):
-        state_bound = term.cocause.kind is CoCauseKind.STATES
-        body = "".join(lit.render() for lit in term.literals)
-        if state_bound:
-            c_name = fresh(f"A{i}", f"cocause{i}")
-            cocause_names.append(c_name)
-            if not term.literals:
-                and_names.append(c_name)
-            else:
-                and_names.append(fresh(f"{c_name}{body}", f"M{i}"))
-        else:
-            cocause_names.append(None)
-            and_names.append(fresh(body or "TRUE", f"M{i}"))
-    return cocause_names, and_names
 
 
 def expand(base: Dag, d: str, rep: Representation, table: ResponseTable | None = None) -> ExpandedDag:
@@ -92,6 +62,12 @@ def expand(base: Dag, d: str, rep: Representation, table: ResponseTable | None =
     representation must be determinative for it. A complemented literal
     still induces an edge from the parent; the complement lives inside the
     AND node's equation and shows up as a negative edge sign.
+
+    New nodes follow the base nodes, each named by the first free candidate
+    in this order: the exogenous node (``U``, else ``U_<d>``) when some term
+    is state-bound, then per term ``i`` its co-cause node (``A<i>``, else
+    ``cocause<i>``) and its AND node (the co-cause name followed by the
+    rendered literals, or the literals alone, or ``TRUE``; else ``M<i>``).
     """
     base.require(d)
     if rep.target != d:
@@ -101,33 +77,33 @@ def expand(base: Dag, d: str, rep: Representation, table: ResponseTable | None =
     if table is not None:
         validate_representation(table, rep)
 
-    taken = set(base.nodes)
-    needs_exogenous = any(t.cocause.kind is CoCauseKind.STATES for t in rep.terms)
-    exogenous = None
-    if needs_exogenous:
-        for candidate in (EXOGENOUS_NAME, f"{EXOGENOUS_NAME}_{d}"):
-            if candidate not in taken:
-                exogenous = candidate
-                taken.add(candidate)
-                break
-        else:
-            raise GraphError("cannot name the exogenous node; rename the base nodes")
-    cocause_names, and_names = _term_node_names(rep.terms, taken)
-
     nodes = list(base.nodes)
-    if exogenous:
-        nodes.append(exogenous)
-    for c, a in zip(cocause_names, and_names):
-        if c is not None and c != a:
-            nodes.append(c)
-        nodes.append(a)
+    taken = set(nodes)
 
+    def fresh(*candidates: str) -> str:
+        for name in candidates:
+            if name not in taken:
+                taken.add(name)
+                nodes.append(name)
+                return name
+        raise GraphError(f"cannot find a free node name among {candidates}")
+
+    exogenous = None
+    if any(t.cocause.kind is CoCauseKind.STATES for t in rep.terms):
+        exogenous = fresh(EXOGENOUS_NAME, f"{EXOGENOUS_NAME}_{d}")
     edges = [(a, b) for a, b in base.edges if b != d]
     signs = {e: s for e, s in base.signs.items() if e[1] != d}
-    for term, c_name, a_name in zip(rep.terms, cocause_names, and_names):
-        if c_name is not None:
+    cocause_nodes: list[str | None] = []
+    and_nodes: list[str] = []
+    for i, term in enumerate(rep.terms):
+        body = "".join(lit.render() for lit in term.literals)
+        if term.cocause.kind is not CoCauseKind.STATES:
+            c_name, a_name = None, fresh(body or "TRUE", f"M{i}")
+        else:
+            c_name = a_name = fresh(f"A{i}", f"cocause{i}")
             edges.append((exogenous, c_name))
-            if c_name != a_name:
+            if term.literals:
+                a_name = fresh(c_name + body, f"M{i}")
                 edges.append((c_name, a_name))
                 signs[(c_name, a_name)] = "+"
         for lit in term.literals:
@@ -135,10 +111,11 @@ def expand(base: Dag, d: str, rep: Representation, table: ResponseTable | None =
             signs[(lit.base, a_name)] = "-" if lit.complemented else "+"
         edges.append((a_name, d))
         signs[(a_name, d)] = "+"
+        cocause_nodes.append(c_name)
+        and_nodes.append(a_name)
 
     dag = Dag(nodes, edges, signs)
-    cocauses = tuple(c for c in cocause_names if c is not None)
-    return ExpandedDag(dag, base, d, exogenous, cocauses, tuple(and_names), rep.terms)
+    return ExpandedDag(dag, base, d, exogenous, tuple(cocause_nodes), tuple(and_nodes), rep.terms)
 
 
 def stratum_conditioning_set(e: ExpandedDag, stratum: int) -> frozenset[str]:
@@ -180,41 +157,27 @@ def expanded_distribution(
     The auxiliary values are deterministic functions of the base support:
     the exogenous column carries the target's response-state index, each
     co-cause column indicates membership of that index in the term's state
-    set, and each AND column multiplies its co-cause with its literals.
+    set, and each AND column multiplies its co-cause with its literals. The
+    state sets must index the target's own table, so the representation
+    must be determinative for that table (a representation built from
+    ``dedupe_states`` of a table with repeated rows is not).
     """
+    validate_representation(model.tables[e.target], Representation(e.target, e.terms))
     dist = joint_distribution(model, budget, states=(e.target,))
-    st_col = state_column(e.target)
+    state = dist.column(state_column(e.target))
+    literals = [[(dist.column(lit.base), lit.complemented) for lit in t.literals] for t in e.terms]
+    aux = e.auxiliary_nodes
 
-    names: list[str] = []
-    seen: set[str] = set()
-    if e.exogenous is not None:
-        names.append(e.exogenous)
-        seen.add(e.exogenous)
-    cocause_iter = iter(e.cocause_nodes)
-    cocause_by_term = [
-        next(cocause_iter) if t.cocause.kind is CoCauseKind.STATES else None
-        for t in e.terms
-    ]
-    for c_name, a_name in zip(cocause_by_term, e.and_nodes):
-        for n in (c_name, a_name):
-            if n is not None and n not in seen:
-                names.append(n)
-                seen.add(n)
-
-    def derive(env: Mapping[str, int]) -> list[int]:
-        j = env[st_col]
-        out: dict[str, int] = {}
-        if e.exogenous is not None:
-            out[e.exogenous] = j
-        for term, c_name, a_name in zip(e.terms, cocause_by_term, e.and_nodes):
+    rows = []
+    for vals, w in dist.rows:
+        j = vals[state]
+        out = {} if e.exogenous is None else {e.exogenous: j}
+        for term, c_name, a_name, lits in zip(e.terms, e.cocause_nodes, e.and_nodes, literals):
             a_val = 1
             if c_name is not None:
-                a_val = 1 if j in term.cocause.states else 0
-                out[c_name] = a_val
-            for lit in term.literals:
-                bit = env[lit.base]
-                a_val &= (1 - bit) if lit.complemented else bit
+                a_val = out[c_name] = int(j in term.cocause.states)
+            for i, complemented in lits:
+                a_val &= vals[i] ^ complemented
             out[a_name] = a_val
-        return [out[n] for n in names]
-
-    return dist.with_columns(names, derive)
+        rows.append((vals + tuple(out[n] for n in aux), w))
+    return ExactDistribution(dist.columns + aux, rows, dist.scale)

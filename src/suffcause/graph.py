@@ -161,26 +161,24 @@ class Dag:
     def ancestors(self, node: str) -> frozenset[str]:
         """Nodes with a directed path into ``node``; excludes ``node`` itself."""
         self.require(node)
-        out: set[str] = set()
-        stack = list(self._parents[node])
-        while stack:
-            n = stack.pop()
-            if n not in out:
-                out.add(n)
-                stack.extend(self._parents[n])
-        return frozenset(out)
+        return frozenset(_closure(self._parents[node], self._parents))
 
     def descendants(self, node: str) -> frozenset[str]:
         """Nodes reachable from ``node`` by a directed path; excludes ``node``."""
         self.require(node)
-        out: set[str] = set()
-        stack = list(self._children[node])
-        while stack:
-            n = stack.pop()
+        return frozenset(_closure(self._children[node], self._children))
+
+
+def _closure(start: Iterable[str], step: Mapping[str, tuple[str, ...]]) -> set[str]:
+    """``start`` plus every node reachable from it through ``step``."""
+    out = set(start)
+    stack = list(out)
+    while stack:
+        for n in step[stack.pop()]:
             if n not in out:
                 out.add(n)
-                stack.extend(self._children[n])
-        return frozenset(out)
+                stack.append(n)
+    return out
 
 
 @dataclass(frozen=True)
@@ -250,7 +248,7 @@ def d_separated(
 def path_blocked(g: Dag, path: Path, z: str | Iterable[str] = ()) -> bool:
     """Literal blocking test for one path, applied node by node."""
     zs = _node_set(g, z)
-    open_colliders = _ancestral(g, zs)
+    open_colliders = _closure(zs, g._parents)  # zs and its ancestors
     for i in range(1, len(path.nodes) - 1):
         v = path.nodes[i]
         collider = path.forward[i - 1] and not path.forward[i]
@@ -260,18 +258,6 @@ def path_blocked(g: Dag, path: Path, z: str | Iterable[str] = ()) -> bool:
         elif v in zs:
             return True
     return False
-
-
-def _ancestral(g: Dag, zs: frozenset[str]) -> set[str]:
-    """``zs`` and its ancestors: the nodes that are in ``zs`` or have a descendant there."""
-    out = set(zs)
-    stack = list(zs)
-    while stack:
-        for p in g._parents[stack.pop()]:
-            if p not in out:
-                out.add(p)
-                stack.append(p)
-    return out
 
 
 def find_unblocked_path(
@@ -302,7 +288,7 @@ def find_unblocked_path(
     """
     xs, ys, zs = _node_set(g, x), _node_set(g, y), _node_set(g, z)
     _check_disjoint(xs, ys, zs)
-    open_colliders = _ancestral(g, zs)
+    open_colliders = _closure(zs, g._parents)  # zs and its ancestors
     parents, children = g._parents, g._children
 
     start = [(True, s) for s in g.nodes if s in xs]

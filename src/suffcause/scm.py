@@ -214,19 +214,6 @@ class ExactDistribution:
             out[key] = out.get(key, 0) + w
         return {key: Fraction(w, self.scale) for key, w in out.items()}
 
-    def with_columns(
-        self, names: Sequence[str], derive: Callable[[Mapping[str, int]], Sequence[int]]
-    ) -> "ExactDistribution":
-        """Append derived columns computed per support row."""
-        new_rows = []
-        for vals, w in self.rows:
-            env = dict(zip(self.columns, vals))
-            extra = tuple(derive(env))
-            if len(extra) != len(names):
-                raise ValueError("derived row width does not match new column names")
-            new_rows.append((vals + extra, w))
-        return ExactDistribution(self.columns + tuple(names), new_rows, self.scale)
-
 
 def state_column(node: str) -> str:
     """Column name carrying a node's response-state index."""

@@ -6,18 +6,22 @@ from fractions import Fraction
 import pytest
 
 from suffcause import (
+    CoCauseKind,
     Dag,
+    GraphError,
     Representation,
     ResponseTable,
     Scm,
     canonical_representation,
     conditional_independent,
     conj,
+    dedupe_states,
     expand,
     expanded_distribution,
     find_unblocked_path,
     joint_distribution,
     marginalize,
+    reduce_to_nonredundant,
     stratum_conditioning_set,
     stratum_independent,
 )
@@ -49,6 +53,27 @@ def overlap_model(rng=None):
                     "D", ("E1", "E2", "A"), lambda e1, e2, a: (e1 & e2) | (a & (1 - e2)))})
     rep = Representation("D", (conj("E1", "E2"), conj("A", "~E2")))
     return m, rep
+
+
+def seeded_expansions(seed, count):
+    """Models with a 1-3-parent target, each expanded under its canonical
+    and its nonredundant representation."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        parents = ("E1", "E2", "E3")[:rng.randint(1, 3)]
+        rows = tuple(rng.sample(range(1 << (1 << len(parents))), rng.randint(1, 2 + len(parents))))
+        weights = [rng.randint(1, 4) for _ in rows]
+        table = ResponseTable("D", parents, rows,
+                              tuple(Fraction(w, sum(weights)) for w in weights))
+        g = Dag([*parents, "D"], [(p, "D") for p in parents])
+        m = Scm(g, {**roots(parents, rng), "D": table})
+        canonical = canonical_representation(table)
+        nonredundant = Representation("D", tuple(reduce_to_nonredundant(table, canonical.terms)))
+        for rep in (canonical, nonredundant):
+            if rep.terms:
+                out.append((m, expand(g, "D", rep, table)))
+    return out
 
 
 class TestExpand:
@@ -116,6 +141,53 @@ class TestExpand:
             assert back.edges == m.graph.edges
 
 
+class TestAlignedRecord:
+    def test_record_is_aligned_and_kinds_follow_it(self):
+        for m, exp in seeded_expansions(2718, 120):
+            assert len(exp.cocause_nodes) == len(exp.and_nodes) == len(exp.terms)
+            for term, c_name, a_name in zip(exp.terms, exp.cocause_nodes, exp.and_nodes):
+                assert (c_name is None) == (term.cocause.kind is not CoCauseKind.STATES)
+                assert (c_name == a_name) == (c_name is not None and not term.literals)
+                assert exp.kind_of(a_name) == ("cocause" if a_name == c_name else "and")
+                if c_name is not None:
+                    assert exp.kind_of(c_name) == "cocause"
+                    assert exp.dag.parents(c_name) == (exp.exogenous,)
+            assert exp.kind_of("D") == "or"
+            assert all(exp.kind_of(n) == "base" for n in m.graph.nodes if n != "D")
+            if exp.exogenous is not None:
+                assert exp.kind_of(exp.exogenous) == "exogenous"
+            assert set(exp.auxiliary_nodes) == set(exp.dag.nodes) - set(m.graph.nodes)
+            assert exp.auxiliary_nodes == exp.dag.nodes[len(m.graph.nodes):]
+
+    def test_collapsed_state_bound_term_and_true_node(self):
+        g = Dag(["E", "D"], [("E", "D")])
+        # state 0 is constantly 1, state 1 copies E and state 2 negates it:
+        # the empty conjunction is completed by state 0 alone
+        table = ResponseTable("D", ("E",), (3, 2, 1), (Fraction(1, 3),) * 3)
+        exp = expand(g, "D", canonical_representation(table), table)
+        assert exp.cocause_nodes == ("A0", "A1", "A2")
+        assert exp.and_nodes == ("A0", "A1E", "A2~E")
+        assert [(n, exp.kind_of(n)) for n in exp.dag.nodes] == [
+            ("E", "base"), ("D", "or"), ("U", "exogenous"), ("A0", "cocause"),
+            ("A1", "cocause"), ("A1E", "and"), ("A2", "cocause"), ("A2~E", "and")]
+
+        always = ResponseTable("D", ("E",), (3,), (Fraction(1),))
+        exp = expand(g, "D", canonical_representation(always), always)
+        assert exp.cocause_nodes == (None,)
+        assert exp.and_nodes == ("TRUE",)
+        assert exp.exogenous is None
+        assert exp.kind_of("TRUE") == "and"
+        assert exp.auxiliary_nodes == ("TRUE",)
+
+    def test_exogenous_name_collision(self):
+        g = Dag(["U", "U_D", "D"], [("U", "D"), ("U_D", "D")])
+        table = ResponseTable("D", ("U", "U_D"), (8, 0), (half, half))
+        rep = canonical_representation(table)
+        with pytest.raises(GraphError) as info:
+            expand(g, "D", rep, table)
+        assert str(info.value) == "cannot find a free node name among ('U', 'U_D')"
+
+
 class TestStratumConditioning:
     def test_stratum_sets(self):
         m, rep = pairs_model()
@@ -162,6 +234,36 @@ class TestStratumConditioning:
         exp2 = expand(m2.graph, "D", rep2, m2.tables["D"])
         assert stratum_conditioning_set(exp2, 0) == {"D", "AB", "AQ", "EF"}
         assert not stratum_independent(exp2, "A", "E", (), 0)
+
+
+class TestExpandedJoint:
+    def test_columns_follow_the_sufficient_cause_equations(self):
+        for m, exp in seeded_expansions(4242, 120):
+            dist = expanded_distribution(m, exp)
+            assert dist.columns[-len(exp.auxiliary_nodes):] == exp.auxiliary_nodes
+            for vals, _ in dist.rows:
+                v = dict(zip(dist.columns, vals))
+                for term, c_name, a_name in zip(exp.terms, exp.cocause_nodes, exp.and_nodes):
+                    cocause = 1
+                    if c_name is not None:
+                        cocause = v[c_name]
+                        assert cocause == int(v[exp.exogenous] in term.cocause.states)
+                    literals = [v[lit.base] != lit.complemented for lit in term.literals]
+                    assert v[a_name] == int(cocause == 1 and all(literals))
+                assert v["D"] == max(v[a] for a in exp.and_nodes)
+
+    def test_rejects_a_representation_of_the_deduplicated_table(self):
+        # D's states 0 and 2 are the same row: the canonical representation
+        # of the deduplicated table numbers its states 0 and 1, so state 2 of
+        # the model's own table is in no term's state set
+        g = Dag(["E1", "E2", "D"], [("E1", "D"), ("E2", "D")])
+        table = ResponseTable("D", ("E1", "E2"), (14, 8, 14),
+                              (Fraction(1, 4), half, Fraction(1, 4)))
+        m = Scm(g, {**roots(("E1", "E2")), "D": table})
+        deduped = dedupe_states(table)
+        exp = expand(g, "D", canonical_representation(deduped), deduped)
+        with pytest.raises(ValueError, match="representation for 'D' is not determinative"):
+            expanded_distribution(m, exp)
 
 
 class TestOracleSoundness:
@@ -254,6 +356,6 @@ class TestOracleSoundness:
                 continue
             exp = expand(m.graph, "D", rep, m.tables["D"])
             dist = expanded_distribution(m, exp)
-            for a in exp.cocause_nodes:
+            for a in filter(None, exp.cocause_nodes):
                 for parent in ("E1", "E2"):
                     assert conditional_independent(dist, a, parent)
