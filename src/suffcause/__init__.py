@@ -51,7 +51,6 @@ from .graph import (
     d_separated,
     find_unblocked_path,
     marginalize,
-    path_blocked,
     path_signs,
 )
 from .modelfile import Assertion, Model, ModelError, load_model, parse_model, serialize_model

@@ -328,9 +328,9 @@ def _facts_from_assertions(graph: Dag, asserted: AssertedFacts) -> RepFacts:
     """Representation facts from assertions, completed from the signed graph.
 
     Parent independence falls back to d-separation and the sign of
-    Cov(e1, e2) to monotone association; like ``facts_from_scm``, the facts
-    speak about the frame where the assertions' negative parents are
-    complemented.
+    Cov(e1, e2) to monotone association, and independent parents give it
+    "=0"; like ``facts_from_scm``, the facts speak about the frame where
+    the assertions' negative parents are complemented.
     """
     e1, e2, negative = asserted.e1, asserted.e2, asserted.negative
     sources = dict.fromkeys(asserted.flags, "assertion")
@@ -352,6 +352,11 @@ def _facts_from_assertions(graph: Dag, asserted: AssertedFacts) -> RepFacts:
         e_cov = Relation.of_association(monotonically_associated(graph, e1, e2))
         if e_cov is not Relation.UNKNOWN:
             sources["e_cov"] = "structural"
+    if indep["e_indep"] and not e_cov.implies(Relation.EQ0):
+        # independent parents have zero covariance; a d-separated pair
+        # already reads "=0" off the graph unless a cov-sign was asserted
+        e_cov = e_cov.meet(Relation.EQ0)
+        sources["e_cov"] = "assertion"
     return RepFacts(
         target=asserted.target, e1=e1, e2=e2, negative=negative,
         **{slot: asserted.flags.get(slot, Flag.NEITHER) for slot in ("a0", "a1", "a2", "a3")},
@@ -361,56 +366,58 @@ def _facts_from_assertions(graph: Dag, asserted: AssertedFacts) -> RepFacts:
     )
 
 
+# The pair rules in emission order: (rule, stratum of the target, relation,
+# premises). A premise maps facts to values and holds through its first fact
+# that has its value (a ``Relation`` fact must imply it); that fact's
+# description joins the conclusion's premises.
+_PAIR_RULES: tuple[tuple[str, int, Relation, tuple[Mapping[str, object], ...]], ...] = (
+    ("no_background_d1", 1, Relation.LE0, ({"a0": Flag.ZERO},)),
+    ("no_background_d0", 0, Relation.LE0, ({"a0": Flag.ZERO}, {"a1_a2_indep": True}, {"e_indep": True})),
+    ("lone_cause_certain_d1", 1, Relation.LE0, ({"a1": Flag.ONE, "a2": Flag.ONE}, {"e_cov": Relation.LE0})),
+    ("lone_cause_certain_d0", 0, Relation.EQ0, ({"a1": Flag.ONE, "a2": Flag.ONE},)),
+    ("lone_cause_absent_d1", 1, Relation.GE0, ({"a1": Flag.ZERO, "a2": Flag.ZERO}, {"e_cov": Relation.GE0})),
+    # The zero-stratum claim needs independent parents: with a positively
+    # correlated pair and the lone-cause slot empty, the zero stratum can
+    # keep a strictly positive covariance (see the frozen counterexample in
+    # the tests).
+    ("lone_cause_absent_d0", 0, Relation.LE0,
+     ({"a1": Flag.ZERO, "a2": Flag.ZERO}, {"e_indep": True}, {"e_cov": Relation.GE0})),
+    ("no_synergy_d1", 1, Relation.LE0, ({"a3": Flag.ZERO}, {"e_cov": Relation.LE0})),
+    ("no_synergy_d0", 0, Relation.EQ0,
+     ({"a3": Flag.ZERO}, {"a1_a2_indep": True}, {"e_indep": True}, {"a0_a1_indep": True, "a0_a2_indep": True})),
+)
+
+
+def _holding_fact(facts: RepFacts, premise: Mapping[str, object]) -> str | None:
+    """The first fact through which ``premise`` holds, or None."""
+    for fact, want in premise.items():
+        value = getattr(facts, fact)
+        if value.implies(want) if isinstance(value, Relation) else value == want:
+            return fact
+    return None
+
+
 def pair_conclusions(facts: RepFacts) -> tuple[SignConclusion, ...]:
     """All stratum sign conclusions licensed by the established facts.
 
-    Cases whose side conditions are not established are suppressed, never
-    guessed. The rules hold for positively monotone parents (the facts
-    builders enforce this in the facts' frame); the rule set reaches a
-    negative parent by complementing it, so each relation is flipped once
-    per complemented parent to speak about the original variables again,
-    and the polarity joins the premises.
+    One conclusion per rule of ``_PAIR_RULES`` whose premises all hold:
+    cases not established are suppressed, never guessed. The rules hold
+    for positively monotone parents (the facts builders enforce this in
+    the facts' frame); the rule set reaches a negative parent by
+    complementing it, so each relation is flipped once per complemented
+    parent to speak about the original variables again, and the polarity
+    joins the premises.
     """
-    d1 = CovQuantity(facts.e1, facts.e2, facts.target, 1)
-    d0 = CovQuantity(facts.e1, facts.e2, facts.target, 0)
-    monotone = (
-        f"monotone({facts.e1})=+",
-        f"monotone({facts.e2})=+",
-    )
+    monotone = (f"monotone({facts.e1})=+", f"monotone({facts.e2})=+")
     neg = facts.negative
     polarity = (f"polarity=({'-' if neg[0] else '+'},{'-' if neg[1] else '+'})",) if any(neg) else ()
-    flips = sum(neg) % 2
-    out: list[SignConclusion] = []
-
-    def emit(quantity: CovQuantity, relation: Relation, rule: str, *names: str) -> None:
-        premises = monotone + tuple(map(facts.describe, names)) + polarity
-        out.append(SignConclusion(quantity, relation.flipped() if flips else relation, rule, premises))
-
-    if facts.a0 is Flag.ZERO:
-        emit(d1, Relation.LE0, "no_background_d1", "a0")
-        if facts.a1_a2_indep and facts.e_indep:
-            emit(d0, Relation.LE0, "no_background_d0", "a0", "a1_a2_indep", "e_indep")
-    if facts.a1 is Flag.ONE or facts.a2 is Flag.ONE:
-        which = "a1" if facts.a1 is Flag.ONE else "a2"
-        if facts.e_cov.implies(Relation.LE0):
-            emit(d1, Relation.LE0, "lone_cause_certain_d1", which, "e_cov")
-        emit(d0, Relation.EQ0, "lone_cause_certain_d0", which)
-    if facts.a1 is Flag.ZERO or facts.a2 is Flag.ZERO:
-        which = "a1" if facts.a1 is Flag.ZERO else "a2"
-        if facts.e_cov.implies(Relation.GE0):
-            emit(d1, Relation.GE0, "lone_cause_absent_d1", which, "e_cov")
-            # The zero-stratum claim needs independent parents: with a
-            # positively correlated pair and the lone-cause slot empty, the
-            # zero stratum can keep a strictly positive covariance (see the
-            # frozen counterexample in the tests).
-            if facts.e_indep:
-                emit(d0, Relation.LE0, "lone_cause_absent_d0", which, "e_indep", "e_cov")
-    if facts.a3 is Flag.ZERO:
-        if facts.e_cov.implies(Relation.LE0):
-            emit(d1, Relation.LE0, "no_synergy_d1", "a3", "e_cov")
-        if facts.a1_a2_indep and facts.e_indep and (facts.a0_a1_indep or facts.a0_a2_indep):
-            which = "a0_a1_indep" if facts.a0_a1_indep else "a0_a2_indep"
-            emit(d0, Relation.EQ0, "no_synergy_d0", "a3", "a1_a2_indep", "e_indep", which)
+    out = []
+    for rule, stratum, relation, premises in _PAIR_RULES:
+        held = [_holding_fact(facts, premise) for premise in premises]
+        if None not in held:
+            quantity = CovQuantity(facts.e1, facts.e2, facts.target, stratum)
+            described = monotone + tuple(map(facts.describe, held)) + polarity
+            out.append(SignConclusion(quantity, relation.flipped() if sum(neg) % 2 else relation, rule, described))
     return tuple(out)
 
 

@@ -11,10 +11,11 @@ pins every AND node to 0, which is what stratum queries exploit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, count
 from typing import Iterable
 
 from .causes import CoCauseKind, Conjunction, Representation, validate_representation
-from .graph import Dag, GraphError, d_separated
+from .graph import Dag, d_separated
 from .scm import DEFAULT_WORLD_BUDGET, ExactDistribution, ResponseTable, Scm, joint_distribution, state_column
 
 EXOGENOUS_NAME = "U"
@@ -68,6 +69,8 @@ def expand(base: Dag, d: str, rep: Representation, table: ResponseTable | None =
     is state-bound, then per term ``i`` its co-cause node (``A<i>``, else
     ``cocause<i>``) and its AND node (the co-cause name followed by the
     rendered literals, or the literals alone, or ``TRUE``; else ``M<i>``).
+    When every candidate is taken, the last one gets the first free suffix
+    ``_1``, ``_2``, ..., so every valid model expands.
     """
     base.require(d)
     if rep.target != d:
@@ -81,12 +84,11 @@ def expand(base: Dag, d: str, rep: Representation, table: ResponseTable | None =
     taken = set(nodes)
 
     def fresh(*candidates: str) -> str:
-        for name in candidates:
-            if name not in taken:
-                taken.add(name)
-                nodes.append(name)
-                return name
-        raise GraphError(f"cannot find a free node name among {candidates}")
+        suffixed = (f"{candidates[-1]}_{k}" for k in count(1))
+        name = next(n for n in chain(candidates, suffixed) if n not in taken)
+        taken.add(name)
+        nodes.append(name)
+        return name
 
     exogenous = None
     if any(t.cocause.kind is CoCauseKind.STATES for t in rep.terms):

@@ -245,21 +245,6 @@ def d_separated(
     return find_unblocked_path(g, x, y, z) is None
 
 
-def path_blocked(g: Dag, path: Path, z: str | Iterable[str] = ()) -> bool:
-    """Literal blocking test for one path, applied node by node."""
-    zs = _node_set(g, z)
-    open_colliders = _closure(zs, g._parents)  # zs and its ancestors
-    for i in range(1, len(path.nodes) - 1):
-        v = path.nodes[i]
-        collider = path.forward[i - 1] and not path.forward[i]
-        if collider:
-            if v not in open_colliders:
-                return True
-        elif v in zs:
-            return True
-    return False
-
-
 def find_unblocked_path(
     g: Dag,
     x: str | Iterable[str],

@@ -7,6 +7,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations, product
+from math import gcd
 from pathlib import Path
 from typing import Callable
 
@@ -133,7 +134,23 @@ def directed_paths(g: Dag, a: str, b: str, avoid=()) -> list[tuple[str, ...]]:
     return out
 
 
-# -- test-only reference for graph.find_unblocked_path: DFS over simple paths -
+# -- test-only references for graph.find_unblocked_path ----------------------
+
+def path_blocked(g: Dag, path: GraphPath, z=()) -> bool:
+    """Literal blocking test for one path, applied node by node."""
+    zs = {z} if isinstance(z, str) else set(z)
+    g.require(*zs)
+    open_colliders = zs.union(*(g.ancestors(n) for n in zs))  # zs and its ancestors
+    for i in range(1, len(path.nodes) - 1):
+        v = path.nodes[i]
+        collider = path.forward[i - 1] and not path.forward[i]
+        if collider:
+            if v not in open_colliders:
+                return True
+        elif v in zs:
+            return True
+    return False
+
 
 def dfs_unblocked_path(g: Dag, x, y, z=()) -> GraphPath | None:
     """First unblocked simple path between ``x`` and ``y`` given ``z``.
@@ -562,3 +579,50 @@ def case_instances(rule: str, count: int, seed: int):
             continue
         produced += 1
         yield scm, facts
+
+
+# -- the exact grid of two-parent models --------------------------------------
+
+GRID_GRAPH = Dag(["E1", "E2", "D"], [("E1", "E2"), ("E1", "D"), ("E2", "D")])
+
+
+def grid_target_tables():
+    """D's tables over (E1, E2): every set of 1-3 of the monotone rows, under
+    every weight vector over {1, 2, 3} up to scale."""
+    for k in (1, 2, 3):
+        for rows in combinations(MONOTONE_PAIR_ROWS, k):
+            for w in product((1, 2, 3), repeat=k):
+                if gcd(*w) == 1:
+                    yield ResponseTable("D", ("E1", "E2"), rows, tuple(Fraction(x, sum(w)) for x in w))
+
+
+def grid_parent_tables(denominator: int):
+    """E1 and E2 (with E1 -> E2), one pair of tables per joint whose four
+    cells are multiples of 1/``denominator``.
+
+    E2 answers each value of E1 independently; a value of E1 with no mass
+    leaves E2 constant 0 there.
+    """
+    n = denominator
+    for c00, c01, c10 in product(range(n + 1), repeat=3):  # cell (e1, e2) as c<e1><e2>
+        c11 = n - c00 - c01 - c10
+        if c11 < 0:
+            continue
+        q0 = Fraction(c01, c00 + c01) if c00 + c01 else Fraction(0)
+        q1 = Fraction(c11, c10 + c11) if c10 + c11 else Fraction(0)
+        # bit e of an E2 row is E2's value when E1 = e
+        cells = [(row, (q0 if row & 1 else 1 - q0) * (q1 if row & 2 else 1 - q1)) for row in range(4)]
+        rows, probs = zip(*((row, p) for row, p in cells if p))
+        yield ResponseTable.bernoulli("E1", Fraction(c10 + c11, n)), ResponseTable("E2", ("E1",), rows, probs)
+
+
+def grid_models(denominator: int = 2, negative: tuple[bool, bool] = (False, False)):
+    """Every grid model: each parent joint with each target table, the target
+    complemented in each parent that ``negative`` marks."""
+    targets = list(grid_target_tables())
+    for parent, neg in zip(("E1", "E2"), negative):
+        if neg:
+            targets = [complement_parent(t, parent) for t in targets]
+    for e1, e2 in grid_parent_tables(denominator):
+        for d in targets:
+            yield Scm(GRID_GRAPH, {"E1": e1, "E2": e2, "D": d})

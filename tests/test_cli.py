@@ -155,6 +155,20 @@ class TestRepresentationOnly:
         assert "E1 -> E1E2 <- E2 -> A~E2 <- A" in out
 
 
+class TestNamingFallback:
+    # the AND node of the term E1 would be "E1" or "M0", and both are taken
+    MODEL = "node M0\nnode E1\nnode D\nedge E1 D +\nequation D states 1\nstate 0 prob 1 bits 01\n"
+
+    def test_expand_and_stratum_ci_name_the_node_past_its_fallback(self, capsys, tmp_path):
+        path = tmp_path / "m0.model"
+        path.write_text(self.MODEL)
+        code, out, _ = run(capsys, "expand", str(path), "--node", "D")
+        assert code == 0
+        assert "node M0_1  # and" in out
+        code, out, _ = run(capsys, "stratum-ci", str(path), "--node", "D", "--x", "E1", "--y", "M0", "--stratum", "0")
+        assert code == 0
+
+
 class TestStratumCi:
     def test_independent_within_stratum(self, capsys):
         code, out, _ = run(capsys, "stratum-ci", fixture("pairs_disjoint"),

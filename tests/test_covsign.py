@@ -1,6 +1,7 @@
 """Pair covariance rules, premise checkers, and sign transfer."""
 
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, product
@@ -29,9 +30,9 @@ from suffcause import (
     transfer_sign,
     verify_claim,
 )
-from suffcause import oracle
+from suffcause import covsign, oracle
 from suffcause.causes import CoCauseKind, canonical_representation
-from suffcause.covsign import CovQuantity, Flag, _table_slots
+from suffcause.covsign import FACT_FIELDS, CovQuantity, Flag, _PAIR_RULES, _table_slots
 from suffcause.scm import dedupe_states
 from suffcause.signs import Relation, directional_effect_holds
 
@@ -40,9 +41,11 @@ from support import (
     MONOTONE_PAIR_ROWS,
     ROW_E1,
     ROW_E2,
+    _case_premises_hold,
     case_instances,
     complement_parent,
     fixture,
+    grid_models,
 )
 
 half = Fraction(1, 2)
@@ -115,6 +118,111 @@ class TestPairConclusions:
         (c,) = pair_conclusions(facts(a0=Flag.ZERO, sources={"a0": "assertion"}))
         assert "a0=zero (assertion)" in c.premises
         assert "monotone(E1)=+" in c.premises
+
+
+# each rule's claim about the original variables at polarity (+,+)
+RULE_CLAIMS = {
+    "no_background_d1": (1, Relation.LE0),
+    "no_background_d0": (0, Relation.LE0),
+    "lone_cause_certain_d1": (1, Relation.LE0),
+    "lone_cause_certain_d0": (0, Relation.EQ0),
+    "lone_cause_absent_d1": (1, Relation.GE0),
+    "lone_cause_absent_d0": (0, Relation.LE0),
+    "no_synergy_d1": (1, Relation.LE0),
+    "no_synergy_d0": (0, Relation.EQ0),
+}
+
+
+def fact_space():
+    """Every ``RepFacts`` over the flags, the independences, the four signs
+    of Cov(E1, E2) and the four polarities: 3^4 * 2^4 * 4 * 4 of them."""
+    for flags in product(Flag, repeat=4):
+        for indep in product((False, True), repeat=4):
+            for e_cov in (Relation.UNKNOWN, Relation.LE0, Relation.GE0, Relation.EQ0):
+                for negative in product((False, True), repeat=2):
+                    yield facts(
+                        **dict(zip(("a0", "a1", "a2", "a3"), flags)),
+                        **dict(zip(("e_indep", "a1_a2_indep", "a0_a1_indep", "a0_a2_indep"), indep)),
+                        e_cov=e_cov, negative=negative, sources={"a1": "structural", "e_cov": "oracle"},
+                    )
+
+
+class TestRuleTable:
+    def test_case_rules_are_the_table_rows_in_order(self):
+        assert CASE_RULES == tuple(rule for rule, *_ in _PAIR_RULES)
+
+    def test_each_rule_fires_exactly_when_its_premises_hold(self):
+        seen = 0
+        for f in fact_space():
+            out = pair_conclusions(f)
+            assert [c.rule for c in out] == [r for r in CASE_RULES if _case_premises_hold(r, f)], f
+            flip = sum(f.negative) % 2
+            described = {f.describe(fact) for fact in FACT_FIELDS}
+            for c in out:
+                stratum, relation = RULE_CLAIMS[c.rule]
+                assert c.quantity == CovQuantity("E1", "E2", "D", stratum)
+                assert c.relation is (relation.flipped() if flip else relation)
+                assert c.premises[:2] == ("monotone(E1)=+", "monotone(E2)=+")
+                tail = c.premises[2:]
+                if any(f.negative):
+                    *tail, polarity = tail
+                    assert polarity.startswith("polarity=(")
+                assert tail and set(tail) <= described, c.premises
+            seen += 1
+        assert seen == 20_736
+
+
+class TestGridAudit:
+    """Each rule of ``_PAIR_RULES`` checked exactly on every grid model.
+
+    The grid: D's table is every set of 1-3 monotone rows with weights in
+    {1, 2, 3}, and (E1, E2), with E1 -> E2, every joint whose cells are
+    multiples of 1/2; facts come from the model itself. A conclusion on a
+    stratum with no mass is skipped.
+    """
+
+    @pytest.fixture(scope="class")
+    def cases(self):
+        out = {}
+        for negative in ((False, False), (True, False)):
+            out[negative] = []
+            for scm in grid_models(2, negative):
+                dist = joint_distribution(scm)
+                out[negative].append((dist, facts_from_scm(scm, "D", "E1", "E2", negative, dist)))
+        return out
+
+    @staticmethod
+    def audit(cases):
+        fired = Counter()
+        violations = []
+        for dist, f in cases:
+            for c in pair_conclusions(f):
+                try:
+                    holds = verify_claim(dist, c)
+                except oracle.ConditioningError:
+                    continue
+                fired[c.rule] += 1
+                if not holds:
+                    violations.append((c.key(), f))
+        return fired, violations
+
+    @pytest.mark.parametrize("negative", [(False, False), (True, False)])
+    def test_no_rule_is_violated_and_every_rule_fires(self, cases, negative):
+        assert len(cases[negative]) == 611 * 10
+        fired, violations = self.audit(cases[negative])
+        assert violations == []
+        assert set(fired) == set(CASE_RULES)
+
+    def test_the_audit_catches_a_dropped_premise(self, cases, monkeypatch):
+        weakened = tuple(
+            (rule, stratum, relation, tuple(p for p in premises if "e_indep" not in p))
+            if rule == "lone_cause_absent_d0" else (rule, stratum, relation, premises)
+            for rule, stratum, relation, premises in _PAIR_RULES
+        )
+        monkeypatch.setattr(covsign, "_PAIR_RULES", weakened)
+        _, violations = self.audit(cases[(False, False)])
+        assert violations
+        assert {key for key, _ in violations} == {"Cov(E1,E2 | D=0) <=0 [lone_cause_absent_d0]"}
 
 
 class TestFactsFromScm:
@@ -583,6 +691,33 @@ def _premise_variant(assertion: str, e2_sign: str) -> str:
         + "edge E1 F +\nedge E2 G +\nedge D H +\n"
         + f"assert {assertion}\n"
     )
+
+
+class TestIndependenceClosesCovariance:
+    """An asserted independence of the parents gives their covariance "=0"."""
+
+    # the pair shares the cause C, and the C -> E2 edge carries no sign, so
+    # neither d-separation nor monotone association says anything
+    MODEL = (
+        "node C\nnode E1\nnode E2\nnode D\n"
+        "edge C E1 +\nedge C E2\nedge E1 D +\nedge E2 D +\n"
+        "assert independent E1 E2\nassert no-synergism D E1 E2\n"
+    )
+
+    def test_asserted_independence_reaches_the_rules_that_read_the_covariance(self):
+        analysis = covsign_analysis(parse_model(self.MODEL), "D")
+        assert analysis.facts.e_indep and analysis.facts.e_cov is Relation.EQ0
+        assert analysis.facts.describe("e_cov") == "e_cov==0 (assertion)"
+        assert [c.rule for c in analysis.inner] == ["no_synergy_d1"]
+
+    def test_an_asserted_sign_is_narrowed_to_zero(self):
+        model = parse_model(self.MODEL + "assert cov-sign E1 E2 >=0\n")
+        assert covsign_analysis(model, "D").facts.e_cov is Relation.EQ0
+
+    @pytest.mark.parametrize("seed", [0, 5, 11])
+    def test_the_oracle_accepts_the_new_conclusion(self, seed):
+        check = oracle_check(parse_model(self.MODEL), "D", instances=20, seed=seed)
+        assert check.ok and check.accepted == 20
 
 
 class TestOracleCheckDraws:

@@ -8,7 +8,6 @@ import pytest
 from suffcause import (
     CoCauseKind,
     Dag,
-    GraphError,
     Representation,
     ResponseTable,
     Scm,
@@ -182,10 +181,41 @@ class TestAlignedRecord:
     def test_exogenous_name_collision(self):
         g = Dag(["U", "U_D", "D"], [("U", "D"), ("U_D", "D")])
         table = ResponseTable("D", ("U", "U_D"), (8, 0), (half, half))
-        rep = canonical_representation(table)
-        with pytest.raises(GraphError) as info:
-            expand(g, "D", rep, table)
-        assert str(info.value) == "cannot find a free node name among ('U', 'U_D')"
+        exp = expand(g, "D", canonical_representation(table), table)
+        assert exp.exogenous == "U_D_1"
+        assert exp.dag.parents("A0") == ("U_D_1",)
+
+
+class TestNaming:
+    def test_single_literal_term_on_a_parent_named_like_its_fallback(self):
+        # the term E1 is labelled "E1" (taken) with fallback "M0" (taken too)
+        g = Dag(["M0", "E1", "D"], [("E1", "D")])
+        table = ResponseTable("D", ("E1",), (2,), (Fraction(1),))
+        exp = expand(g, "D", canonical_representation(table), table)
+        assert exp.and_nodes == ("M0_1",)
+        assert exp.dag.edges == (("E1", "M0_1"), ("M0_1", "D"))
+
+    def test_every_valid_model_expands_whatever_its_base_names(self):
+        rng = random.Random(4242)
+        pool = ["U", "U_D", "TRUE", "A0", "A1", "A2", "cocause0", "cocause1", "M0", "M1", "M2", "M0_1",
+                "A0M0", "A1M1", "M0M1", "A0~M0", "A1~M1", "U_D_1"]
+        expanded = 0
+        for _ in range(300):
+            names = rng.sample(pool, rng.randint(1, 5))
+            parents = tuple(names[:rng.randint(1, min(3, len(names)))])
+            rows = tuple(rng.sample(range(1 << (1 << len(parents))), rng.randint(1, 2 + len(parents))))
+            table = ResponseTable("D", parents, rows, (Fraction(1, len(rows)),) * len(rows))
+            g = Dag([*names, "D"], [(p, "D") for p in parents])
+            canonical = canonical_representation(table)
+            for rep in (canonical, Representation("D", tuple(reduce_to_nonredundant(table, canonical.terms)))):
+                if not rep.terms:
+                    continue
+                exp = expand(g, "D", rep, table)
+                assert exp.dag.nodes[:len(g.nodes)] == g.nodes
+                assert len(set(exp.dag.nodes)) == len(exp.dag.nodes)
+                assert exp.dag.parents("D") == exp.and_nodes
+                expanded += 1
+        assert expanded > 300
 
 
 class TestStratumConditioning:

@@ -17,11 +17,12 @@ from suffcause import (
     d_separated,
     find_unblocked_path,
     marginalize,
-    path_blocked,
     path_signs,
 )
 
-from support import dfs_unblocked_path, directed_paths, labeled_dags, path_product, random_dag, random_signs
+from support import (
+    dfs_unblocked_path, directed_paths, labeled_dags, path_blocked, path_product, random_dag, random_signs
+)
 
 POS, NEG, UND = Sign.POSITIVE, Sign.NEGATIVE, Sign.UNDEFINED
 

@@ -5,9 +5,16 @@ root with repository-relative model paths, so the reports (which echo the
 model path) do not depend on where the checkout lives. The digest covers
 each argv with its exit code, stdout and stderr. A change that is meant to
 alter some output updates ``PINNED`` and says so in CHANGES.md.
+
+``pinned_reports.txt`` holds a short digest of each argv's report, so a
+failure names the argv whose report moved. It only explains a failure;
+``PINNED`` decides. After an intended output change, re-record it with
+``PYTHONPATH=src python tests/test_pinned_reports.py`` and review its diff.
 """
 
 import hashlib
+import os
+import shlex
 from itertools import combinations
 
 from suffcause import load_model
@@ -16,6 +23,7 @@ from suffcause.cli import main
 from support import FIXTURES
 
 REPO = FIXTURES.parent
+MANIFEST = REPO / "tests" / "pinned_reports.txt"
 
 PINNED = "c2b26f458c5d7f9676dc89d5ded130385c0145319def516f330c43574a857757"
 
@@ -54,13 +62,50 @@ def _argvs() -> list[list[str]]:
     return out
 
 
+def _reports(run) -> list[tuple[list[str], bytes]]:
+    """Each argv with its (argv, exit code, stdout, stderr) record, via ``run``."""
+    return [(argv, repr((argv, *run(argv))).encode()) for argv in _argvs()]
+
+
+def _short(record: bytes) -> str:
+    return hashlib.sha256(record).hexdigest()[:12]
+
+
+def _recorded() -> dict[str, str]:
+    lines = MANIFEST.read_text().splitlines() if MANIFEST.exists() else []
+    return {key: short for short, _, key in (line.partition(" ") for line in lines)}
+
+
 def test_fixture_reports_match_the_pinned_digest(capsys, monkeypatch):
     monkeypatch.chdir(REPO)
-    digest = hashlib.sha256()
-    argvs = _argvs()
-    for argv in argvs:
+
+    def run(argv):
         code = main(argv)
         out = capsys.readouterr()
-        digest.update(repr((argv, code, out.out, out.err)).encode())
+        return code, out.out, out.err
+
+    digest = hashlib.sha256()
+    argvs = []
+    moved = []
+    recorded = _recorded()
+    for argv, record in _reports(run):
+        argvs.append(argv)
+        digest.update(record)
+        if recorded.get(shlex.join(argv)) != _short(record):
+            moved.append(shlex.join(argv))
     assert len(argvs) == 2174
-    assert digest.hexdigest() == PINNED
+    assert digest.hexdigest() == PINNED, f"{len(moved)} reports moved:\n" + "\n".join(moved)
+
+
+if __name__ == "__main__":
+    import contextlib
+    import io
+
+    def run_quietly(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        return code, out.getvalue(), err.getvalue()
+
+    os.chdir(REPO)
+    MANIFEST.write_text("".join(f"{_short(record)} {shlex.join(argv)}\n" for argv, record in _reports(run_quietly)))
