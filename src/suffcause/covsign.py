@@ -15,7 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from . import oracle
@@ -116,16 +117,43 @@ class RepFacts:
         return f"{fact}={value} ({self.source(fact)})"
 
 
+class _RowSet(tuple):
+    """A table's distinct rows in first-seen order that hash and compare as a set.
+
+    ``_table_slots`` keys its memo on it, so every order of one row set
+    shares an entry, while a call that raises names states in its own order.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, rows: Iterable[int]):
+        return super().__new__(cls, dict.fromkeys(rows))
+
+    def __hash__(self):
+        return hash(frozenset(self))
+
+    def __eq__(self, other):
+        return frozenset(self) == frozenset(other)
+
+    def __ne__(self, other):
+        return not self == other
+
+
+@lru_cache(maxsize=4096)
 def _table_slots(
-    table: ResponseTable, e1: str, e2: str, negative: tuple[bool, bool]
-) -> dict[str, frozenset[int] | None]:
+    node: str, parents: tuple[str, ...], rows: _RowSet, e1: str, e2: str, negative: tuple[bool, bool]
+) -> Mapping[str, frozenset[int] | None]:
     """The co-cause slots a0..a3 of the frame where each negative parent is complemented.
 
     Complementing only relabels literals, so the slots are read off the
-    table's own canonical terms, keyed by their literals at the parents'
-    polarity. A slot is the set of its table rows, or None for all rows.
+    canonical terms of ``node``'s table with these rows over ``parents``,
+    keyed by their literals at the parents' polarity. A slot is the set of
+    its rows, or None for all rows. The slots depend only on the row set,
+    not on the rows' order or probabilities, so they are worked out once
+    per (node, parents, row set, e1, e2, polarity) in a process.
     """
-    table = dedupe_states(table)
+    # the canonical terms read the rows alone; any probabilities will do
+    table = ResponseTable(node, parents, tuple(rows), (Fraction(1),) + (Fraction(0),) * (len(rows) - 1))
     l1, l2 = Literal(e1, negative[0]), Literal(e2, negative[1])
     key_for = {(): "a0", (l1,): "a1", (l2,): "a2", tuple(sorted((l1, l2))): "a3"}
     slots: dict[str, frozenset[int] | None] = dict.fromkeys(("a0", "a1", "a2", "a3"), frozenset())
@@ -133,18 +161,18 @@ def _table_slots(
         slot = key_for.get(term.literals)
         if slot is None:
             raise ValueError(
-                f"{table.node}: canonical term {term.render()} fits no slot of the ({l1.render()}, "
+                f"{node}: canonical term {term.render()} fits no slot of the ({l1.render()}, "
                 f"{l2.render()}) frame; the two-parent rule set needs monotone effects"
             )
         states = term.cocause.states
         slots[slot] = None if term.cocause.kind is CoCauseKind.ONE else frozenset(table.rows[i] for i in states)
-    return slots
+    return MappingProxyType(slots)
 
 
-def _row_mass(table: ResponseTable) -> dict[int, Fraction]:
-    """Each distinct row of the table with its summed probability."""
+def _row_mass(table: ResponseTable) -> dict[int, int]:
+    """Each distinct row of the table with its summed integer weight."""
     table = dedupe_states(table)
-    return dict(zip(table.rows, table.probs))
+    return dict(zip(table.rows, table.weights))
 
 
 def _flag(states: frozenset[int] | None) -> Flag:
@@ -155,17 +183,19 @@ def _flag(states: frozenset[int] | None) -> Flag:
     return Flag.NEITHER
 
 
-def _sets_independent(
-    a: frozenset[int] | None, b: frozenset[int] | None, mass: Mapping[int, Fraction]
-) -> bool:
-    """Whether two co-cause events are independent; ``mass`` maps each row to its probability."""
+def _sets_independent(a: frozenset[int] | None, b: frozenset[int] | None, mass: Mapping[int, int]) -> bool:
+    """Whether two co-cause events are independent; ``mass`` maps each row to its integer weight.
+
+    With the weights' sum as the scale, P(a)P(b) = P(ab) reads
+    ``pab * scale == pa * pb``.
+    """
     universe = frozenset(mass)
     sa = universe if a is None else a
     sb = universe if b is None else b
-    pa = sum((mass[i] for i in sa), Fraction(0))
-    pb = sum((mass[i] for i in sb), Fraction(0))
-    pab = sum((mass[i] for i in sa & sb), Fraction(0))
-    return pab == pa * pb
+    pa = sum(mass[i] for i in sa)
+    pb = sum(mass[i] for i in sb)
+    pab = sum(mass[i] for i in sa & sb)
+    return pab * sum(mass.values()) == pa * pb
 
 
 def facts_from_scm(
@@ -197,7 +227,7 @@ def facts_from_scm(
                 f"{' after complementing' if neg else ''}"
             )
 
-    slots = _table_slots(table, e1, e2, negative)
+    slots = _table_slots(d, parents, _RowSet(table.rows), e1, e2, negative)
     mass = _row_mass(table)
     if dist is None:
         dist = joint_distribution(model)
@@ -238,9 +268,9 @@ class AssertedFacts:
     pair of the model, keyed by the sorted pair; a cov-sign claim repeated on
     one pair keeps the meet of its relations, so "<=0" with ">=0" reads "=0".
 
-    A target table's slots depend only on its set of distinct rows, so
-    they are worked out once per row set and kept for the life of this
-    object, which is one command's.
+    The target's slots come from ``_table_slots``, which works them out
+    once per row set for the whole process, so the generator's row filter
+    and the facts share them.
     """
 
     target: str
@@ -251,31 +281,21 @@ class AssertedFacts:
     independent: tuple[tuple[str, str], ...]
     cov: Mapping[tuple[str, str], Relation]
     negative: tuple[bool, bool] = (False, False)
-    _slots: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def cov_of(self, x: str, y: str) -> Relation | None:
         return self.cov.get(_pair_key(x, y))
-
-    def _slot_rows(self, parents: tuple[str, ...], rows: Sequence[int]) -> dict[str, frozenset[int] | None]:
-        """The target's canonical co-cause slots, each as the set of its rows (None: all)."""
-        key = (parents, frozenset(rows))
-        slots = self._slots.get(key)
-        if slots is None:
-            uniform = (Fraction(1, len(rows)),) * len(rows)
-            table = ResponseTable(self.target, parents, tuple(rows), uniform)
-            slots = self._slots[key] = _table_slots(table, self.e1, self.e2, self.negative)
-        return slots
 
     def _carries_flags(self, slots: Mapping[str, frozenset[int] | None]) -> bool:
         return all(_flag(slots[slot]) is flag for slot, flag in self.flags.items())
 
     def admits_rows(self, rows: Sequence[int]) -> bool:
         """Whether a target table with these rows over (e1, e2) carries every asserted flag."""
-        return self._carries_flags(self._slot_rows((self.e1, self.e2), rows))
+        slots = _table_slots(self.target, (self.e1, self.e2), _RowSet(rows), self.e1, self.e2, self.negative)
+        return self._carries_flags(slots)
 
     def admits_table(self, table: ResponseTable) -> bool:
         """Whether the target's table meets the asserted flags and co-cause independences."""
-        slots = self._slot_rows(table.parents, table.rows)
+        slots = _table_slots(self.target, table.parents, _RowSet(table.rows), self.e1, self.e2, self.negative)
         if not self._carries_flags(slots):
             return False
         mass = _row_mass(table)
@@ -767,6 +787,12 @@ class OracleCheck:
         return self.analysis.ok and not self.failures
 
 
+def _never_takes(table: ResponseTable, value: int) -> bool:
+    """Whether every row of the table is the constant ``1 - value``."""
+    constant = 0 if value else (1 << table.n_configs) - 1
+    return all(row == constant for row in table.rows)
+
+
 def oracle_check(
     model: Model,
     d: str,
@@ -788,12 +814,14 @@ def oracle_check(
     reject). Every draw is still checked against every assertion before
     its joint is built (flags and co-cause independences) and after
     (independences and covariance signs); a draw counts when it satisfies
-    them all and both strata of each conclusion have positive mass.
-    Drawing stops at ``instances`` accepted models or ``100 * instances``
-    draws. ``d``'s table is drawn monotone in each parent under the
-    declared edge sign and under the pair's polarity, the frame its flags
-    are read in. When ``d``'s first table draw fails, its admissible row
-    sets are enumerated, and ``ValueError`` names the flags if there are none.
+    them all and both strata of each conclusion have positive mass; a draw
+    whose table forces a conditioned node to the other value is counted as
+    zero mass before its joint is built. Drawing stops at ``instances``
+    accepted models or ``100 * instances`` draws. ``d``'s table is drawn
+    monotone in each parent under the declared edge sign and under the
+    pair's polarity, the frame its flags are read in. When ``d``'s first
+    table draw fails, its admissible row sets are enumerated, and
+    ``ValueError`` names the flags if there are none.
     ``instances`` and ``max_weight`` must be at least 1; both are checked
     before any work.
     """
@@ -824,6 +852,13 @@ def oracle_check(
         record(analysis.dist, None)
         return OracleCheck(analysis, 1, 1, tallies, tuple(failures))
 
+    # a node a conclusion conditions on, with the value it is conditioned at
+    conditioned = {
+        (n, v)
+        for c in conclusions
+        for q in ((c.quantity, c.other) if c.relation is Relation.SIGN_EQUALS else (c.quantity,))
+        for n, v in ((q.given, q.stratum), *q.extra)
+    }
     asserted = analysis.asserted
     pair = tuple((p, "-" if neg else "+") for p, neg in zip((asserted.e1, asserted.e2), asserted.negative))
     constraints = replace(
@@ -849,6 +884,9 @@ def oracle_check(
             continue
         if not asserted.admits_table(scm.tables[d]):
             mismatches += 1
+            continue
+        if any(_never_takes(scm.tables[n], v) for n, v in conditioned):
+            zero_mass += 1
             continue
         dist = joint_distribution(scm, budget)
         if not asserted.admits(dist):

@@ -9,14 +9,14 @@ declaration order.
 
 The exact joint is built by forward propagation over node values: each
 support row splits into its children for the next node in topological
-order. Every table is scaled to the least common denominator of its
-probabilities, so masses are Python ints on one common scale. All
-probability is exact; floats are never used on this path.
+order. Every table holds its probabilities as integer weights over their
+least common denominator, so masses are Python ints on one common scale.
+All probability is exact; floats are never used on this path.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -45,12 +45,20 @@ def config_index(values: Sequence[int]) -> int:
 
 @dataclass(frozen=True)
 class ResponseTable:
-    """One node's structural equation over canonical response states."""
+    """One node's structural equation over canonical response states.
+
+    ``probs`` are validated once, in integers: ``scale`` is the least common
+    denominator of the probabilities and ``weights`` holds each state's
+    probability times ``scale``, so a state's probability is
+    ``Fraction(weights[j], scale)`` and the weights sum to ``scale``.
+    """
 
     node: str
     parents: tuple[str, ...]
     rows: tuple[int, ...]
     probs: tuple[Fraction, ...]
+    weights: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    scale: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.rows) == 0:
@@ -64,10 +72,14 @@ class ResponseTable:
         for p in self.probs:
             if not isinstance(p, Fraction):
                 raise ValueError(f"{self.node}: probabilities must be Fractions, got {p!r}")
-            if p < 0:
+            if p.numerator < 0:
                 raise ValueError(f"{self.node}: negative state probability {p}")
-        if sum(self.probs, Fraction(0)) != 1:
-            raise ValueError(f"{self.node}: state probabilities sum to {sum(self.probs, Fraction(0))}, not 1")
+        scale = lcm(*(p.denominator for p in self.probs))
+        weights = tuple(p.numerator * (scale // p.denominator) for p in self.probs)
+        if sum(weights) != scale:
+            raise ValueError(f"{self.node}: state probabilities sum to {Fraction(sum(weights), scale)}, not 1")
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "scale", scale)
 
     @property
     def n_parents(self) -> int:
@@ -122,15 +134,19 @@ class ResponseTable:
 
 
 def dedupe_states(table: ResponseTable) -> ResponseTable:
-    """Merge identical rows, summing their probabilities.
+    """Merge identical rows, summing their integer weights.
 
-    Keeps first-occurrence row order; zero-probability rows survive as long
+    Returns ``table`` itself when its rows are already distinct. Otherwise
+    keeps first-occurrence row order; zero-probability rows survive as long
     as their row value is distinct, so the row set is unchanged as a set.
     """
-    mass: dict[int, Fraction] = {}
-    for row, p in zip(table.rows, table.probs):
-        mass[row] = mass.get(row, 0) + p
-    return ResponseTable(table.node, table.parents, tuple(mass), tuple(mass.values()))
+    if len(set(table.rows)) == len(table.rows):
+        return table
+    mass: dict[int, int] = {}
+    for row, w in zip(table.rows, table.weights):
+        mass[row] = mass.get(row, 0) + w
+    probs = tuple(Fraction(w, table.scale) for w in mass.values())
+    return ResponseTable(table.node, table.parents, tuple(mass), probs)
 
 
 @dataclass(frozen=True)
@@ -227,11 +243,11 @@ def joint_distribution(
 
     Nodes are visited in topological order and every support row (one
     positive-probability assignment of the nodes so far) splits into its
-    ``0`` and ``1`` children for the next node. Each table is scaled to the
-    least common denominator of its probabilities, so a child's weight is
-    the row's weight times an integer, and the distribution's ``scale`` is
-    the product of those denominators. Zero-weight children are dropped,
-    so the rows are exactly the support of the node values.
+    ``0`` and ``1`` children for the next node. A child's weight is the
+    row's weight times one of the table's integer ``weights``, and the
+    distribution's ``scale`` is the product of the tables' ``scale``s.
+    Zero-weight children are dropped, so the rows are exactly the support
+    of the node values.
 
     Columns are the nodes in declaration order, then ``state_column(n)``
     for each node ``n`` named in ``states`` (declaration order); such a
@@ -250,9 +266,8 @@ def joint_distribution(
     scale = 1
     for n in model.graph.topological():
         t = model.tables[n]
-        lcd = lcm(*(p.denominator for p in t.probs))
-        weighted = [(r, p.numerator * (lcd // p.denominator)) for r, p in zip(t.rows, t.probs)]
-        scale *= lcd
+        weighted = list(zip(t.rows, t.weights))
+        scale *= t.scale
         fanout = sum(1 for _, w in weighted if w)
         if n not in with_state:
             fanout = min(fanout, 2)
@@ -273,7 +288,7 @@ def joint_distribution(
             children = {}
             for c, key in enumerate(_config_keys(t.n_parents)):
                 one = sum(w for r, w in weighted if (r >> c) & 1)
-                children[key] = [(v, w) for v, w in (((0,), lcd - one), ((1,), one)) if w]
+                children[key] = [(v, w) for v, w in (((0,), t.scale - one), ((1,), one)) if w]
         rows = [
             (vals + v, weight * w)
             for vals, weight in rows

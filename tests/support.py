@@ -23,6 +23,7 @@ from suffcause import (
     Sign,
     canonical_representation,
     config_index,
+    dedupe_states,
     facts_from_scm,
 )
 from suffcause.covsign import Flag, RepFacts
@@ -61,6 +62,32 @@ def complement_parent(table: ResponseTable, parent: str) -> ResponseTable:
                 flipped |= 1 << c
         new_rows.append(flipped)
     return ResponseTable(table.node, table.parents, tuple(new_rows), table.probs)
+
+
+def reference_table_slots(
+    table: ResponseTable, e1: str, e2: str, negative: tuple[bool, bool]
+) -> dict[str, frozenset[int] | None]:
+    """The uncached slot read-off that ``covsign._table_slots`` memoizes.
+
+    Deduplicate the table, build its canonical representation and key each
+    term by its literals at the parents' polarity; a slot is the set of its
+    rows, or None for all rows. A term that fits no slot raises the
+    library's ``ValueError``, naming states in the table's own order.
+    """
+    table = dedupe_states(table)
+    l1, l2 = Literal(e1, negative[0]), Literal(e2, negative[1])
+    key_for = {(): "a0", (l1,): "a1", (l2,): "a2", tuple(sorted((l1, l2))): "a3"}
+    slots: dict[str, frozenset[int] | None] = dict.fromkeys(("a0", "a1", "a2", "a3"), frozenset())
+    for term in canonical_representation(table).terms:
+        slot = key_for.get(term.literals)
+        if slot is None:
+            raise ValueError(
+                f"{table.node}: canonical term {term.render()} fits no slot of the ({l1.render()}, "
+                f"{l2.render()}) frame; the two-parent rule set needs monotone effects"
+            )
+        states = term.cocause.states
+        slots[slot] = None if term.cocause.kind is CoCauseKind.ONE else frozenset(table.rows[i] for i in states)
+    return slots
 
 
 def random_dag(rng: random.Random, n_nodes: int, edge_prob: float = 0.4) -> Dag:

@@ -32,7 +32,7 @@ from suffcause import (
 )
 from suffcause import covsign, oracle
 from suffcause.causes import CoCauseKind, canonical_representation
-from suffcause.covsign import FACT_FIELDS, CovQuantity, Flag, _PAIR_RULES, _table_slots
+from suffcause.covsign import FACT_FIELDS, CovQuantity, Flag, _PAIR_RULES, _RowSet, _table_slots
 from suffcause.scm import dedupe_states
 from suffcause.signs import Relation, directional_effect_holds
 
@@ -41,11 +41,14 @@ from support import (
     MONOTONE_PAIR_ROWS,
     ROW_E1,
     ROW_E2,
+    ROW_OR,
     _case_premises_hold,
     case_instances,
     complement_parent,
     fixture,
     grid_models,
+    grid_target_tables,
+    reference_table_slots,
 )
 
 half = Fraction(1, 2)
@@ -177,14 +180,14 @@ class TestGridAudit:
 
     The grid: D's table is every set of 1-3 monotone rows with weights in
     {1, 2, 3}, and (E1, E2), with E1 -> E2, every joint whose cells are
-    multiples of 1/2; facts come from the model itself. A conclusion on a
-    stratum with no mass is skipped.
+    multiples of 1/2; facts come from the model itself, at each of the four
+    polarities of the pair. A conclusion on a stratum with no mass is skipped.
     """
 
     @pytest.fixture(scope="class")
     def cases(self):
         out = {}
-        for negative in ((False, False), (True, False)):
+        for negative in product((False, True), repeat=2):
             out[negative] = []
             for scm in grid_models(2, negative):
                 dist = joint_distribution(scm)
@@ -206,7 +209,7 @@ class TestGridAudit:
                     violations.append((c.key(), f))
         return fired, violations
 
-    @pytest.mark.parametrize("negative", [(False, False), (True, False)])
+    @pytest.mark.parametrize("negative", [(False, False), (True, False), (False, True), (True, True)])
     def test_no_rule_is_violated_and_every_rule_fires(self, cases, negative):
         assert len(cases[negative]) == 611 * 10
         fired, violations = self.audit(cases[negative])
@@ -512,6 +515,11 @@ class TestDoubleComplement:
         assert checked == 40
 
 
+def slots_of(table, e1, e2, negative):
+    """``_table_slots`` of a whole table, as the library's callers ask for it."""
+    return _table_slots(table.node, table.parents, _RowSet(table.rows), e1, e2, negative)
+
+
 class TestTableSlots:
     """``_table_slots`` reads the complemented frame's slots off the target's own table."""
 
@@ -555,15 +563,15 @@ class TestTableSlots:
                     for rows in combinations(monotone, k):
                         table = ResponseTable("D", parents, rows, (Fraction(1, k),) * k)
                         for e1, e2, neg in (("E1", "E2", negative), ("E2", "E1", negative[::-1])):
-                            assert _table_slots(table, e1, e2, neg) == self._frame_slots(table, e1, e2, neg), \
+                            assert slots_of(table, e1, e2, neg) == self._frame_slots(table, e1, e2, neg), \
                                 (parents, rows, e1, neg)
                         checked += 1
         assert checked == 496
 
     def test_duplicate_rows_key_the_same_slots(self):
         table = ResponseTable("D", ("E1", "E2"), (ROW_E1, 14, ROW_E1), (Fraction(1, 3),) * 3)
-        assert _table_slots(table, "E1", "E2", (False, False)) == \
-            _table_slots(dedupe_states(table), "E1", "E2", (False, False))
+        assert slots_of(table, "E1", "E2", (False, False)) == \
+            slots_of(dedupe_states(table), "E1", "E2", (False, False))
 
     @pytest.mark.parametrize("rows, negative, frame", [
         ((6,), (False, False), "E1, E2"),          # E1 xor E2: monotone at no polarity
@@ -573,7 +581,90 @@ class TestTableSlots:
     def test_a_table_not_monotone_in_the_frame_raises(self, rows, negative, frame):
         table = ResponseTable("D", ("E1", "E2"), rows, (Fraction(1, len(rows)),) * len(rows))
         with pytest.raises(ValueError, match=rf"fits no slot of the \({frame}\) frame"):
-            _table_slots(table, "E1", "E2", negative)
+            slots_of(table, "E1", "E2", negative)
+
+    def test_the_memo_matches_the_uncached_reference(self):
+        """Every set of 1-4 of the 16 two-parent rows, in a seeded order, at
+        both parent orders and all four polarities: the same slots as the
+        reference, or the same error naming states in the caller's order."""
+        rng = random.Random(17)
+        checked = raised = 0
+        for k in range(1, 5):
+            for chosen in combinations(range(16), k):
+                rows = tuple(rng.sample(chosen, k))
+                for parents in (("E1", "E2"), ("E2", "E1")):
+                    table = ResponseTable("D", parents, rows, (Fraction(1, k),) * k)
+                    for negative in product((False, True), repeat=2):
+                        try:
+                            want = reference_table_slots(table, "E1", "E2", negative)
+                        except ValueError as e:
+                            with pytest.raises(ValueError) as got:
+                                slots_of(table, "E1", "E2", negative)
+                            assert str(got.value) == str(e)
+                            raised += 1
+                        else:
+                            assert slots_of(table, "E1", "E2", negative) == want, (parents, rows, negative)
+                        checked += 1
+        assert checked == (16 + 120 + 560 + 1820) * 2 * 4
+        assert 0 < raised < checked
+
+    def test_slots_ignore_row_order_duplicates_and_probabilities(self):
+        rng = random.Random(5)
+        for _ in range(200):
+            rows = tuple(rng.sample(MONOTONE_PAIR_ROWS, rng.randint(1, 4)))
+            negative = (rng.random() < 0.5, rng.random() < 0.5)
+            table = ResponseTable("D", ("E1", "E2"), rows, (Fraction(1, len(rows)),) * len(rows))
+            for p, neg in zip(("E1", "E2"), negative):
+                if neg:
+                    table = complement_parent(table, p)
+            want = slots_of(table, "E1", "E2", negative)
+            shuffled = tuple(rng.sample(table.rows, len(table.rows)))
+            doubled = shuffled + table.rows[:1]
+            weights = [rng.randint(1, 5) for _ in doubled]
+            for variant in (
+                ResponseTable("D", ("E1", "E2"), shuffled, table.probs),
+                ResponseTable("D", ("E1", "E2"), doubled, tuple(Fraction(w, sum(weights)) for w in weights)),
+            ):
+                assert slots_of(variant, "E1", "E2", negative) is want
+
+    def test_a_repeated_call_hits_the_cache(self):
+        table = ResponseTable("D", ("E1", "E2"), (ROW_E1, ROW_OR), (half, half))
+        first = slots_of(table, "E1", "E2", (False, False))
+        before = _table_slots.cache_info()
+        again = slots_of(ResponseTable("D", ("E1", "E2"), (ROW_OR, ROW_E1), (Fraction(1, 3), Fraction(2, 3))),
+                         "E1", "E2", (False, False))
+        after = _table_slots.cache_info()
+        assert again is first
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+        with pytest.raises(TypeError):
+            first["a0"] = None
+
+
+class TestCocauseIndependence:
+    """Co-cause independence cross-multiplies integer row weights; the reference sums Fractions."""
+
+    @staticmethod
+    def reference(a, b, table):
+        prob = {}
+        for row, p in zip(table.rows, table.probs):
+            prob[row] = prob.get(row, Fraction(0)) + p
+        sa, sb = set(prob) if a is None else a, set(prob) if b is None else b
+        total = lambda rows: sum((prob[r] for r in rows), Fraction(0))
+        return total(sa & sb) == total(sa) * total(sb)
+
+    def test_every_grid_table_and_its_doubled_rows(self):
+        outcomes = Counter()
+        for table in grid_target_tables():
+            doubled = ResponseTable("D", table.parents, table.rows + table.rows[:1],
+                                    (table.probs[0] / 2,) + table.probs[1:] + (table.probs[0] / 2,))
+            slots = slots_of(table, "E1", "E2", (False, False))
+            for t in (table, doubled):
+                mass = covsign._row_mass(t)
+                for a, b in (("a1", "a2"), ("a0", "a1"), ("a0", "a2")):
+                    got = covsign._sets_independent(slots[a], slots[b], mass)
+                    assert got == self.reference(slots[a], slots[b], t), (t.rows, t.probs, a, b)
+                    outcomes[got] += 1
+        assert outcomes[True] and outcomes[False]
 
 
 def _chain_a_scm(rng, d_rows):
@@ -777,6 +868,71 @@ class TestOracleCheckDraws:
         )
         with pytest.raises(ValueError, match=r"asserted flags a0=one, a1=one on \(E1, E2\)"):
             oracle_check(model, "D", instances=100)
+
+
+class TestZeroMassBeforeTheJoint:
+    """A draw whose tables keep a conditioned node off its stratum ends as zero mass, with no joint."""
+
+    CHECKS = [(("coaggregation_null", "P1", "B1", "P2"), seed, 20) for seed in (7, 8, 9)] + [
+        ((assertion, "D", "F", "G"), 100, 5) for assertion in TestOracleCheckDraws.VARIANT_ASSERTIONS
+    ]
+
+    @staticmethod
+    def run(target, seed, instances):
+        source, d, f, g = target
+        model = load_model(fixture(source)) if source == "coaggregation_null" else \
+            parse_model(_premise_variant(source, "-"))
+        return oracle_check(model, d, f, g, instances=instances, seed=seed)
+
+    @staticmethod
+    def forced(scm, check):
+        """The (node, value) pairs conditioned on whose node every table row holds at 1 - value."""
+        full = {n: (1 << t.n_configs) - 1 for n, t in scm.tables.items()}
+        quantities = [q for c in check.analysis.conclusions for q in (c.quantity, c.other) if q is not None]
+        return [
+            (n, v) for q in quantities for n, v in ((q.given, q.stratum), *q.extra)
+            if set(scm.tables[n].rows) == {full[n] if v == 0 else 0}
+        ]
+
+    def test_no_joint_is_built_for_a_forced_stratum(self, monkeypatch):
+        drawn, built = [], []
+        draw, joint = oracle.random_instance, covsign.joint_distribution
+
+        def drawing(*args):
+            drawn.append(draw(*args))
+            return drawn[-1]
+
+        def building(scm, *args):
+            built.append(scm)
+            return joint(scm, *args)
+
+        monkeypatch.setattr(oracle, "random_instance", drawing)
+        monkeypatch.setattr(covsign, "joint_distribution", building)
+        skipped = 0
+        for target, seed, instances in self.CHECKS:
+            drawn.clear()
+            built.clear()
+            check = self.run(target, seed, instances)
+            forced = [scm for scm in drawn if self.forced(scm, check)]
+            # these checks draw no table the assertions reject, so every
+            # draw without a joint is one with a forced stratum
+            assert (check.generation_errors, check.assertion_mismatches) == (0, 0)
+            assert not [scm for scm in built if self.forced(scm, check)]
+            assert len(drawn) - len(built) == len(forced)
+            skipped += len(forced)
+        assert skipped > 0
+
+    def test_the_same_check_as_reading_zero_mass_off_the_joint(self, monkeypatch):
+        for target, seed, instances in self.CHECKS:
+            fast = self.run(target, seed, instances)
+            with monkeypatch.context() as m:
+                m.setattr(covsign, "_never_takes", lambda table, value: False)
+                slow = self.run(target, seed, instances)
+            assert (fast.drawn, fast.accepted, fast.generation_errors) == \
+                (slow.drawn, slow.accepted, slow.generation_errors)
+            assert (fast.tallies, fast.failures) == (slow.tallies, slow.failures)
+            assert fast.zero_mass + fast.assertion_mismatches == slow.zero_mass + slow.assertion_mismatches
+            assert fast.zero_mass >= slow.zero_mass
 
 
 def _partial_pair_model(rows, probs, edge_signs=("", ""), flag="D E1 E2 a0 zero") -> str:

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -20,7 +21,7 @@ from suffcause import (
     substitute,
 )
 
-from support import random_dag
+from support import enumerate_joint, random_dag, value_marginal
 
 half = Fraction(1, 2)
 
@@ -59,6 +60,64 @@ class TestResponseTable:
             ResponseTable("D", (), (0, 1), (Fraction(3, 2), Fraction(-1, 2)))
         with pytest.raises(ValueError, match="at least one"):
             ResponseTable("D", (), (), ())
+
+
+def _random_table(rng: random.Random, node: str, parents: tuple[str, ...]) -> ResponseTable:
+    """Rows may repeat and states may have probability zero."""
+    k = rng.randint(1, 4)
+    rows = tuple(rng.randrange(1 << (1 << len(parents))) for _ in range(k))
+    weights = [rng.choice((0, 1, 2, 3, 5)) for _ in range(k)]
+    if not any(weights):
+        weights[0] = 1
+    return ResponseTable(node, parents, rows, tuple(Fraction(w, sum(weights)) for w in weights))
+
+
+class TestIntegerWeights:
+    """A table validates its probabilities once and keeps them as integer weights."""
+
+    @pytest.mark.parametrize("probs, message", [
+        ((0.5, Fraction(1, 2)), "D: probabilities must be Fractions, got 0.5"),
+        ((Fraction(3, 2), Fraction(-1, 2)), "D: negative state probability -1/2"),
+        ((Fraction(1, 2), Fraction(5, 8)), "D: state probabilities sum to 9/8, not 1"),
+        ((Fraction(1), Fraction(1)), "D: state probabilities sum to 2, not 1"),
+    ])
+    def test_validation_messages(self, probs, message):
+        with pytest.raises(ValueError) as e:
+            ResponseTable("D", (), (0, 1), probs)
+        assert str(e.value) == message
+
+    def test_weights_over_the_least_common_denominator(self):
+        rng = random.Random(11)
+        for _ in range(300):
+            t = _random_table(rng, "D", ("A", "B")[:rng.randint(0, 2)])
+            assert t.scale == lcm(*(p.denominator for p in t.probs))
+            assert sum(t.weights) == t.scale
+            assert all(Fraction(w, t.scale) == p for w, p in zip(t.weights, t.probs))
+            assert "weights" not in repr(t)
+
+    def test_dedupe_returns_a_table_with_distinct_rows_itself(self):
+        t = ResponseTable("D", ("E",), (0, 3, 2), (Fraction(1, 6), Fraction(1, 3), half))
+        assert dedupe_states(t) is t
+
+    def test_dedupe_merges_integer_weights(self):
+        t = ResponseTable("D", ("E",), (2, 1, 2), (Fraction(1, 4), half, Fraction(1, 4)))
+        out = dedupe_states(t)
+        assert (out.rows, out.weights, out.scale) == ((2, 1), (1, 1), 2)
+        rng = random.Random(12)
+        for _ in range(300):
+            t = _random_table(rng, "D", ("A",))
+            out = dedupe_states(t)
+            assert len(set(out.rows)) == len(out.rows) and set(out.rows) == set(t.rows)
+            for row, p in zip(out.rows, out.probs):
+                assert p == sum((q for r, q in zip(t.rows, t.probs) if r == row), Fraction(0))
+
+    def test_joint_matches_world_enumeration_on_seeded_models(self):
+        rng = random.Random(13)
+        for _ in range(60):
+            g = random_dag(rng, rng.randint(2, 5))
+            m = Scm(g, {n: _random_table(rng, n, g.parents(n)) for n in g.nodes})
+            dist = joint_distribution(m)
+            assert dist.marginal(g.nodes) == value_marginal(m, enumerate_joint(m))
 
 
 class TestDedupe:
