@@ -117,31 +117,9 @@ class RepFacts:
         return f"{fact}={value} ({self.source(fact)})"
 
 
-class _RowSet(tuple):
-    """A table's distinct rows in first-seen order that hash and compare as a set.
-
-    ``_table_slots`` keys its memo on it, so every order of one row set
-    shares an entry, while a call that raises names states in its own order.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, rows: Iterable[int]):
-        return super().__new__(cls, dict.fromkeys(rows))
-
-    def __hash__(self):
-        return hash(frozenset(self))
-
-    def __eq__(self, other):
-        return frozenset(self) == frozenset(other)
-
-    def __ne__(self, other):
-        return not self == other
-
-
 @lru_cache(maxsize=4096)
 def _table_slots(
-    node: str, parents: tuple[str, ...], rows: _RowSet, e1: str, e2: str, negative: tuple[bool, bool]
+    node: str, parents: tuple[str, ...], rows: frozenset[int], e1: str, e2: str, negative: tuple[bool, bool]
 ) -> Mapping[str, frozenset[int] | None]:
     """The co-cause slots a0..a3 of the frame where each negative parent is complemented.
 
@@ -150,10 +128,11 @@ def _table_slots(
     keyed by their literals at the parents' polarity. A slot is the set of
     its rows, or None for all rows. The slots depend only on the row set,
     not on the rows' order or probabilities, so they are worked out once
-    per (node, parents, row set, e1, e2, polarity) in a process.
+    per (node, parents, row set, e1, e2, polarity) in a process; the
+    states an error names are numbered in ascending row order.
     """
     # the canonical terms read the rows alone; any probabilities will do
-    table = ResponseTable(node, parents, tuple(rows), (Fraction(1),) + (Fraction(0),) * (len(rows) - 1))
+    table = ResponseTable(node, parents, tuple(sorted(rows)), (Fraction(1),) + (Fraction(0),) * (len(rows) - 1))
     l1, l2 = Literal(e1, negative[0]), Literal(e2, negative[1])
     key_for = {(): "a0", (l1,): "a1", (l2,): "a2", tuple(sorted((l1, l2))): "a3"}
     slots: dict[str, frozenset[int] | None] = dict.fromkeys(("a0", "a1", "a2", "a3"), frozenset())
@@ -227,7 +206,7 @@ def facts_from_scm(
                 f"{' after complementing' if neg else ''}"
             )
 
-    slots = _table_slots(d, parents, _RowSet(table.rows), e1, e2, negative)
+    slots = _table_slots(d, parents, frozenset(table.rows), e1, e2, negative)
     mass = _row_mass(table)
     if dist is None:
         dist = joint_distribution(model)
@@ -290,12 +269,12 @@ class AssertedFacts:
 
     def admits_rows(self, rows: Sequence[int]) -> bool:
         """Whether a target table with these rows over (e1, e2) carries every asserted flag."""
-        slots = _table_slots(self.target, (self.e1, self.e2), _RowSet(rows), self.e1, self.e2, self.negative)
+        slots = _table_slots(self.target, (self.e1, self.e2), frozenset(rows), self.e1, self.e2, self.negative)
         return self._carries_flags(slots)
 
     def admits_table(self, table: ResponseTable) -> bool:
         """Whether the target's table meets the asserted flags and co-cause independences."""
-        slots = _table_slots(self.target, table.parents, _RowSet(table.rows), self.e1, self.e2, self.negative)
+        slots = _table_slots(self.target, table.parents, frozenset(table.rows), self.e1, self.e2, self.negative)
         if not self._carries_flags(slots):
             return False
         mass = _row_mass(table)
