@@ -72,7 +72,6 @@ from .scm import (
     config_index,
     dedupe_states,
     joint_distribution,
-    state_column,
     substitute,
 )
 from .signs import (

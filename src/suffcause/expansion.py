@@ -16,7 +16,9 @@ from typing import Iterable
 
 from .causes import CoCauseKind, Conjunction, Representation, validate_representation
 from .graph import Dag, d_separated
-from .scm import DEFAULT_WORLD_BUDGET, ExactDistribution, ResponseTable, Scm, joint_distribution, state_column
+from .scm import (
+    DEFAULT_WORLD_BUDGET, BudgetExceededError, ExactDistribution, ResponseTable, Scm, config_index, joint_distribution
+)
 
 EXOGENOUS_NAME = "U"
 
@@ -154,25 +156,43 @@ def stratum_independent(
 def expanded_distribution(
     model: Scm, e: ExpandedDag, budget: int = DEFAULT_WORLD_BUDGET
 ) -> ExactDistribution:
-    """Exact joint extended with the exogenous, co-cause and AND columns.
+    """Exact joint over the base nodes, then ``e.auxiliary_nodes``.
 
-    The auxiliary values are deterministic functions of the base support:
-    the exogenous column carries the target's response-state index, each
-    co-cause column indicates membership of that index in the term's state
-    set, and each AND column multiplies its co-cause with its literals. The
-    state sets must index the target's own table, so the representation
-    must be determinative for that table (a representation built from
-    ``dedupe_states`` of a table with repeated rows is not).
+    With an exogenous node, each base row splits into the target's
+    positive-probability states that give its target value at its parent
+    configuration. The row's weight ``w`` holds their summed weight ``S``
+    exactly once, so state ``j`` gets ``(w // S) * weights[j]``; the split
+    rows are counted against ``budget`` before any is built. The exogenous
+    column carries the state index, each co-cause column indicates that
+    index's membership in the term's state set, and each AND column
+    multiplies its co-cause with its literals. The state sets must index
+    the target's own table, so the representation must be determinative for
+    it (one built from ``dedupe_states`` of a table with repeated rows is not).
     """
-    validate_representation(model.tables[e.target], Representation(e.target, e.terms))
-    dist = joint_distribution(model, budget, states=(e.target,))
-    state = dist.column(state_column(e.target))
+    table = model.tables[e.target]
+    validate_representation(table, Representation(e.target, e.terms))
+    dist = joint_distribution(model, budget)
+    if e.exogenous is None:
+        split = [(vals, None, w) for vals, w in dist.rows]
+    else:
+        parents, target = [dist.column(p) for p in table.parents], dist.column(e.target)
+        weighted = [(j, r, w) for j, (r, w) in enumerate(zip(table.rows, table.weights)) if w]
+        fits = []
+        for vals, _ in dist.rows:
+            c = config_index([vals[i] for i in parents])
+            fits.append([(j, w) for j, r, w in weighted if (r >> c) & 1 == vals[target]])
+        count = sum(map(len, fits))
+        if count > budget:
+            raise BudgetExceededError(f"{count} joint rows at node {e.target} exceed the budget of {budget}")
+        split = []
+        for (vals, w), fit in zip(dist.rows, fits):
+            share = w // sum(wj for _, wj in fit)  # w holds the target's factor once
+            split.extend((vals, j, share * wj) for j, wj in fit)
     literals = [[(dist.column(lit.base), lit.complemented) for lit in t.literals] for t in e.terms]
     aux = e.auxiliary_nodes
 
     rows = []
-    for vals, w in dist.rows:
-        j = vals[state]
+    for vals, j, w in split:
         out = {} if e.exogenous is None else {e.exogenous: j}
         for term, c_name, a_name, lits in zip(e.terms, e.cocause_nodes, e.and_nodes, literals):
             a_val = 1

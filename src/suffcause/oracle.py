@@ -135,13 +135,11 @@ class InstanceConstraints:
     ``monotone`` lists per-node (parent, sign) requirements enforced row by
     row; ``row_filter`` maps a node to a predicate on its drawn rows (distinct
     row values in draw order) that must hold for the table to be kept, such
-    as "this canonical term is absent"; ``allowed_rows`` restricts a node's
-    response rows outright.
+    as "this canonical term is absent".
     """
 
     monotone: Mapping[str, tuple[tuple[str, str], ...]] = field(default_factory=dict)
     row_filter: Mapping[str, Callable[[tuple[int, ...]], bool]] = field(default_factory=dict)
-    allowed_rows: Mapping[str, tuple[int, ...]] = field(default_factory=dict)
     states: tuple[int, int] = (1, 3)
     max_weight: int = 8
 
@@ -154,34 +152,30 @@ class InstanceConstraints:
 
 
 def _monotone_close(row: int, n_configs: int, requirements: Sequence[tuple[int, str]]) -> int:
-    """Force row-level monotonicity by closing upward along each constraint."""
+    """Force row-level monotonicity by closing upward along each constraint, one shift each."""
     for bit, sign in requirements:
-        for c in range(n_configs):
-            if c & bit:
-                if sign == "+":
-                    row |= ((row >> (c ^ bit)) & 1) << c
-                else:
-                    row |= ((row >> c) & 1) << (c ^ bit)
+        # the configurations where the parent at ``bit`` is 1
+        on = int(("1" * bit + "0" * bit) * (n_configs // (2 * bit)), 2)
+        if sign == "+":
+            row |= (row << bit) & on
+        else:
+            row |= (row & on) >> bit
     return row
 
 
 @lru_cache(maxsize=1024)
-def _candidate_rows(
-    table_parents: tuple[str, ...],
-    requirements: tuple[tuple[str, str], ...],
-    allowed: tuple[int, ...] | None,
-) -> tuple[int, ...] | None:
-    """Explicit candidate rows when the row space is small enough.
-
-    Cached: the generator asks again for every node of every draw.
-    """
-    m = len(table_parents)
-    if allowed is None and m > 3:
+def _candidate_rows(parents: tuple[str, ...], requirements: tuple[tuple[str, str], ...]) -> tuple[int, ...] | None:
+    """Every row that meets the requirements (never empty: both constant rows
+    do), or None over more than three parents. Cached: the generator asks
+    again for every node of every draw."""
+    m = len(parents)
+    if m > 3:
         return None
     n_configs = 1 << m
-    pool = allowed if allowed is not None else range(1 << n_configs)
-    bits = [(1 << table_parents.index(p), s) for p, s in requirements]
-    return tuple(r for r in pool if all(_row_direction_holds(r, n_configs, b, s == "+") for b, s in bits))
+    bits = [(1 << parents.index(p), s) for p, s in requirements]
+    return tuple(
+        r for r in range(1 << n_configs) if all(_row_direction_holds(r, n_configs, b, s == "+") for b, s in bits)
+    )
 
 
 def _node_candidates(g: Dag, constraints: InstanceConstraints, node: str) -> tuple[int, ...] | None:
@@ -193,11 +187,13 @@ def _node_candidates(g: Dag, constraints: InstanceConstraints, node: str) -> tup
             raise ValueError(f"{node}: monotonicity constraint on non-parent {p!r}")
         if s not in ("+", "-"):
             raise ValueError(f"{node}: invalid sign {s!r}")
-    allowed = constraints.allowed_rows.get(node)
-    candidates = _candidate_rows(parents, requirements, None if allowed is None else tuple(allowed))
-    if candidates is not None and not candidates:
-        raise GenerationError(node, "no rows satisfy the constraints")
-    return candidates
+    return _candidate_rows(parents, requirements)
+
+
+def _sizes(constraints: InstanceConstraints, candidates: tuple[int, ...]) -> range:
+    """The row-set sizes a node may draw from ``candidates``: the states range, capped at their count."""
+    lo, hi = constraints.states
+    return range(min(lo, len(candidates)), min(hi, len(candidates)) + 1)
 
 
 # row sets a node may draw before the generator gives up on it
@@ -219,16 +215,17 @@ def random_instance(g: Dag, constraints: InstanceConstraints, seed: int) -> Scm:
     lo, hi = constraints.states
     for node in g.nodes:
         parents = g.parents(node)
-        n_configs = 1 << len(parents)
         candidates = _node_candidates(g, constraints, node)
         keep = constraints.row_filter.get(node)
-        closing = [(1 << parents.index(p), s) for p, s in constraints.monotone.get(node, ())]
+        if candidates is not None:
+            sizes = _sizes(constraints, candidates)
+        else:
+            n_configs = 1 << len(parents)
+            closing = [(1 << parents.index(p), s) for p, s in constraints.monotone.get(node, ())]
 
         for _ in range(_MAX_TRIES):
             if candidates is not None:
-                n = rng.randint(lo, max(lo, min(hi, len(candidates))))
-                n = min(n, len(candidates))
-                rows = tuple(rng.sample(candidates, n))
+                rows = tuple(rng.sample(candidates, rng.randint(sizes[0], sizes[-1])))
             else:
                 picked: list[int] = []
                 for _ in range(50):
@@ -254,13 +251,12 @@ def admissible_row_sets(g: Dag, constraints: InstanceConstraints, node: str) -> 
 
     These are the sets of distinct candidate rows whose size the states
     range allows and that pass the node's row filter. The candidate rows
-    must be enumerable: at most three parents, or ``allowed_rows``. Sets
-    come by size, then in lexicographic order of their sorted rows.
+    must be enumerable: at most three parents. Sets come by size, then in
+    lexicographic order of their sorted rows.
     """
     candidates = _node_candidates(g, constraints, node)
     if candidates is None:
         raise ValueError(f"{node}: rows over {len(g.parents(node))} parents are drawn, not enumerated")
-    lo, hi = constraints.states
     keep = constraints.row_filter.get(node, lambda rows: True)
-    sizes = range(min(lo, len(candidates)), min(hi, len(candidates)) + 1)
-    return [rows for k in sizes for rows in combinations(sorted(candidates), k) if keep(rows)]
+    ordered = sorted(candidates)
+    return [rows for k in _sizes(constraints, candidates) for rows in combinations(ordered, k) if keep(rows)]

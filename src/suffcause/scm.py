@@ -231,36 +231,23 @@ class ExactDistribution:
         return {key: Fraction(w, self.scale) for key, w in out.items()}
 
 
-def state_column(node: str) -> str:
-    """Column name carrying a node's response-state index."""
-    return f"{node}.state"
-
-
-def joint_distribution(
-    model: Scm, budget: int = DEFAULT_WORLD_BUDGET, states: Iterable[str] = ()
-) -> ExactDistribution:
+def joint_distribution(model: Scm, budget: int = DEFAULT_WORLD_BUDGET) -> ExactDistribution:
     """Exact joint over node values, by forward propagation with integer weights.
 
     Nodes are visited in topological order and every support row (one
     positive-probability assignment of the nodes so far) splits into its
     ``0`` and ``1`` children for the next node. A child's weight is the
-    row's weight times one of the table's integer ``weights``, and the
-    distribution's ``scale`` is the product of the tables' ``scale``s.
-    Zero-weight children are dropped, so the rows are exactly the support
-    of the node values.
+    row's weight times the summed integer ``weights`` of the table's states
+    that give its value, and the distribution's ``scale`` is the product of
+    the tables' ``scale``s. Zero-weight children are dropped, so the rows
+    are exactly the support of the node values.
 
-    Columns are the nodes in declaration order, then ``state_column(n)``
-    for each node ``n`` named in ``states`` (declaration order); such a
-    node splits per positive-probability response state instead. Before
-    each node's split, the current row count times the node's largest
-    number of children per row (its positive-probability states, and at
-    most 2 for a value node) must stay within ``budget``, so the rows are
-    bounded before they are built.
+    Columns are the nodes in declaration order. Before each node's split,
+    the current row count times the node's largest number of children per
+    row (its positive-probability states, at most 2) must stay within
+    ``budget``, so the rows are bounded before they are built.
     """
     nodes = model.graph.nodes
-    with_state = frozenset(states)
-    model.graph.require(*with_state)
-
     position: dict[str, int] = {}  # node value's slot in a propagated row
     rows: list[tuple[tuple[int, ...], int]] = [((), 1)]
     scale = 1
@@ -268,9 +255,7 @@ def joint_distribution(
         t = model.tables[n]
         weighted = list(zip(t.rows, t.weights))
         scale *= t.scale
-        fanout = sum(1 for _, w in weighted if w)
-        if n not in with_state:
-            fanout = min(fanout, 2)
+        fanout = min(sum(1 for w in t.weights if w), 2)
         if len(rows) * fanout > budget:
             raise BudgetExceededError(
                 f"{len(rows) * fanout} joint rows at node {n} exceed the budget of {budget}"
@@ -278,29 +263,21 @@ def joint_distribution(
         parent_values = _row_key([position[p] for p in t.parents])
         position[n] = len(rows[0][0])
         # a row's children, keyed by its parent values as parent_values reads them
-        if n in with_state:
-            # one child per positive-probability state, tagged with its index
-            children = {
-                key: [(((r >> c) & 1, j), w) for j, (r, w) in enumerate(weighted) if w]
-                for c, key in enumerate(_config_keys(t.n_parents))
-            }
-        else:
-            children = {}
-            for c, key in enumerate(_config_keys(t.n_parents)):
-                one = sum(w for r, w in weighted if (r >> c) & 1)
-                children[key] = [(v, w) for v, w in (((0,), t.scale - one), ((1,), one)) if w]
+        children = {}
+        for c, key in enumerate(_config_keys(t.n_parents)):
+            one = sum(w for r, w in weighted if (r >> c) & 1)
+            children[key] = [(v, w) for v, w in (((0,), t.scale - one), ((1,), one)) if w]
         rows = [
             (vals + v, weight * w)
             for vals, weight in rows
             for v, w in children[parent_values(vals)]
         ]
 
-    order = [position[n] for n in nodes] + [position[n] + 1 for n in nodes if n in with_state]
-    columns = tuple(nodes) + tuple(state_column(n) for n in nodes if n in with_state)
+    order = [position[n] for n in nodes]
     if order != list(range(len(order))):
         reorder = itemgetter(*order)  # two or more columns here, so it returns tuples
         rows = [(reorder(vals), w) for vals, w in rows]
-    return ExactDistribution(columns, rows, scale)
+    return ExactDistribution(nodes, rows, scale)
 
 
 def _row_key(indices: Sequence[int]) -> Callable[[Sequence[int]], object]:

@@ -1,6 +1,7 @@
 """Shared helpers: fixture paths, random graphs, references (path enumeration,
 the exhaustive witness search, atom-by-atom sufficient causes, world
-enumeration, complemented parents), and constrained instance families."""
+enumeration, complemented parents, monotone closure), and constrained
+instance families."""
 
 from __future__ import annotations
 
@@ -88,6 +89,19 @@ def reference_table_slots(
         states = term.cocause.states
         slots[slot] = None if term.cocause.kind is CoCauseKind.ONE else frozenset(table.rows[i] for i in states)
     return slots
+
+
+def reference_monotone_close(row: int, n_configs: int, requirements) -> int:
+    """Bit-by-bit monotone closure, one configuration at a time: the
+    reference for ``oracle._monotone_close``."""
+    for bit, sign in requirements:
+        for c in range(n_configs):
+            if c & bit:
+                if sign == "+":
+                    row |= ((row >> (c ^ bit)) & 1) << c
+                else:
+                    row |= ((row >> c) & 1) << (c ^ bit)
+    return row
 
 
 def random_dag(rng: random.Random, n_nodes: int, edge_prob: float = 0.4) -> Dag:

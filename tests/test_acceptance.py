@@ -228,7 +228,7 @@ def test_criterion_6_transfer_rules():
             monotone.setdefault(b, ())
             monotone[b] = monotone[b] + ((a, s),)
         constraints = InstanceConstraints(
-            monotone=monotone, allowed_rows={"D": pool}, states=(1, 2))
+            monotone=monotone, row_filter={"D": lambda rows, pool=pool: set(rows) <= set(pool)}, states=(1, 2))
         premises = (
             check_transfer_premises_direct(g, "F", "G", "E1", "E2", "D")
             if passes_direct

@@ -2,10 +2,12 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from suffcause import (
+    BudgetExceededError,
     CoCauseKind,
     Dag,
     Representation,
@@ -14,6 +16,7 @@ from suffcause import (
     canonical_representation,
     conditional_independent,
     conj,
+    d_separated,
     dedupe_states,
     expand,
     expanded_distribution,
@@ -73,6 +76,43 @@ def seeded_expansions(seed, count):
             if rep.terms:
                 out.append((m, expand(g, "D", rep, table)))
     return out
+
+
+def markov_expansions(seed, count):
+    """Models with E1 -> E2, a 1-3-parent target D and a child C of D, each
+    expanded under D's canonical and its nonredundant representation."""
+    rng = random.Random(seed)
+
+    def table(node, parents, k):
+        rows = tuple(rng.sample(range(1 << (1 << len(parents))), k))
+        weights = [rng.randint(1, 4) for _ in rows]
+        return ResponseTable(node, parents, rows, tuple(Fraction(w, sum(weights)) for w in weights))
+
+    out = []
+    while len(out) < count:
+        parents = ("E1", "E2", "E3")[:rng.randint(1, 3)]
+        g = Dag(["E1", "E2", *parents[2:], "D", "C"],
+                [("E1", "E2"), *((p, "D") for p in parents), ("D", "C")])
+        d = table("D", parents, rng.randint(2, 2 + len(parents)))
+        m = Scm(g, {**roots(("E1", *parents[2:]), rng), "E2": table("E2", ("E1",), rng.randint(1, 3)),
+                    "D": d, "C": table("C", ("D",), rng.randint(1, 2))})
+        canonical = canonical_representation(d)
+        nonredundant = Representation("D", tuple(reduce_to_nonredundant(d, canonical.terms)))
+        for rep in (canonical, nonredundant):
+            if rep.terms:
+                out.append((m, expand(g, "D", rep, d)))
+    return out[:count]
+
+
+def markov_violations(dag, dist):
+    """Every (x, y, Z) with |Z| <= 1 that ``dag`` d-separates but ``dist``
+    does not make conditionally independent."""
+    found = []
+    for x, y in combinations(dag.nodes, 2):
+        for z in [(), *((n,) for n in dag.nodes if n not in (x, y))]:
+            if d_separated(dag, x, y, z) and not conditional_independent(dist, x, y, z):
+                found.append((x, y, z))
+    return found
 
 
 class TestExpand:
@@ -282,6 +322,28 @@ class TestExpandedJoint:
                     assert v[a_name] == int(cocause == 1 and all(literals))
                 assert v["D"] == max(v[a] for a in exp.and_nodes)
 
+    def test_budget_bounds_the_split_by_positive_states(self):
+        # X's base joint has 2 rows; its three positive states split them into 3
+        third = Fraction(1, 3)
+        g = Dag(["X"], [])
+        table = ResponseTable("X", (), (1, 0, 1, 0), (third, third, third, Fraction(0)))
+        m = Scm(g, {"X": table})
+        exp = expand(g, "X", Representation("X", (conj(states=(0, 2)),)), table)
+        assert len(joint_distribution(m, budget=2).rows) == 2
+        assert len(expanded_distribution(m, exp, budget=3).rows) == 3
+        with pytest.raises(BudgetExceededError, match="3 joint rows at node X exceed the budget of 2"):
+            expanded_distribution(m, exp, budget=2)
+
+    def test_columns_are_base_then_auxiliary_nodes(self):
+        g = Dag(["E1", "E2", "D", "C"], [("E1", "D"), ("E2", "D"), ("D", "C")])
+        table = ResponseTable("D", ("E1", "E2"), (8, 14, 6), (Fraction(1, 3), Fraction(1, 3), Fraction(1, 3)))
+        m = Scm(g, {**roots(("E1", "E2")), "D": table,
+                    "C": ResponseTable.deterministic("C", ("D",), lambda d: d)})
+        exp = expand(g, "D", canonical_representation(table), table)
+        dist = expanded_distribution(m, exp)
+        assert dist.columns == g.nodes + exp.auxiliary_nodes == (
+            "E1", "E2", "D", "C", "U", "A0", "A0E1", "A1", "A1E2", "A2", "A2E1E2", "A3", "A3E1~E2", "A4", "A4~E1E2")
+
     def test_rejects_a_representation_of_the_deduplicated_table(self):
         # D's states 0 and 2 are the same row: the canonical representation
         # of the deduplicated table numbers its states 0 and 1, so state 2 of
@@ -294,6 +356,24 @@ class TestExpandedJoint:
         exp = expand(g, "D", canonical_representation(deduped), deduped)
         with pytest.raises(ValueError, match="representation for 'D' is not determinative"):
             expanded_distribution(m, exp)
+
+
+class TestMarkovAudit:
+    """The expanded DAG's d-separations hold as exact CI in the expanded joint."""
+
+    def test_separations_hold_exactly(self):
+        for m, exp in markov_expansions(2009, 10):
+            assert markov_violations(exp.dag, expanded_distribution(m, exp)) == []
+
+    def test_a_dropped_cocause_edge_is_caught(self):
+        # drop the first co-cause -> AND edge whose AND node is not constant
+        # (a constant one shows no dependence to miss)
+        for m, exp in markov_expansions(2009, 10):
+            dist = expanded_distribution(m, exp)
+            edges = [(c, a) for c, a in zip(exp.cocause_nodes, exp.and_nodes) if c not in (None, a)]
+            dropped = next(e for e in edges if len(dist.marginal([e[1]])) == 2)
+            mutant = Dag(exp.dag.nodes, [e for e in exp.dag.edges if e != dropped])
+            assert markov_violations(mutant, dist), dropped
 
 
 class TestOracleSoundness:

@@ -5,7 +5,7 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -24,15 +24,16 @@ from suffcause import (
     conditional_independent,
     dedupe_states,
     detect_monotonic_effect,
+    expand,
+    expanded_distribution,
     joint_distribution,
     random_instance,
     read_assertions,
-    state_column,
     verify_claim,
 )
 from suffcause.covsign import CovQuantity, SignConclusion
 from suffcause.modelfile import Assertion
-from suffcause.oracle import admissible_row_sets
+from suffcause.oracle import _candidate_rows, _monotone_close, admissible_row_sets
 from suffcause.signs import Relation
 
 from support import (
@@ -42,6 +43,7 @@ from support import (
     reference_covariance,
     ref_canonical_terms,
     reference_independent,
+    reference_monotone_close,
     value_marginal,
     without_term,
 )
@@ -169,20 +171,11 @@ class TestMatchesWorldEnumeration:
         rng = random.Random(77)
         for m in _differential_models():
             nodes = m.graph.nodes
-            k = len(nodes)
-            worlds = enumerate_joint(m)
-            values = value_marginal(m, worlds)
+            values = value_marginal(m, enumerate_joint(m))
             dist = joint_distribution(m)
             assert dist.columns == nodes
             assert dist.marginal(nodes) == values
             assert len(dist.rows) == len(values)
-            for i, n in enumerate(nodes):
-                with_state = joint_distribution(m, states=(n,))
-                expected: dict[tuple[int, ...], Fraction] = {}
-                for key, p in worlds.items():
-                    cell = key[:k] + (key[k + i],)
-                    expected[cell] = expected.get(cell, Fraction(0)) + p
-                assert with_state.marginal(nodes + (state_column(n),)) == expected
             for i, x in enumerate(nodes):
                 for y in nodes[i + 1:]:
                     z = rng.choice(nodes)
@@ -196,6 +189,41 @@ class TestMatchesWorldEnumeration:
                                 conditional_covariance(dist, x, y, given)
                         else:
                             assert conditional_covariance(dist, x, y, given) == ref
+
+    def test_expanded_joint_splits_the_target_by_state(self):
+        # the expanded joint's (values, exogenous) marginal is the world
+        # enumerator's (values, target state) marginal; a representation
+        # with no state-bound term keeps one row per base row
+        seen = Counter()
+        for m in _differential_models():
+            nodes = m.graph.nodes
+            k = len(nodes)
+            worlds = enumerate_joint(m)
+            base = joint_distribution(m)
+            for i, n in enumerate(nodes):
+                table = m.tables[n]
+                if table.n_parents > 3 or len(set(table.rows)) < table.n_states:
+                    continue
+                rep = canonical_representation(table)
+                if not rep.terms:
+                    continue
+                exp = expand(m.graph, n, rep, table)
+                dist = expanded_distribution(m, exp)
+                assert dist.columns == nodes + exp.auxiliary_nodes
+                assert dist.scale == base.scale
+                seen[exp.exogenous is not None, bool(m.graph.children(n))] += 1
+                if exp.exogenous is None:
+                    assert dist.marginal(nodes) == value_marginal(m, worlds)
+                    assert len(dist.rows) == len(base.rows)
+                    continue
+                expected: dict[tuple[int, ...], Fraction] = {}
+                for key, p in worlds.items():
+                    cell = key[:k] + (key[k + i],)
+                    expected[cell] = expected.get(cell, Fraction(0)) + p
+                assert dist.marginal(nodes + (exp.exogenous,)) == expected
+                assert len(dist.rows) == len(expected)
+        # with and without a state-bound term, on targets with and without a child
+        assert set(seen) == set(product((False, True), repeat=2)), seen
 
 
 class TestRandomInstance:
@@ -234,18 +262,26 @@ class TestRandomInstance:
             rep = canonical_representation(dedupe_states(m.tables["D"]))
             assert all({l.base for l in t.literals} != {"E1", "E2"} for t in rep.terms)
 
-    def test_allowed_rows(self):
-        g = Dag(["X"], [])
-        constraints = InstanceConstraints(allowed_rows={"X": (1,)})
-        m = random_instance(g, constraints, 0)
-        assert m.tables["X"].rows == (1,)
+    def test_candidates_hold_both_constant_rows(self):
+        # the two constant rows meet every requirement, so no node's
+        # candidate list is ever empty
+        for m in range(4):
+            parents = tuple(f"P{i}" for i in range(m))
+            full = (1 << (1 << m)) - 1
+            for signs in product((None, "+", "-"), repeat=m):
+                requirements = tuple((p, s) for p, s in zip(parents, signs) if s)
+                candidates = _candidate_rows(parents, requirements)
+                assert 0 in candidates and full in candidates, (parents, requirements)
 
-    def test_unsatisfiable_reports(self):
-        g = Dag(["E", "D"], [("E", "D")])
-        constraints = InstanceConstraints(allowed_rows={"D": (1,)},
-                                          monotone={"D": (("E", "+"),)})
-        with pytest.raises(GenerationError):
-            random_instance(g, constraints, 0)
+    def test_monotone_close_matches_the_bit_by_bit_reference(self):
+        rng = random.Random(2024)
+        for _ in range(3000):
+            m = rng.randint(1, 7)
+            n_configs = 1 << m
+            requirements = [(1 << rng.randrange(m), rng.choice("+-")) for _ in range(rng.randint(0, m + 1))]
+            row = rng.getrandbits(n_configs)
+            assert _monotone_close(row, n_configs, requirements) == \
+                reference_monotone_close(row, n_configs, requirements), (row, m, requirements)
 
     def test_larger_parent_sets_via_closure(self):
         g = Dag(["A", "B", "C", "E", "D"], [(p, "D") for p in ("A", "B", "C", "E")])
@@ -279,7 +315,6 @@ class TestRandomInstance:
                         assert effect is Sign.NEGATIVE or is_constant_in(t, p)
 
     def test_candidate_cache_keeps_draws(self):
-        from suffcause.oracle import _candidate_rows
         g = Dag(["A", "B", "C", "E", "F", "D"],
                 [("A", "C"), ("B", "C"), ("A", "E"), ("C", "E"), ("B", "F"),
                  ("C", "D"), ("E", "D"), ("F", "D")])

@@ -17,7 +17,6 @@ from suffcause import (
     dedupe_states,
     joint_distribution,
     marginalize,
-    state_column,
     substitute,
 )
 
@@ -196,26 +195,11 @@ class TestJointDistribution:
         assert sorted(vals for vals, _ in dist.rows) == [(0,) * 25, (1,) * 25]
         assert dist.mass() == 1
 
-    def test_budget_bounds_a_state_column_by_its_positive_states(self):
-        third = Fraction(1, 3)
-        g = Dag(["X"], [])
-        m = Scm(g, {"X": ResponseTable("X", (), (1, 0, 1, 0), (third, third, third, Fraction(0)))})
-        assert len(joint_distribution(m, budget=2).rows) == 2
-        assert len(joint_distribution(m, budget=3, states=("X",)).rows) == 3
-        with pytest.raises(BudgetExceededError, match="3 joint rows at node X exceed the budget of 2"):
-            joint_distribution(m, budget=2, states=("X",))
-
     def test_budget_refuses_before_the_rows_are_built(self):
         g = Dag([f"R{i}" for i in range(40)], [])
         m = Scm(g, {n: fair(n) for n in g.nodes})
         with pytest.raises(BudgetExceededError, match="2048 joint rows at node R10 exceed the budget of 2000"):
             joint_distribution(m, budget=2000)
-
-    def test_state_columns_present(self):
-        g = Dag(["X"], [])
-        m = Scm(g, {"X": fair("X")})
-        assert joint_distribution(m).columns == ("X",)
-        assert joint_distribution(m, states=("X",)).columns == ("X", state_column("X"))
 
 
 class TestSubstitution:
