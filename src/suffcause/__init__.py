@@ -22,6 +22,7 @@ from .covsign import (
     CovsignAnalysis,
     Flag,
     OracleCheck,
+    Outcome,
     RepFacts,
     SignConclusion,
     TransferPremises,

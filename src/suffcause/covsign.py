@@ -16,6 +16,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache, reduce
+from itertools import combinations
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -457,9 +458,7 @@ def _require_pair(graph: Dag, f: str, g: str, e1: str, e2: str, d: str, *q: str)
         raise ValueError(f"{e1} and {e2} must be parents of {d}")
 
 
-def _cov_nonneg_check(
-    g: Dag, a: str, b: str, name: str, asserted: Relation | None
-) -> PremiseCheck:
+def _cov_nonneg_check(g: Dag, a: str, b: str, name: str, asserted: Relation | None) -> PremiseCheck:
     sign = monotonically_associated(g, a, b)
     if sign in (Sign.POSITIVE, Sign.ZERO):
         return PremiseCheck(name, True, "structural", f"association {sign.value}")
@@ -496,14 +495,10 @@ def check_transfer_premises_direct(
 
 
 def _q_structurally_independent(graph: Dag, q: Sequence[str]) -> bool:
-    for i in range(len(q)):
-        for j in range(i + 1, len(q)):
-            a, b = q[i], q[j]
-            if a in graph.ancestors(b) or b in graph.ancestors(a):
-                return False
-            if graph.ancestors(a) & graph.ancestors(b):
-                return False
-    return True
+    return not any(
+        a in graph.ancestors(b) or b in graph.ancestors(a) or graph.ancestors(a) & graph.ancestors(b)
+        for a, b in combinations(q, 2)
+    )
 
 
 def _q_path_sign_flags(graph: Dag, q: Sequence[str], f: str, g: str) -> tuple[bool, bool]:
@@ -697,8 +692,12 @@ def covsign_analysis(
     model is fully specified, and from its assertions and signed graph
     otherwise. A transfer uses the first satisfied rule, direct before
     shared-cause; when neither holds, or an inner conclusion cannot be
-    moved, the reason is recorded under ``not_applicable``.
+    moved, the reason is recorded under ``not_applicable``. ``q`` and
+    a single proxy raise ``ValueError`` unless both proxies are given.
     """
+    if (f is None) != (g is None) or (q and f is None):
+        given = ", ".join(f"{k}={v}" for k, v in (("f", f), ("g", g), ("q", ",".join(q))) if v)
+        raise ValueError(f"a transfer to proxies needs both f and g; got {given}")
     model.dag.require(d, *(n for n in (f, g) if n), *q)
     e1, e2 = _parent_pair(model, d)
     negative = _pair_polarity(model, d, e1, e2)
@@ -741,25 +740,58 @@ def covsign_analysis(
     )
 
 
+class Outcome(Enum):
+    """How an oracle-check draw ended. A mismatch breaks an assertion on the
+    target's table or on the joint; zero mass leaves a checked stratum empty."""
+
+    GENERATION_ERROR = "generation error"
+    ASSERTION_MISMATCH = "assertion mismatch"
+    ZERO_MASS = "zero mass"
+    ACCEPTED = "accepted"
+
+
+@dataclass(frozen=True)
+class Draw:
+    """One oracle-check draw: its seed (None for the model itself), outcome, and verdict per claim key."""
+
+    seed: int | None
+    outcome: Outcome
+    verdicts: Mapping[str, bool] = field(default_factory=dict)
+
+
 @dataclass(frozen=True)
 class OracleCheck:
-    """An analysis whose conclusions were checked against exact joints.
+    """An analysis whose conclusions were checked against exact joints, and one record per draw.
 
-    ``tallies`` maps each conclusion's key to its checked and violation
-    counts; ``failures`` lists every violation with the generator seed of
-    its instance (None when the model itself was checked). Every draw ends
-    one way: a generation error, an assertion mismatch, zero mass in a
-    checked stratum, or accepted, so those four counts sum to ``drawn``.
+    Every count is read off the records. Each accepted draw holds one
+    verdict per distinct claim key, so a claim two rules derive is checked
+    once per draw; ``tallies`` maps each key to its checked and violation
+    counts, and ``failures`` lists every violation with its draw's seed.
     """
 
     analysis: CovsignAnalysis
-    accepted: int
-    drawn: int
-    tallies: Mapping[str, Mapping[str, int]]
-    failures: tuple[dict, ...]
-    generation_errors: int = 0
-    assertion_mismatches: int = 0
-    zero_mass: int = 0
+    draws: tuple[Draw, ...]
+
+    def count(self, outcome: Outcome) -> int:
+        return sum(draw.outcome is outcome for draw in self.draws)
+
+    @property
+    def accepted(self) -> int:
+        return self.count(Outcome.ACCEPTED)
+
+    @property
+    def drawn(self) -> int:
+        return len(self.draws)
+
+    @property
+    def tallies(self) -> dict[str, dict[str, int]]:
+        accepted = [draw.verdicts for draw in self.draws if draw.outcome is Outcome.ACCEPTED]
+        keys = accepted[0] if accepted else {}
+        return {k: {"checked": len(accepted), "violations": sum(not v[k] for v in accepted)} for k in keys}
+
+    @property
+    def failures(self) -> tuple[dict, ...]:
+        return tuple({"conclusion": k, "seed": d.seed} for d in self.draws for k, ok in d.verdicts.items() if not ok)
 
     @property
     def ok(self) -> bool:
@@ -770,6 +802,32 @@ def _never_takes(table: ResponseTable, value: int) -> bool:
     """Whether every row of the table is the constant ``1 - value``."""
     constant = 0 if value else (1 << table.n_configs) - 1
     return all(row == constant for row in table.rows)
+
+
+def _verdicts(dist: ExactDistribution, claims: Mapping[str, SignConclusion]) -> dict[str, bool]:
+    return {key: oracle.verify_claim(dist, claim) for key, claim in claims.items()}
+
+
+def _end_draw(
+    dag: Dag, constraints: oracle.InstanceConstraints, asserted: AssertedFacts,
+    claims: Mapping[str, SignConclusion], conditioned: set[tuple[str, int]], budget: int, seed: int,
+) -> Draw:
+    """Draw a model at generator seed ``seed`` and check it against the assertions and ``claims``."""
+    try:
+        scm = oracle.random_instance(dag, constraints, seed)
+    except oracle.GenerationError:
+        return Draw(seed, Outcome.GENERATION_ERROR)
+    if not asserted.admits_table(scm.tables[asserted.target]):
+        return Draw(seed, Outcome.ASSERTION_MISMATCH)
+    if any(_never_takes(scm.tables[n], v) for n, v in conditioned):
+        return Draw(seed, Outcome.ZERO_MASS)
+    dist = joint_distribution(scm, budget)
+    if not asserted.admits(dist):
+        return Draw(seed, Outcome.ASSERTION_MISMATCH)
+    try:
+        return Draw(seed, Outcome.ACCEPTED, _verdicts(dist, claims))
+    except oracle.ConditioningError:
+        return Draw(seed, Outcome.ZERO_MASS)
 
 
 def oracle_check(
@@ -785,24 +843,17 @@ def oracle_check(
 ) -> OracleCheck:
     """Verify ``covsign_analysis``'s conclusions with the exact oracle.
 
-    A fully specified model is checked once, against the joint its facts
-    came from. Otherwise models are drawn at generator seeds ``seed``,
-    ``seed + 1``, ... under the signed edges, with ``d``'s table drawn
-    only among row sets that carry the asserted representation flags (the
-    generator's row filter, so no draw is spent on a table the flags
-    reject). Every draw is still checked against every assertion before
-    its joint is built (flags and co-cause independences) and after
-    (independences and covariance signs); a draw counts when it satisfies
-    them all and both strata of each conclusion have positive mass; a draw
-    whose table forces a conditioned node to the other value is counted as
-    zero mass before its joint is built. Drawing stops at ``instances``
-    accepted models or ``100 * instances`` draws. ``d``'s table is drawn
-    monotone in each parent under the declared edge sign and under the
-    pair's polarity, the frame its flags are read in. When ``d``'s first
-    table draw fails, its admissible row sets are enumerated, and
-    ``ValueError`` names the flags if there are none.
-    ``instances`` and ``max_weight`` must be at least 1; both are checked
-    before any work.
+    A fully specified model is one accepted draw, checked against the joint
+    its facts came from. Otherwise models are drawn at generator seeds
+    ``seed``, ``seed + 1``, ... under the signed edges, ``d``'s table also
+    monotone under the pair's polarity and drawn among row sets that carry
+    the asserted flags, until ``instances`` draws are accepted or
+    ``100 * instances`` are made. A draw ends in one ``Outcome``: a table
+    that forces a conditioned node to the other value is zero mass before
+    any joint is built. On ``d``'s first generation error its admissible
+    row sets are enumerated, and ``ValueError`` names the flags if there
+    are none. ``instances`` and ``max_weight`` must be at least 1; both are
+    checked before any work.
     """
     if instances < 1:
         raise ValueError(f"instances must be at least 1, got {instances}")
@@ -812,29 +863,17 @@ def oracle_check(
     # built before the analysis so that a bad max_weight fails before any work
     constraints = oracle.InstanceConstraints(monotone=monotone, max_weight=max_weight)
     analysis = covsign_analysis(model, d, f, g, q, budget)
-    conclusions = analysis.conclusions
-    if not conclusions:
+    if not analysis.conclusions:
         raise ValueError("no conclusions to check")
-    keys = [c.key() for c in conclusions]
-    tallies = {key: {"checked": 0, "violations": 0} for key in keys}
-    failures: list[dict] = []
-
-    def record(dist: ExactDistribution, instance_seed: int | None) -> None:
-        passed = [oracle.verify_claim(dist, c) for c in conclusions]
-        for key, ok in zip(keys, passed):
-            tallies[key]["checked"] += 1
-            if not ok:
-                tallies[key]["violations"] += 1
-                failures.append({"conclusion": key, "seed": instance_seed})
-
+    # two rules can derive one claim; it is checked once per draw
+    claims = {c.key(): c for c in analysis.conclusions}
     if analysis.dist is not None:
-        record(analysis.dist, None)
-        return OracleCheck(analysis, 1, 1, tallies, tuple(failures))
+        return OracleCheck(analysis, (Draw(None, Outcome.ACCEPTED, _verdicts(analysis.dist, claims)),))
 
-    # a node a conclusion conditions on, with the value it is conditioned at
+    # a node a claim conditions on, with the value it is conditioned at
     conditioned = {
         (n, v)
-        for c in conclusions
+        for c in claims.values()
         for q in ((c.quantity, c.other) if c.relation is Relation.SIGN_EQUALS else (c.quantity,))
         for n, v in ((q.given, q.stratum), *q.extra)
     }
@@ -843,42 +882,21 @@ def oracle_check(
     constraints = replace(
         constraints, monotone={**monotone, d: monotone.get(d, ()) + pair}, row_filter={d: asserted.admits_rows}
     )
-    accepted = drawn = generation_errors = mismatches = zero_mass = 0
-    target_failed = False
-    while accepted < instances and drawn < 100 * instances:
-        instance_seed = seed + drawn
-        drawn += 1
-        try:
-            scm = oracle.random_instance(model.dag, constraints, instance_seed)
-        except oracle.GenerationError as e:
-            if e.node == d and not target_failed:
-                target_failed = True
-                if not oracle.admissible_row_sets(model.dag, constraints, d):
-                    flags = ", ".join(f"{slot}={flag.value}" for slot, flag in sorted(asserted.flags.items()))
-                    raise ValueError(
-                        f"no table the generator can draw for {d} carries the asserted flags "
-                        f"{flags} on ({asserted.e1}, {asserted.e2})"
-                    ) from None
-            generation_errors += 1
-            continue
-        if not asserted.admits_table(scm.tables[d]):
-            mismatches += 1
-            continue
-        if any(_never_takes(scm.tables[n], v) for n, v in conditioned):
-            zero_mass += 1
-            continue
-        dist = joint_distribution(scm, budget)
-        if not asserted.admits(dist):
-            mismatches += 1
-            continue
-        try:
-            record(dist, instance_seed)
-        except oracle.ConditioningError:
-            zero_mass += 1
-            continue
-        accepted += 1
-    if accepted == 0:
-        raise ValueError(f"no premise-satisfying instance found in {drawn} draws")
-    return OracleCheck(
-        analysis, accepted, drawn, tallies, tuple(failures), generation_errors, mismatches, zero_mass
-    )
+    draws: list[Draw] = []
+    for instance_seed in range(seed, seed + 100 * instances):
+        draw = _end_draw(model.dag, constraints, asserted, claims, conditioned, budget, instance_seed)
+        draws.append(draw)
+        # only d has a row filter, so only d's table can fail to be drawn
+        if (draw.outcome is Outcome.GENERATION_ERROR and [r.outcome for r in draws].count(draw.outcome) == 1
+                and not oracle.admissible_row_sets(model.dag, constraints, d)):
+            flags = ", ".join(f"{slot}={flag.value}" for slot, flag in sorted(asserted.flags.items()))
+            raise ValueError(
+                f"no table the generator can draw for {d} carries the asserted flags "
+                f"{flags} on ({asserted.e1}, {asserted.e2})"
+            )
+        if draw.outcome is Outcome.ACCEPTED and [r.outcome for r in draws].count(draw.outcome) == instances:
+            break
+    check = OracleCheck(analysis, tuple(draws))
+    if not check.accepted:
+        raise ValueError(f"no premise-satisfying instance found in {check.drawn} draws")
+    return check

@@ -272,6 +272,18 @@ class TestCovsign:
         # E2 is non-monotone on D, so the rule set must refuse
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["covsign", "oracle-check"])
+    @pytest.mark.parametrize("source, extra, given", [
+        ("coaggregation_null", ("--d", "P1", "--g", "P2"), "g=P2"),
+        ("coaggregation_null", ("--d", "P1", "--f", "B1"), "f=B1"),
+        ("transfer_shared_a", ("--d", "D", "--q", "Q"), "q=Q"),
+        ("transfer_shared_a", ("--d", "D", "--f", "F", "--q", "Q"), "f=F, q=Q"),
+    ])
+    def test_a_transfer_needs_both_proxies(self, capsys, command, source, extra, given):
+        code, out, err = run(capsys, command, fixture(source), *extra)
+        assert (code, out) == (2, "")
+        assert err == f"error: a transfer to proxies needs both f and g; got {given}\n"
+
 
 PAIR_FULL = (
     "node E1\nnode E2\nnode D\nedge E1 D +\nedge E2 D +\n"

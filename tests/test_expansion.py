@@ -104,12 +104,13 @@ def markov_expansions(seed, count):
     return out[:count]
 
 
-def markov_violations(dag, dist):
-    """Every (x, y, Z) with |Z| <= 1 that ``dag`` d-separates but ``dist``
-    does not make conditionally independent."""
+def markov_violations(dag, dist, sizes=(0, 1)):
+    """Every (x, y, Z) with |Z| in ``sizes`` that ``dag`` d-separates but
+    ``dist`` does not make conditionally independent."""
     found = []
     for x, y in combinations(dag.nodes, 2):
-        for z in [(), *((n,) for n in dag.nodes if n not in (x, y))]:
+        rest = [n for n in dag.nodes if n not in (x, y)]
+        for z in (z for k in sizes for z in combinations(rest, k)):
             if d_separated(dag, x, y, z) and not conditional_independent(dist, x, y, z):
                 found.append((x, y, z))
     return found
@@ -364,6 +365,13 @@ class TestMarkovAudit:
     def test_separations_hold_exactly(self):
         for m, exp in markov_expansions(2009, 10):
             assert markov_violations(exp.dag, expanded_distribution(m, exp)) == []
+
+    def test_separations_hold_exactly_given_two_nodes(self):
+        # the expansions of at most 19 nodes: all 10 take about 7 times as long
+        small = [(m, exp) for m, exp in markov_expansions(2009, 10) if len(exp.dag.nodes) <= 19]
+        assert len(small) == 6
+        for m, exp in small:
+            assert markov_violations(exp.dag, expanded_distribution(m, exp), sizes=(2,)) == []
 
     def test_a_dropped_cocause_edge_is_caught(self):
         # drop the first co-cause -> AND edge whose AND node is not constant

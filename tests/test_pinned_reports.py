@@ -7,12 +7,13 @@ each argv with its exit code, stdout and stderr. A change that is meant to
 alter some output updates ``PINNED`` and says so in CHANGES.md.
 
 ``pinned_reports.txt`` holds a short digest of each argv's report, so a
-failure names the argv whose report moved. It only explains a failure;
-``PINNED`` decides. After an intended output change, re-record it with
+failure names the argv whose report moved, and it must agree with
+``PINNED``. After an intended output change, re-record it with
 ``PYTHONPATH=src python tests/test_pinned_reports.py`` and review its diff.
 """
 
 import hashlib
+import json
 import os
 import shlex
 from itertools import combinations
@@ -25,7 +26,7 @@ from support import FIXTURES
 REPO = FIXTURES.parent
 MANIFEST = REPO / "tests" / "pinned_reports.txt"
 
-PINNED = "c2b26f458c5d7f9676dc89d5ded130385c0145319def516f330c43574a857757"
+PINNED = "8bcbaa374bb339b00cb4784d28b3d24f2d5a57061071357c555b7f18badc2337"
 
 
 def _argvs() -> list[list[str]]:
@@ -95,6 +96,24 @@ def test_fixture_reports_match_the_pinned_digest(capsys, monkeypatch):
             moved.append(shlex.join(argv))
     assert len(argvs) == 2174
     assert digest.hexdigest() == PINNED, f"{len(moved)} reports moved:\n" + "\n".join(moved)
+    assert not moved, f"{MANIFEST.name} is stale for {len(moved)} argvs:\n" + "\n".join(moved)
+
+
+def test_every_claim_is_checked_once_per_accepted_instance(capsys, monkeypatch):
+    monkeypatch.chdir(REPO)
+    answered = 0
+    for argv in _argvs():
+        if argv[0] != "oracle-check" or "json" not in argv:
+            continue
+        code = main(argv)
+        out = capsys.readouterr().out
+        if code == 2:
+            continue
+        report = json.loads(out)
+        answered += 1
+        for entry in report["verification"]:
+            assert entry["checked"] == report["instances_accepted"], (shlex.join(argv), entry)
+    assert answered == 29
 
 
 if __name__ == "__main__":
