@@ -693,13 +693,16 @@ def covsign_analysis(
     otherwise. A transfer uses the first satisfied rule, direct before
     shared-cause; when neither holds, or an inner conclusion cannot be
     moved, the reason is recorded under ``not_applicable``. ``q`` and
-    a single proxy raise ``ValueError`` unless both proxies are given.
+    a single proxy raise ``ValueError`` unless both proxies are given, and
+    ``q`` does too when the proxies are ``d``'s parent pair itself.
     """
     if (f is None) != (g is None) or (q and f is None):
         given = ", ".join(f"{k}={v}" for k, v in (("f", f), ("g", g), ("q", ",".join(q))) if v)
         raise ValueError(f"a transfer to proxies needs both f and g; got {given}")
     model.dag.require(d, *(n for n in (f, g) if n), *q)
     e1, e2 = _parent_pair(model, d)
+    if q and {f, g} == {e1, e2}:
+        raise ValueError(f"q needs proxies other than {d}'s parents; got f={f}, g={g}, q={','.join(q)}")
     negative = _pair_polarity(model, d, e1, e2)
     asserted = read_assertions(model.assertions, d, e1, e2, negative)
     dist = None

@@ -80,30 +80,37 @@ def conditional_independent(
     (restricted to ``stratum`` when given); zero-probability strata are
     skipped by construction. Inside a stratum of weight M it asks
     W(x, y) M == W(x) W(y) of the integer cell weights for every pair of
-    values seen; both sides carry the scale squared, so it cancels.
+    values seen; both sides carry the scale squared, so it cancels. ``x``
+    and ``y`` each need at least one column.
     """
     base = dist.restrict(stratum or {})
-    kz = _row_key([base.column(c) for c in z])
-    kx = _row_key([base.column(c) for c in _columns(x)])
-    ky = _row_key([base.column(c) for c in _columns(y)])
+    cz = [base.column(c) for c in z]
+    cx = [base.column(c) for c in _columns(x)]
+    cy = [base.column(c) for c in _columns(y)]
+    if not cx or not cy:
+        raise ValueError("x and y each need at least one column")
+    # one read per row; with x and y non-empty the key is a tuple z + x + y
+    key = _row_key(cz + cx + cy)
     cells: dict[tuple, int] = {}
     for vals, w in base.rows:
-        cell = (kz(vals), kx(vals), ky(vals))
-        cells[cell] = cells.get(cell, 0) + w
+        k = key(vals)
+        cells[k] = cells.get(k, 0) + w
 
-    mass: dict[object, int] = {}
+    nz, nzx = len(cz), len(cz) + len(cx)
+    mass: dict[tuple, int] = {}
     mx: dict[tuple, int] = {}
     my: dict[tuple, int] = {}
-    for (vz, vx, vy), w in cells.items():
+    for k, w in cells.items():
+        vz, vx, vy = k[:nz], k[nz:nzx], k[nzx:]
         mass[vz] = mass.get(vz, 0) + w
         mx[vz, vx] = mx.get((vz, vx), 0) + w
         my[vz, vy] = my.get((vz, vy), 0) + w
-    ys_of: dict[object, list] = {}
+    ys_of: dict[tuple, list] = {}
     for vz, vy in my:
         ys_of.setdefault(vz, []).append(vy)
     for (vz, vx), wx in mx.items():
         for vy in ys_of[vz]:
-            if cells.get((vz, vx, vy), 0) * mass[vz] != wx * my[vz, vy]:
+            if cells.get(vz + vx + vy, 0) * mass[vz] != wx * my[vz, vy]:
                 return False
     return True
 

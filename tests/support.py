@@ -1,7 +1,8 @@
 """Shared helpers: fixture paths, random graphs, references (path enumeration,
 the exhaustive witness search, atom-by-atom sufficient causes, world
-enumeration, complemented parents, monotone closure), and constrained
-instance families."""
+enumeration, complemented parents, monotone closure, the per-row query
+filters and bit-by-bit configuration sums), and constrained instance
+families."""
 
 from __future__ import annotations
 
@@ -17,6 +18,7 @@ from suffcause import (
     CoCauseKind,
     Conjunction,
     Dag,
+    ExactDistribution,
     Literal,
     Path as GraphPath,
     ResponseTable,
@@ -28,6 +30,8 @@ from suffcause import (
     facts_from_scm,
 )
 from suffcause.covsign import Flag, RepFacts
+from suffcause.oracle import _columns
+from suffcause.scm import _row_key
 from suffcause.signs import Relation
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -444,6 +448,54 @@ def reference_independent(model: Scm, values, x: str, y: str, z=()) -> bool:
             if pxy / mass != (px / mass) * (py / mass):
                 return False
     return True
+
+
+# -- test-only references for the exact queries and the joint's sums --------
+
+def reference_restrict(dist: ExactDistribution, assignment) -> ExactDistribution:
+    """The per-row ``all(...)`` filter: the reference for ``ExactDistribution.restrict``."""
+    if not assignment:
+        return dist
+    idx = [(dist.column(k), v) for k, v in assignment.items()]
+    kept = [(vals, w) for vals, w in dist.rows if all(vals[i] == v for i, v in idx)]
+    return ExactDistribution(dist.columns, kept, dist.scale)
+
+
+def reference_tally_independent(dist: ExactDistribution, x, y, z=(), stratum=None) -> bool:
+    """The three-getter tally, one (z, x, y) cell tuple per row, over the
+    ``all(...)`` filter: the reference for ``oracle.conditional_independent``."""
+    base = reference_restrict(dist, stratum or {})
+    kz = _row_key([base.column(c) for c in z])
+    kx = _row_key([base.column(c) for c in _columns(x)])
+    ky = _row_key([base.column(c) for c in _columns(y)])
+    cells: dict[tuple, int] = {}
+    for vals, w in base.rows:
+        cell = (kz(vals), kx(vals), ky(vals))
+        cells[cell] = cells.get(cell, 0) + w
+    mass: dict[object, int] = {}
+    mx: dict[tuple, int] = {}
+    my: dict[tuple, int] = {}
+    for (vz, vx, vy), w in cells.items():
+        mass[vz] = mass.get(vz, 0) + w
+        mx[vz, vx] = mx.get((vz, vx), 0) + w
+        my[vz, vy] = my.get((vz, vy), 0) + w
+    ys_of: dict[object, list] = {}
+    for vz, vy in my:
+        ys_of.setdefault(vz, []).append(vy)
+    for (vz, vx), wx in mx.items():
+        for vy in ys_of[vz]:
+            if cells.get((vz, vx, vy), 0) * mass[vz] != wx * my[vz, vy]:
+                return False
+    return True
+
+
+def reference_one_weights(table: ResponseTable) -> list[int]:
+    """Bit-by-bit sums, one shift of every row per configuration: the
+    reference for ``scm._one_weights``."""
+    return [
+        sum(w for r, w in zip(table.rows, table.weights) if (r >> c) & 1)
+        for c in range(table.n_configs)
+    ]
 
 
 def random_fraction(rng: random.Random, max_den: int = 8) -> Fraction:

@@ -44,6 +44,8 @@ from support import (
     ref_canonical_terms,
     reference_independent,
     reference_monotone_close,
+    reference_restrict,
+    reference_tally_independent,
     value_marginal,
     without_term,
 )
@@ -224,6 +226,92 @@ class TestMatchesWorldEnumeration:
                 assert len(dist.rows) == len(expected)
         # with and without a state-bound term, on targets with and without a child
         assert set(seen) == set(product((False, True), repeat=2)), seen
+
+
+class TestQueriesMatchReferences:
+    """The one-key restrict and tally against the per-row filter and the
+    three-getter tally they replaced, on seeded models of 4-8 nodes."""
+
+    @staticmethod
+    def _cases(seed, count):
+        rng = random.Random(seed)
+        for _ in range(count):
+            g = random_dag(rng, rng.randint(4, 8), 0.45)
+            m = Scm(g, {n: _rough_table(rng, n, g.parents(n)) for n in g.nodes})
+            yield rng, g.nodes, joint_distribution(m)
+
+    @staticmethod
+    def _assignment(rng, nodes, k):
+        return {c: rng.randint(0, 1) for c in rng.sample(nodes, k)}
+
+    def test_restrict_matches_the_all_filter(self):
+        sizes = Counter()
+        for rng, nodes, dist in self._cases(2301, 40):
+            assert dist.restrict({}) is reference_restrict(dist, {}) is dist
+            for k in (1, 2, 3):
+                a = self._assignment(rng, nodes, k)
+                sub, ref = dist.restrict(a), reference_restrict(dist, a)
+                assert (sub.columns, sub.rows, sub.scale) == (ref.columns, ref.rows, ref.scale)
+                sizes["kept" if sub.rows else "empty"] += 1
+                # a value outside {0, 1} matches no row
+                a[rng.choice(list(a))] = rng.choice((2, -1))
+                assert dist.restrict(a).rows == reference_restrict(dist, a).rows == ()
+        assert sizes["kept"] and sizes["empty"]
+
+    def test_covariances_match_on_the_filtered_rows(self):
+        for rng, nodes, dist in self._cases(2302, 40):
+            for k in (0, 1, 2, 3):
+                x, y = rng.choice(nodes), rng.choice(nodes)
+                given = self._assignment(rng, nodes, k)
+                ref = reference_restrict(dist, given)
+                if ref.mass() == 0:
+                    with pytest.raises(ConditioningError):
+                        conditional_covariance(dist, x, y, given)
+                else:
+                    assert conditional_covariance(dist, x, y, given) == conditional_covariance(ref, x, y)
+
+    def test_independence_matches_the_three_getter_tally(self):
+        verdicts = Counter()
+        for rng, nodes, dist in self._cases(2303, 60):
+            for _ in range(6):
+                x = rng.sample(nodes, rng.randint(1, 2))
+                y = rng.sample([n for n in nodes if n not in x], rng.randint(1, 2))
+                stratum = self._assignment(rng, nodes, rng.randint(0, 2))
+                # z may share columns with the stratum
+                z = rng.sample(nodes, rng.randint(0, 3))
+                if len(x) == 1 and rng.random() < 0.5:
+                    x = x[0]  # a column name as well as a list of them
+                got = conditional_independent(dist, x, y, z, stratum)
+                assert got == reference_tally_independent(dist, x, y, z, stratum)
+                verdicts[got] += 1
+                verdicts["overlap"] += bool(set(z) & set(stratum))
+        assert verdicts[True] and verdicts[False] and verdicts["overlap"]
+
+    def test_an_unknown_column_raises_the_same_error(self):
+        _, _, dist = next(self._cases(2304, 1))
+        x, y = dist.columns[:2]
+        bad = {x: 1, "nope": 0}
+        cases = [
+            (lambda: dist.restrict(bad), lambda: reference_restrict(dist, bad)),
+            (lambda: conditional_independent(dist, x, "nope"),
+             lambda: reference_tally_independent(dist, x, "nope")),
+            (lambda: conditional_independent(dist, x, y, ("nope",)),
+             lambda: reference_tally_independent(dist, x, y, ("nope",))),
+            (lambda: conditional_independent(dist, x, y, (), bad),
+             lambda: reference_tally_independent(dist, x, y, (), bad)),
+        ]
+        for ours, ref in cases:
+            with pytest.raises(KeyError) as got:
+                ours()
+            with pytest.raises(KeyError) as want:
+                ref()
+            assert str(got.value) == str(want.value) == "\"unknown column 'nope'\""
+
+    def test_empty_x_or_y_is_refused(self):
+        dist = joint_distribution(or_model())
+        for x, y in (((), "D"), ("E1", ()), ((), ())):
+            with pytest.raises(ValueError, match="at least one column"):
+                conditional_independent(dist, x, y, ("E2",))
 
 
 class TestRandomInstance:
