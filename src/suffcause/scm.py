@@ -254,6 +254,7 @@ def joint_distribution(model: Scm, budget: int = DEFAULT_WORLD_BUDGET) -> ExactD
     scale = 1
     for n in model.graph.topological():
         t = model.tables[n]
+        weighted = list(zip(t.rows, t.weights))
         scale *= t.scale
         fanout = min(sum(1 for w in t.weights if w), 2)
         if len(rows) * fanout > budget:
@@ -264,7 +265,8 @@ def joint_distribution(model: Scm, budget: int = DEFAULT_WORLD_BUDGET) -> ExactD
         position[n] = len(rows[0][0])
         # a row's children, keyed by its parent values as parent_values reads them
         children = {}
-        for key, one in zip(_config_keys(t.n_parents), _one_weights(t)):
+        for c, key in enumerate(_config_keys(t.n_parents)):
+            one = sum(w for r, w in weighted if (r >> c) & 1)
             children[key] = [(v, w) for v, w in (((0,), t.scale - one), ((1,), one)) if w]
         rows = [
             (vals + v, weight * w)
@@ -277,20 +279,6 @@ def joint_distribution(model: Scm, budget: int = DEFAULT_WORLD_BUDGET) -> ExactD
         reorder = itemgetter(*order)  # two or more columns here, so it returns tuples
         rows = [(reorder(vals), w) for vals, w in rows]
     return ExactDistribution(nodes, rows, scale)
-
-
-def _one_weights(table: ResponseTable) -> list[int]:
-    """Summed weight of the states that output 1, at each parent configuration.
-
-    One pass over each state's row: its binary digits, read from the low
-    end, are the outputs at configurations 0, 1, ...
-    """
-    ones = [0] * table.n_configs
-    for r, w in zip(table.rows, table.weights):
-        for c, bit in enumerate(bin(r)[:1:-1]):
-            if bit == "1":
-                ones[c] += w
-    return ones
 
 
 def _row_key(indices: Sequence[int]) -> Callable[[Sequence[int]], object]:

@@ -1,8 +1,7 @@
 """Shared helpers: fixture paths, random graphs, references (path enumeration,
 the exhaustive witness search, atom-by-atom sufficient causes, world
 enumeration, complemented parents, monotone closure, the per-row query
-filters and bit-by-bit configuration sums), and constrained instance
-families."""
+filters), and constrained instance families."""
 
 from __future__ import annotations
 
@@ -450,7 +449,7 @@ def reference_independent(model: Scm, values, x: str, y: str, z=()) -> bool:
     return True
 
 
-# -- test-only references for the exact queries and the joint's sums --------
+# -- test-only references for the exact queries ------------------------------
 
 def reference_restrict(dist: ExactDistribution, assignment) -> ExactDistribution:
     """The per-row ``all(...)`` filter: the reference for ``ExactDistribution.restrict``."""
@@ -487,15 +486,6 @@ def reference_tally_independent(dist: ExactDistribution, x, y, z=(), stratum=Non
             if cells.get((vz, vx, vy), 0) * mass[vz] != wx * my[vz, vy]:
                 return False
     return True
-
-
-def reference_one_weights(table: ResponseTable) -> list[int]:
-    """Bit-by-bit sums, one shift of every row per configuration: the
-    reference for ``scm._one_weights``."""
-    return [
-        sum(w for r, w in zip(table.rows, table.weights) if (r >> c) & 1)
-        for c in range(table.n_configs)
-    ]
 
 
 def random_fraction(rng: random.Random, max_den: int = 8) -> Fraction:

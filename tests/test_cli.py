@@ -272,27 +272,25 @@ class TestCovsign:
         # E2 is non-monotone on D, so the rule set must refuse
         assert code == 2
 
-    NEEDS_BOTH = "error: a transfer to proxies needs both f and g; got "
-
     @pytest.mark.parametrize("command", ["covsign", "oracle-check"])
-    @pytest.mark.parametrize("source, extra, expected", [
-        pytest.param("coaggregation_null", ("--d", "P1", "--g", "P2"), NEEDS_BOTH + "g=P2\n",
-                     id="coaggregation_null-extra0-g=P2"),
-        pytest.param("coaggregation_null", ("--d", "P1", "--f", "B1"), NEEDS_BOTH + "f=B1\n",
-                     id="coaggregation_null-extra1-f=B1"),
-        pytest.param("transfer_shared_a", ("--d", "D", "--q", "Q"), NEEDS_BOTH + "q=Q\n",
-                     id="transfer_shared_a-extra2-q=Q"),
-        pytest.param("transfer_shared_a", ("--d", "D", "--f", "F", "--q", "Q"), NEEDS_BOTH + "f=F, q=Q\n",
-                     id="transfer_shared_a-extra3-f=F, q=Q"),
-        # the parent pair as proxies is no transfer, so q would be dropped
-        pytest.param("transfer_shared_a", ("--d", "D", "--f", "E1", "--g", "E2", "--q", "Q"),
-                     "error: q needs proxies other than D's parents; got f=E1, g=E2, q=Q\n",
-                     id="transfer_shared_a-extra4-parent-pair-q=Q"),
+    @pytest.mark.parametrize("source, extra, given", [
+        ("coaggregation_null", ("--d", "P1", "--g", "P2"), "g=P2"),
+        ("coaggregation_null", ("--d", "P1", "--f", "B1"), "f=B1"),
+        ("transfer_shared_a", ("--d", "D", "--q", "Q"), "q=Q"),
+        ("transfer_shared_a", ("--d", "D", "--f", "F", "--q", "Q"), "f=F, q=Q"),
     ])
-    def test_a_transfer_needs_both_proxies(self, capsys, command, source, extra, expected):
+    def test_a_transfer_needs_both_proxies(self, capsys, command, source, extra, given):
         code, out, err = run(capsys, command, fixture(source), *extra)
         assert (code, out) == (2, "")
-        assert err == expected
+        assert err == f"error: a transfer to proxies needs both f and g; got {given}\n"
+
+    @pytest.mark.parametrize("command", ["covsign", "oracle-check"])
+    def test_q_needs_proxies_other_than_the_parent_pair(self, capsys, command):
+        # the parent pair as proxies is no transfer, so q would be dropped
+        argv = ("--d", "D", "--f", "E1", "--g", "E2", "--q", "Q")
+        code, out, err = run(capsys, command, fixture("transfer_shared_a"), *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: q needs proxies other than D's parents; got f=E1, g=E2, q=Q\n"
 
 
 PAIR_FULL = (

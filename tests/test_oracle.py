@@ -307,11 +307,11 @@ class TestQueriesMatchReferences:
                 ref()
             assert str(got.value) == str(want.value) == "\"unknown column 'nope'\""
 
-    def test_empty_x_or_y_is_refused(self):
+    def test_empty_x_or_y_is_independent(self):
         dist = joint_distribution(or_model())
         for x, y in (((), "D"), ("E1", ()), ((), ())):
-            with pytest.raises(ValueError, match="at least one column"):
-                conditional_independent(dist, x, y, ("E2",))
+            assert conditional_independent(dist, x, y, ("E2",))
+            assert reference_tally_independent(dist, x, y, ("E2",))
 
 
 class TestRandomInstance:

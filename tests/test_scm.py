@@ -20,10 +20,7 @@ from suffcause import (
     substitute,
 )
 
-from suffcause import scm
-from suffcause.scm import _one_weights
-
-from support import enumerate_joint, random_dag, reference_one_weights, value_marginal
+from support import enumerate_joint, random_dag, value_marginal
 
 half = Fraction(1, 2)
 
@@ -120,41 +117,6 @@ class TestIntegerWeights:
             m = Scm(g, {n: _random_table(rng, n, g.parents(n)) for n in g.nodes})
             dist = joint_distribution(m)
             assert dist.marginal(g.nodes) == value_marginal(m, enumerate_joint(m))
-
-
-class TestConfigurationSums:
-    """A node's per-configuration weight sums, one pass over each row,
-    against the bit-by-bit sums they replaced."""
-
-    def test_one_weights_match_the_bit_by_bit_sums(self):
-        rng = random.Random(2310)
-        for k in range(11):
-            parents = tuple(f"P{i}" for i in range(k))
-            for _ in range(20):
-                t = _random_table(rng, "D", parents)
-                assert _one_weights(t) == reference_one_weights(t)
-            # the constant rows, whose binary digits are all 0 or all 1
-            t = ResponseTable("D", parents, (0, (1 << (1 << k)) - 1), (half, half))
-            assert _one_weights(t) == reference_one_weights(t) == [1] * (1 << k)
-
-    def test_joints_match_the_bit_by_bit_sums_on_wide_nodes(self, monkeypatch):
-        # non-constant roots R0..R(k-1) reach all 2^k configurations of D,
-        # and D feeds C with root B: rows, row order and scale must not
-        # depend on how the sums are taken
-        rng = random.Random(2311)
-        models = []
-        for k in range(13):
-            roots = [f"R{i}" for i in range(k)]
-            edges = [(r, "D") for r in roots] + [("D", "C"), ("B", "C")]
-            g = Dag(roots + ["B", "D", "C"], edges)
-            tables = {r: ResponseTable.bernoulli(r, Fraction(rng.randint(1, 4), 5)) for r in roots}
-            tables.update({n: _random_table(rng, n, g.parents(n)) for n in ("B", "D", "C")})
-            models.append(Scm(g, tables))
-        ours = [joint_distribution(m) for m in models]
-        monkeypatch.setattr(scm, "_one_weights", reference_one_weights)
-        for m, dist in zip(models, ours):
-            ref = joint_distribution(m)
-            assert (dist.columns, dist.rows, dist.scale) == (ref.columns, ref.rows, ref.scale)
 
 
 class TestDedupe:
