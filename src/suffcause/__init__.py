@@ -39,9 +39,11 @@ from .covsign import (
 from .expansion import (
     ExpandedDag,
     expand,
+    expand_model,
     expanded_distribution,
     stratum_conditioning_set,
     stratum_independent,
+    stratum_witness,
 )
 from .graph import (
     Dag,

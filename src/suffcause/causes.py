@@ -24,7 +24,7 @@ from enum import Enum
 from itertools import combinations, product
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .scm import ResponseTable
+from .scm import ResponseTable, _parent_mask
 
 
 class CoCauseKind(Enum):
@@ -220,7 +220,7 @@ class _TableAtoms:
         self.states = [block << (j * n) for j in range(table.n_states)]
         self.literals: dict[Literal, int] = {}
         for i, p in enumerate(table.parents):
-            on = _join(1 << c for c in range(n) if c >> i & 1)
+            on = _parent_mask(n, 1 << i)
             self.literals[Literal(p)] = on * spread
             self.literals[Literal(p, True)] = (block ^ on) * spread
 
@@ -378,8 +378,7 @@ class EventSpace:
         self.all = (1 << self.n_assignments) - 1
 
     def var(self, name: str) -> int:
-        i = self.base.index(name)
-        return _join(1 << a for a in range(self.n_assignments) if a >> i & 1)
+        return _parent_mask(self.n_assignments, 1 << self.base.index(name))
 
     def vars(self) -> tuple[int, ...]:
         return tuple(self.var(n) for n in self.base)

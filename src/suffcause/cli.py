@@ -32,7 +32,7 @@ from typing import Sequence
 
 from . import covsign as cs
 from .causes import CoCauseKind, canonical_representation
-from .expansion import expand, stratum_conditioning_set
+from .expansion import expand_model, stratum_conditioning_set, stratum_witness
 from .graph import find_unblocked_path
 from .modelfile import Model, load_model
 from .scm import DEFAULT_WORLD_BUDGET, dedupe_states
@@ -134,21 +134,8 @@ def _cmd_canonical(model: Model, args) -> tuple[dict, list[str], bool]:
     return {"representations": entries}, lines, True
 
 
-def _expanded(model: Model, node: str):
-    """``node``'s expansion under its declared representation, else its canonical one."""
-    table = model.tables.get(node)
-    if node in model.representations:
-        rep, source = model.representations[node], "declared"
-    elif table is not None:
-        table = dedupe_states(table)
-        rep, source = canonical_representation(table), "canonical"
-    else:
-        raise ValueError(f"no representation or equation for {node!r}")
-    return expand(model.dag, node, rep, table), rep, source
-
-
 def _cmd_expand(model: Model, args) -> tuple[dict, list[str], bool]:
-    exp, rep, source = _expanded(model, args.node)
+    exp, source = expand_model(model, args.node)
     nodes = [{"name": n, "kind": exp.kind_of(n)} for n in exp.dag.nodes]
     edges = [
         {"from": a, "to": b, "sign": exp.dag.signs.get((a, b))}
@@ -160,7 +147,7 @@ def _cmd_expand(model: Model, args) -> tuple[dict, list[str], bool]:
         lines.append(f"edge {e['from']} {e['to']}{suffix}")
     body = {
         "target": args.node,
-        "representation": {"source": source, "terms": [_term_dict(t) for t in rep.terms]},
+        "representation": {"source": source, "terms": [_term_dict(t) for t in exp.terms]},
         "nodes": nodes,
         "edges": edges,
     }
@@ -183,9 +170,8 @@ def _cmd_dsep(model: Model, args) -> tuple[dict, list[str], bool]:
 
 
 def _cmd_stratum_ci(model: Model, args) -> tuple[dict, list[str], bool]:
-    exp, rep, source = _expanded(model, args.node)
-    cond = set(args.z) | stratum_conditioning_set(exp, args.stratum)
-    witness = find_unblocked_path(exp.dag, args.x, args.y, cond)
+    exp, source = expand_model(model, args.node)
+    witness = stratum_witness(exp, args.x, args.y, args.z, args.stratum)
     verdict = witness is None
     wording = "independent within stratum" if verdict else "not implied independent"
     body = {
@@ -193,7 +179,7 @@ def _cmd_stratum_ci(model: Model, args) -> tuple[dict, list[str], bool]:
         "stratum": args.stratum,
         "x": args.x, "y": args.y, "z": args.z,
         "representation_source": source,
-        "conditioning_set": sorted(cond, key=exp.dag.index),
+        "conditioning_set": sorted(stratum_conditioning_set(exp, args.stratum, args.z), key=exp.dag.index),
         "verdict": wording,
         "witness": None if witness is None else str(witness),
     }

@@ -886,18 +886,20 @@ def oracle_check(
         constraints, monotone={**monotone, d: monotone.get(d, ()) + pair}, row_filter={d: asserted.admits_rows}
     )
     draws: list[Draw] = []
+    seen = dict.fromkeys(Outcome, 0)  # draws so far by outcome
     for instance_seed in range(seed, seed + 100 * instances):
         draw = _end_draw(model.dag, constraints, asserted, claims, conditioned, budget, instance_seed)
         draws.append(draw)
+        seen[draw.outcome] += 1
         # only d has a row filter, so only d's table can fail to be drawn
-        if (draw.outcome is Outcome.GENERATION_ERROR and [r.outcome for r in draws].count(draw.outcome) == 1
+        if (draw.outcome is Outcome.GENERATION_ERROR and seen[draw.outcome] == 1
                 and not oracle.admissible_row_sets(model.dag, constraints, d)):
             flags = ", ".join(f"{slot}={flag.value}" for slot, flag in sorted(asserted.flags.items()))
             raise ValueError(
                 f"no table the generator can draw for {d} carries the asserted flags "
                 f"{flags} on ({asserted.e1}, {asserted.e2})"
             )
-        if draw.outcome is Outcome.ACCEPTED and [r.outcome for r in draws].count(draw.outcome) == instances:
+        if draw.outcome is Outcome.ACCEPTED and seen[draw.outcome] == instances:
             break
     check = OracleCheck(analysis, tuple(draws))
     if not check.accepted:

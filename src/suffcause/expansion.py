@@ -12,13 +12,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, count
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
-from .causes import CoCauseKind, Conjunction, Representation, validate_representation
-from .graph import Dag, d_separated
+from .causes import CoCauseKind, Conjunction, Representation, canonical_representation, validate_representation
+from .graph import Dag, Path, find_unblocked_path
 from .scm import (
-    DEFAULT_WORLD_BUDGET, BudgetExceededError, ExactDistribution, ResponseTable, Scm, config_index, joint_distribution
+    DEFAULT_WORLD_BUDGET, BudgetExceededError, ExactDistribution, ResponseTable, Scm, config_index, dedupe_states,
+    joint_distribution,
 )
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .modelfile import Model
 
 EXOGENOUS_NAME = "U"
 
@@ -122,35 +126,44 @@ def expand(base: Dag, d: str, rep: Representation, table: ResponseTable | None =
     return ExpandedDag(dag, base, d, exogenous, tuple(cocause_nodes), tuple(and_nodes), rep.terms)
 
 
-def stratum_conditioning_set(e: ExpandedDag, stratum: int) -> frozenset[str]:
-    """What conditioning on the target's stratum pins down.
+def expand_model(model: Model, node: str) -> tuple[ExpandedDag, str]:
+    """``node``'s expansion under its declared representation ("declared"),
+    else under the canonical one of its deduplicated table ("canonical")."""
+    table = model.tables.get(node)
+    if node in model.representations:
+        rep, source = model.representations[node], "declared"
+    elif table is not None:
+        table = dedupe_states(table)
+        rep, source = canonical_representation(table), "canonical"
+    else:
+        raise ValueError(f"no representation or equation for {node!r}")
+    return expand(model.dag, node, rep, table), source
 
-    In the 0 stratum every AND node is deterministically 0, so they join
-    the conditioning set; in the 1 stratum no single AND node is fixed.
-    """
+
+def stratum_conditioning_set(e: ExpandedDag, stratum: int, z: Iterable[str] = ()) -> frozenset[str]:
+    """``z`` and what conditioning on the target's stratum pins down: the
+    target, and in the 0 stratum every AND node, which is then 0."""
     if stratum not in (0, 1):
         raise ValueError(f"stratum must be 0 or 1, got {stratum!r}")
-    if stratum == 0:
-        return frozenset((e.target, *e.and_nodes))
-    return frozenset((e.target,))
+    pinned = (e.target, *e.and_nodes) if stratum == 0 else (e.target,)
+    return frozenset((*z, *pinned))
 
 
-def stratum_independent(
-    e: ExpandedDag,
-    x: str,
-    y: str,
-    z: Iterable[str] = (),
-    stratum: int = 0,
-) -> bool:
+def stratum_witness(e: ExpandedDag, x: str, y: str, z: Iterable[str] = (), stratum: int = 0) -> Path | None:
+    """An unblocked path between ``x`` and ``y`` on the expansion given
+    ``stratum_conditioning_set(e, stratum, z)``, or None when there is none."""
+    return find_unblocked_path(e.dag, x, y, stratum_conditioning_set(e, stratum, z))
+
+
+def stratum_independent(e: ExpandedDag, x: str, y: str, z: Iterable[str] = (), stratum: int = 0) -> bool:
     """Sound graphical test of independence inside one stratum of the target.
 
-    True means ``x`` and ``y`` are conditionally independent given ``z``
-    within the stratum, for every parameterization compatible with the
-    representation. False is NOT a dependence claim; report it as "not
-    implied independent".
+    True, when ``stratum_witness`` finds no path, means ``x`` and ``y`` are
+    conditionally independent given ``z`` within the stratum, for every
+    parameterization compatible with the representation. False is NOT a
+    dependence claim; report it as "not implied independent".
     """
-    cond = set(z) | stratum_conditioning_set(e, stratum)
-    return d_separated(e.dag, x, y, cond)
+    return stratum_witness(e, x, y, z, stratum) is None
 
 
 def expanded_distribution(

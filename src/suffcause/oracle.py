@@ -19,11 +19,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 
 from .graph import Dag
-from .scm import ExactDistribution, ResponseTable, Scm, _row_key
-from .signs import Relation, _row_direction_holds
+from .scm import ExactDistribution, ResponseTable, Scm, _monotone_close, _monotone_step, _parent_mask, _row_key
+from .signs import Relation
 
 if TYPE_CHECKING:  # pragma: no cover
     from .covsign import CovQuantity, SignConclusion
@@ -157,18 +157,6 @@ class InstanceConstraints:
             raise ValueError(f"max_weight must be at least 1, got {self.max_weight}")
 
 
-def _monotone_close(row: int, n_configs: int, requirements: Sequence[tuple[int, str]]) -> int:
-    """Force row-level monotonicity by closing upward along each constraint, one shift each."""
-    for bit, sign in requirements:
-        # the configurations where the parent at ``bit`` is 1
-        on = int(("1" * bit + "0" * bit) * (n_configs // (2 * bit)), 2)
-        if sign == "+":
-            row |= (row << bit) & on
-        else:
-            row |= (row & on) >> bit
-    return row
-
-
 @lru_cache(maxsize=1024)
 def _candidate_rows(parents: tuple[str, ...], requirements: tuple[tuple[str, str], ...]) -> tuple[int, ...] | None:
     """Every row that meets the requirements (never empty: both constant rows
@@ -179,9 +167,8 @@ def _candidate_rows(parents: tuple[str, ...], requirements: tuple[tuple[str, str
         return None
     n_configs = 1 << m
     bits = [(1 << parents.index(p), s) for p, s in requirements]
-    return tuple(
-        r for r in range(1 << n_configs) if all(_row_direction_holds(r, n_configs, b, s == "+") for b, s in bits)
-    )
+    steps = [(_parent_mask(n_configs, b), b, s) for b, s in bits]
+    return tuple(r for r in range(1 << n_configs) if not any(_monotone_step(r, *step) for step in steps))
 
 
 def _node_candidates(g: Dag, constraints: InstanceConstraints, node: str) -> tuple[int, ...] | None:

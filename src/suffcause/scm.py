@@ -43,6 +43,30 @@ def config_index(values: Sequence[int]) -> int:
     return c
 
 
+def _parent_mask(n_configs: int, bit: int) -> int:
+    """The configurations below ``n_configs`` where the parent at ``bit`` is 1, one bit each."""
+    mask, width = ((1 << bit) - 1) << bit, 2 * bit
+    while width < n_configs:
+        mask |= mask << width
+        width *= 2
+    return mask
+
+
+def _monotone_step(row: int, on: int, bit: int, sign: str) -> int:
+    """The outputs that one "+" ("-") closure step of ``row`` along the parent at
+    ``bit`` adds, given ``on = _parent_mask(n_configs, bit)``: none exactly
+    when the row never falls (never rises) as the parent turns on."""
+    moved = (row << bit) & on if sign == "+" else (row & on) >> bit
+    return moved & ~row
+
+
+def _monotone_close(row: int, n_configs: int, requirements: Sequence[tuple[int, str]]) -> int:
+    """Force row-level monotonicity by one step along each (bit, sign) requirement."""
+    for bit, sign in requirements:
+        row |= _monotone_step(row, _parent_mask(n_configs, bit), bit, sign)
+    return row
+
+
 @dataclass(frozen=True)
 class ResponseTable:
     """One node's structural equation over canonical response states.

@@ -14,7 +14,7 @@ from enum import Enum
 
 from .causes import canonical_representation
 from .graph import Dag, GraphError, Sign, path_signs
-from .scm import ResponseTable, dedupe_states
+from .scm import ResponseTable, _monotone_step, _parent_mask, dedupe_states
 
 
 class Relation(Enum):
@@ -64,26 +64,16 @@ _SIGNS = {Relation.LE0: 0b011, Relation.GE0: 0b110, Relation.EQ0: 0b010, Relatio
 _OF_SIGNS = {mask: r for r, mask in _SIGNS.items()}
 
 
-def _row_direction_holds(row: int, n_configs: int, bit: int, nondecreasing: bool) -> bool:
-    """One response row never falls (or never rises) when the parent at ``bit`` turns on."""
-    for c in range(n_configs):
-        if c & bit:
-            continue
-        low = (row >> c) & 1
-        high = (row >> (c | bit)) & 1
-        if high < low if nondecreasing else high > low:
-            return False
-    return True
-
-
-def _direction_holds(table: ResponseTable, parent: str, nondecreasing: bool) -> bool:
+def _direction_holds(table: ResponseTable, parent: str, signs: str) -> bool:
+    """No row falls ("+") or rises ("-") as the parent turns on, for each sign in ``signs``."""
     bit = 1 << table.parent_index(parent)
-    return all(_row_direction_holds(row, table.n_configs, bit, nondecreasing) for row in table.rows)
+    on = _parent_mask(table.n_configs, bit)
+    return not any(_monotone_step(row, on, bit, s) for s in signs for row in table.rows)
 
 
 def is_constant_in(table: ResponseTable, parent: str) -> bool:
     """The output never depends on this parent, in any state."""
-    return _direction_holds(table, parent, True) and _direction_holds(table, parent, False)
+    return _direction_holds(table, parent, "+-")
 
 
 def detect_monotonic_effect(table: ResponseTable, parent: str) -> Sign:
@@ -93,11 +83,9 @@ def detect_monotonic_effect(table: ResponseTable, parent: str) -> Sign:
     vacuously and is reported POSITIVE; use ``is_constant_in`` to flag the
     degenerate case. ZERO is never returned.
     """
-    up = _direction_holds(table, parent, True)
-    down = _direction_holds(table, parent, False)
-    if up:
+    if _direction_holds(table, parent, "+"):
         return Sign.POSITIVE
-    if down:
+    if _direction_holds(table, parent, "-"):
         return Sign.NEGATIVE
     return Sign.UNDEFINED
 
@@ -130,7 +118,7 @@ def directional_effect_holds(table: ResponseTable, parent: str, sign: str) -> bo
     """Whether a declared edge sign is consistent with the equation."""
     if sign not in ("+", "-"):
         raise ValueError(f"invalid sign {sign!r}")
-    return _direction_holds(table, parent, nondecreasing=(sign == "+"))
+    return _direction_holds(table, parent, sign)
 
 
 def sign_agreement(to_a: frozenset[Sign], to_b: frozenset[Sign]) -> tuple[bool, bool]:

@@ -1,7 +1,8 @@
 """Shared helpers: fixture paths, random graphs, references (path enumeration,
 the exhaustive witness search, atom-by-atom sufficient causes, world
-enumeration, complemented parents, monotone closure, the per-row query
-filters), and constrained instance families."""
+enumeration, complemented parents, per-configuration monotonicity and
+monotone closure, the per-row query filters), and constrained instance
+families."""
 
 from __future__ import annotations
 
@@ -94,9 +95,23 @@ def reference_table_slots(
     return slots
 
 
+def reference_row_direction_holds(row: int, n_configs: int, bit: int, nondecreasing: bool) -> bool:
+    """One response row never falls (or never rises) when the parent at
+    ``bit`` turns on, one configuration at a time: the reference for the
+    mask step ``scm._monotone_step``."""
+    for c in range(n_configs):
+        if c & bit:
+            continue
+        low = (row >> c) & 1
+        high = (row >> (c | bit)) & 1
+        if high < low if nondecreasing else high > low:
+            return False
+    return True
+
+
 def reference_monotone_close(row: int, n_configs: int, requirements) -> int:
     """Bit-by-bit monotone closure, one configuration at a time: the
-    reference for ``oracle._monotone_close``."""
+    reference for ``scm._monotone_close``."""
     for bit, sign in requirements:
         for c in range(n_configs):
             if c & bit:

@@ -26,7 +26,7 @@ from suffcause import (
     conditional_independent,
     d_separated,
     detect_monotonic_effect,
-    expand,
+    expand_model,
     facts_from_scm,
     is_determinative,
     is_minimal_sufficient,
@@ -121,8 +121,9 @@ def test_criterion_2_example_fidelity():
 
     # stratum verdicts on the four expansion fixtures
     def expanded(name):
-        model = load_model(fixture(name))
-        return expand(model.dag, "D", model.representations["D"], model.tables["D"])
+        exp, source = expand_model(load_model(fixture(name)), "D")
+        assert source == "declared"
+        return exp
 
     pairs = expanded("pairs_disjoint")
     for x in ("E1", "E2"):

@@ -9,16 +9,35 @@ import re
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 
 import pytest
 
-from suffcause import ModelError, cli, find_unblocked_path, load_model, parse_model, scm
+from suffcause import (
+    Dag,
+    ModelError,
+    Representation,
+    ResponseTable,
+    canonical_representation,
+    cli,
+    expand_model,
+    expansion,
+    find_unblocked_path,
+    load_model,
+    parse_model,
+    reduce_to_nonredundant,
+    scm,
+    serialize_model,
+    stratum_conditioning_set,
+    stratum_witness,
+)
 from suffcause.cli import main
 from suffcause.covsign import FACT_FIELDS
+from suffcause.modelfile import Model
 
-from support import FIXTURES, fixture
+from support import FIXTURES, fixture, path_blocked, seeded_tables
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -51,7 +70,8 @@ class TestDsep:
         assert doc["witness"] == "P2 <- F -> B1"
 
     def test_one_search_per_query(self, capsys, monkeypatch):
-        # the verdict and the witness come from a single d-connection search
+        # the verdict and the witness come from a single d-connection search,
+        # which stratum-ci leaves to the library
         calls = []
 
         def counted(*args, **kwargs):
@@ -59,6 +79,7 @@ class TestDsep:
             return find_unblocked_path(*args, **kwargs)
 
         monkeypatch.setattr(cli, "find_unblocked_path", counted)
+        monkeypatch.setattr(expansion, "find_unblocked_path", counted)
         queries = [
             (0, "dsep", fixture("pairs_disjoint"), "--x", "E1", "--y", "E3"),
             (1, "dsep", fixture("coaggregation_full"), "--x", "P2", "--y", "B1", "--z", "P1"),
@@ -170,6 +191,45 @@ class TestNamingFallback:
 
 
 class TestStratumCi:
+    def test_json_matches_the_library_on_seeded_expansions(self, capsys, tmp_path):
+        # the report carries the library's verdict, witness and conditioning
+        # set, for canonical and declared representations alike
+        rng = random.Random(2412)
+        path = tmp_path / "seeded.model"
+        found = {True: 0, False: 0}
+        for table in seeded_tables(2412, 12, min_parents=1, max_parents=3, max_states=4):
+            dag = Dag([*table.parents, "D"], [(p, "D") for p in table.parents])
+            canonical = canonical_representation(table)
+            if not canonical.terms:
+                continue
+            reps = {"D": Representation("D", tuple(reduce_to_nonredundant(table, canonical.terms)))}
+            roots = {p: ResponseTable.bernoulli(p, Fraction(1, 2)) for p in table.parents}
+            for model in (Model(dag, {**roots, "D": table}), Model(dag, {**roots, "D": table}, reps)):
+                path.write_text(serialize_model(model))
+                exp, source = expand_model(load_model(str(path)), "D")
+                nodes = exp.dag.nodes
+                for _ in range(12):
+                    x, y = rng.sample(nodes, 2)
+                    z = rng.sample([n for n in nodes if n not in (x, y)], rng.randint(0, 1))
+                    stratum = rng.randint(0, 1)
+                    cond = stratum_conditioning_set(exp, stratum, z)
+                    if x in cond or y in cond:
+                        continue
+                    argv = ["stratum-ci", str(path), "--node", "D", "--x", x, "--y", y,
+                            "--stratum", str(stratum), "--format", "json"]
+                    for n in z:
+                        argv += ["--z", n]
+                    code, out, _ = run(capsys, *argv)
+                    doc = json.loads(out)
+                    w = stratum_witness(exp, x, y, z, stratum)
+                    assert (code, doc["witness"]) == (int(w is not None), None if w is None else str(w)), argv
+                    assert doc["verdict"] == ("independent within stratum" if w is None else "not implied independent")
+                    assert doc["representation_source"] == source
+                    assert doc["conditioning_set"] == sorted(cond, key=exp.dag.index)
+                    assert w is None or not path_blocked(exp.dag, w, cond)
+                    found[w is None] += 1
+        assert found[True] >= 5 and found[False] >= 50, found
+
     def test_independent_within_stratum(self, capsys):
         code, out, _ = run(capsys, "stratum-ci", fixture("pairs_disjoint"),
                            "--node", "D", "--x", "E1", "--y", "E3", "--stratum", "0")

@@ -871,6 +871,25 @@ class TestOracleCheckDraws:
         with pytest.raises(ValueError, match=r"asserted flags a0=one, a1=one on \(E1, E2\)"):
             oracle_check(model, "D", instances=100)
 
+    def test_row_sets_are_enumerated_on_the_first_generation_error_only(self, monkeypatch):
+        # every third draw fails to generate; the draws stop at the fifth accepted one
+        calls = []
+        end_draw, row_sets = covsign._end_draw, oracle.admissible_row_sets
+
+        def failing(*args):
+            seed = args[-1]
+            return covsign.Draw(seed, Outcome.GENERATION_ERROR) if seed % 3 == 0 else end_draw(*args)
+
+        def counted(*args):
+            calls.append(args)
+            return row_sets(*args)
+
+        monkeypatch.setattr(covsign, "_end_draw", failing)
+        monkeypatch.setattr(oracle, "admissible_row_sets", counted)
+        check = oracle_check(load_model(fixture("coaggregation_null")), "P1", "B1", "P2", instances=5, seed=7)
+        assert len(calls) == 1 and check.count(Outcome.GENERATION_ERROR) > 1
+        assert check.accepted == 5 and check.draws[-1].outcome is Outcome.ACCEPTED
+
     def test_a_claim_two_rules_derive_is_checked_once_per_draw(self, monkeypatch):
         # no_background and lone_cause_absent both fire, and both transfer
         # the same sign equality to the proxies

@@ -19,16 +19,18 @@ from suffcause import (
     d_separated,
     dedupe_states,
     expand,
+    expand_model,
     expanded_distribution,
-    find_unblocked_path,
     joint_distribution,
     marginalize,
     reduce_to_nonredundant,
     stratum_conditioning_set,
     stratum_independent,
+    stratum_witness,
 )
+from suffcause.modelfile import Model
 
-from support import random_fraction
+from support import dfs_unblocked_path, path_blocked, random_fraction
 
 half = Fraction(1, 2)
 
@@ -265,6 +267,7 @@ class TestStratumConditioning:
         exp = expand(m.graph, "D", rep, m.tables["D"])
         assert stratum_conditioning_set(exp, 0) == {"D", "E1E2", "E3E4"}
         assert stratum_conditioning_set(exp, 1) == {"D"}
+        assert stratum_conditioning_set(exp, 1, ("E1", "D")) == {"D", "E1"}
         with pytest.raises(ValueError, match="stratum"):
             stratum_conditioning_set(exp, 2)
 
@@ -283,7 +286,7 @@ class TestStratumConditioning:
         assert not stratum_independent(exp, "E1", "A", (), 0)
         assert not stratum_independent(exp, "E1", "E2", (), 0)
         assert not stratum_independent(exp, "E2", "A", (), 0)
-        w = find_unblocked_path(exp.dag, "E1", "A", stratum_conditioning_set(exp, 0))
+        w = stratum_witness(exp, "E1", "A", (), 0)
         assert w is not None and w.nodes == ("E1", "E1E2", "E2", "A~E2", "A")
 
     def test_redundant_term_obscures_independence(self):
@@ -305,6 +308,52 @@ class TestStratumConditioning:
         exp2 = expand(m2.graph, "D", rep2, m2.tables["D"])
         assert stratum_conditioning_set(exp2, 0) == {"D", "AB", "AQ", "EF"}
         assert not stratum_independent(exp2, "A", "E", (), 0)
+
+    def test_witnesses_are_unblocked_paths_on_seeded_expansions(self):
+        # the witness is None exactly when the exhaustive search finds no
+        # path, and otherwise passes the literal blocking test
+        rng = random.Random(2413)
+        found = {True: 0, False: 0}
+        for _, exp in seeded_expansions(2413, 16):
+            nodes = exp.dag.nodes
+            for stratum in (0, 1):
+                for x, y in combinations(nodes, 2):
+                    z = tuple(rng.sample([n for n in nodes if n not in (x, y)], rng.randint(0, 1)))
+                    cond = stratum_conditioning_set(exp, stratum, z)
+                    if x in cond or y in cond:
+                        continue
+                    w = stratum_witness(exp, x, y, z, stratum)
+                    assert stratum_independent(exp, x, y, z, stratum) is (w is None)
+                    assert (w is None) is (dfs_unblocked_path(exp.dag, x, y, cond) is None), (x, y, cond)
+                    if w is not None:
+                        assert (w.nodes[0], w.nodes[-1]) == (x, y) and not path_blocked(exp.dag, w, cond)
+                    found[w is None] += 1
+        assert found[True] >= 10 and found[False] >= 100, found
+
+
+class TestExpandModel:
+    """The declared representation when there is one, else the canonical one of the deduplicated table."""
+
+    def test_declared(self):
+        m, rep = overlap_model()
+        model = Model(m.graph, m.tables, {"D": rep})
+        exp, source = expand_model(model, "D")
+        assert source == "declared"
+        assert exp == expand(m.graph, "D", rep, m.tables["D"])
+
+    def test_canonical_from_a_table_with_repeated_rows(self):
+        g = Dag(["E1", "E2", "D"], [("E1", "D"), ("E2", "D")])
+        table = ResponseTable("D", ("E1", "E2"), (8, 14, 8), (Fraction(1, 4), Fraction(1, 2), Fraction(1, 4)))
+        exp, source = expand_model(Model(g, {"D": table}), "D")
+        deduped = dedupe_states(table)
+        assert source == "canonical" and deduped.rows == (8, 14)
+        assert exp == expand(g, "D", canonical_representation(deduped), deduped)
+
+    def test_neither(self):
+        g = Dag(["E", "D"], [("E", "D")])
+        with pytest.raises(ValueError) as info:
+            expand_model(Model(g), "D")
+        assert str(info.value) == "no representation or equation for 'D'"
 
 
 class TestExpandedJoint:

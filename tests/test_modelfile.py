@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from suffcause import Dag, ModelError, ResponseTable, load_model, parse_model, serialize_model
 from suffcause.modelfile import Assertion, Model
-from suffcause.oracle import _monotone_close
+from suffcause.scm import _monotone_close
 
 from support import FIXTURES, fixture
 

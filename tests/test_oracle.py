@@ -33,7 +33,8 @@ from suffcause import (
 )
 from suffcause.covsign import CovQuantity, SignConclusion
 from suffcause.modelfile import Assertion
-from suffcause.oracle import _candidate_rows, _monotone_close, admissible_row_sets
+from suffcause.oracle import _candidate_rows, admissible_row_sets
+from suffcause.scm import _monotone_close
 from suffcause.signs import Relation
 
 from support import (
@@ -45,6 +46,7 @@ from support import (
     reference_independent,
     reference_monotone_close,
     reference_restrict,
+    reference_row_direction_holds,
     reference_tally_independent,
     value_marginal,
     without_term,
@@ -361,6 +363,19 @@ class TestRandomInstance:
                 candidates = _candidate_rows(parents, requirements)
                 assert 0 in candidates and full in candidates, (parents, requirements)
 
+    def test_candidates_match_the_per_configuration_reference(self):
+        for m in range(4):
+            parents = tuple(f"P{i}" for i in range(m))
+            n_configs = 1 << m
+            for signs in product((None, "+", "-"), repeat=m):
+                requirements = tuple((p, s) for p, s in zip(parents, signs) if s)
+                expected = tuple(
+                    r for r in range(1 << n_configs)
+                    if all(reference_row_direction_holds(r, n_configs, 1 << parents.index(p), s == "+")
+                           for p, s in requirements)
+                )
+                assert _candidate_rows(parents, requirements) == expected, (parents, requirements)
+
     def test_monotone_close_matches_the_bit_by_bit_reference(self):
         rng = random.Random(2024)
         for _ in range(3000):
@@ -384,7 +399,7 @@ class TestRandomInstance:
         # Nodes with more than 3 parents draw rows by monotone closure, not
         # from a filtered candidate list; closing along one parent must not
         # undo the closure along another.
-        from suffcause.signs import _row_direction_holds, is_constant_in
+        from suffcause.signs import is_constant_in
         for n_parents in (4, 5):
             parents = [f"P{i}" for i in range(n_parents)]
             g = Dag(parents + ["D"], [(p, "D") for p in parents])
@@ -395,7 +410,7 @@ class TestRandomInstance:
                 t = random_instance(g, constraints, seed).tables["D"]
                 for p, s in required:
                     bit = 1 << parents.index(p)
-                    assert all(_row_direction_holds(r, t.n_configs, bit, s == "+") for r in t.rows)
+                    assert all(reference_row_direction_holds(r, t.n_configs, bit, s == "+") for r in t.rows)
                     effect = detect_monotonic_effect(t, p)
                     if s == "+":
                         assert effect is Sign.POSITIVE

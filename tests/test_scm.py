@@ -19,8 +19,9 @@ from suffcause import (
     marginalize,
     substitute,
 )
+from suffcause.scm import _monotone_step, _parent_mask
 
-from support import enumerate_joint, random_dag, value_marginal
+from support import enumerate_joint, random_dag, reference_row_direction_holds, value_marginal
 
 half = Fraction(1, 2)
 
@@ -245,3 +246,26 @@ class TestScmValidation:
         g = Dag(["A", "B"], [("A", "B")])
         with pytest.raises(ValueError, match="missing equations"):
             Scm(g, {"A": fair("A")})
+
+
+class TestParentMask:
+    """One mask per parent and one closure step decide row monotonicity."""
+
+    def test_mask_matches_the_repeated_block_pattern(self):
+        for m in range(1, 11):
+            n = 1 << m
+            for i in range(m):
+                b = 1 << i
+                assert _parent_mask(n, b) == int(("1" * b + "0" * b) * (n // (2 * b)), 2), (m, i)
+
+    def test_step_matches_the_loop_reference_on_every_small_row(self):
+        # every row over 0 to 3 parents, every parent, both signs
+        for m in range(4):
+            n = 1 << m
+            for i in range(m):
+                bit = 1 << i
+                on = _parent_mask(n, bit)
+                for row in range(1 << n):
+                    for sign in "+-":
+                        assert (not _monotone_step(row, on, bit, sign)) == \
+                            reference_row_direction_holds(row, n, bit, sign == "+"), (m, i, row, sign)

@@ -21,9 +21,17 @@ from suffcause import (
     path_signs,
     random_instance,
 )
+from suffcause.scm import _monotone_close
 from suffcause.signs import Relation, directional_effect_holds
 
-from support import directed_paths, labeled_dags, path_product, random_dag, random_signs
+from support import (
+    directed_paths,
+    labeled_dags,
+    path_product,
+    random_dag,
+    random_signs,
+    reference_row_direction_holds,
+)
 
 
 def det(parents, fn):
@@ -117,6 +125,26 @@ class TestMonotonicEffect:
         assert directional_effect_holds(t, "E", "+")
         assert not directional_effect_holds(t, "E", "-")
         assert directional_effect_holds(det(("E",), lambda e: 1), "E", "-")
+
+    def test_table_checks_match_the_per_configuration_reference(self):
+        # seeded tables of random and of monotone-closed rows up to 12 parents
+        rng = random.Random(2411)
+        for m in range(1, 13):
+            n = 1 << m
+            parents = tuple(f"P{i}" for i in range(m))
+            for _ in range(4):
+                required = [(1 << i, rng.choice("+-")) for i in rng.sample(range(m), rng.randint(0, m))]
+                rows = {_monotone_close(rng.getrandbits(n), n, required) for _ in range(rng.randint(1, 3))}
+                if rng.random() < 0.5:
+                    rows.add(rng.getrandbits(n))
+                t = ResponseTable("D", parents, tuple(rows), (Fraction(1, len(rows)),) * len(rows))
+                for i, p in enumerate(parents):
+                    up, down = (all(reference_row_direction_holds(r, n, 1 << i, s) for r in t.rows)
+                                for s in (True, False))
+                    assert (directional_effect_holds(t, p, "+"), directional_effect_holds(t, p, "-")) == (up, down)
+                    assert is_constant_in(t, p) == (up and down)
+                    expected = Sign.POSITIVE if up else Sign.NEGATIVE if down else Sign.UNDEFINED
+                    assert detect_monotonic_effect(t, p) is expected, (m, p, t.rows)
 
 
 class TestCanonicalCriterion:
