@@ -110,7 +110,7 @@ def _analysis_dict(a: cs.CovsignAnalysis) -> dict:
 # -- subcommands --------------------------------------------------------------
 
 def _cmd_canonical(model: Model, args) -> tuple[dict, list[str], bool]:
-    nodes = args.node or [n for n in model.dag.nodes if n in model.tables]
+    nodes = dict.fromkeys(args.node or [n for n in model.dag.nodes if n in model.tables])
     entries = []
     lines = []
     for n in nodes:

@@ -550,13 +550,14 @@ def check_transfer_premises_shared(
 ) -> TransferPremises:
     """Premises for the transfer that tolerates shared causes of the proxies.
 
-    ``q`` collects the declared common causes of F and G; they must be
-    mutually structurally independent (no edges, no shared ancestors),
-    separated from the parent pair given D and from D marginally. Direction
-    of the transferred sign is gated by whether each q member's directed
-    paths to F and to G agree or oppose in sign.
+    ``q`` collects the declared common causes of F and G, a repeated name
+    counting once at its first occurrence. They must be mutually
+    structurally independent (no edges, no shared ancestors), separated
+    from the parent pair given D and from D marginally. Direction of the
+    transferred sign is gated by whether each q member's directed paths to
+    F and to G agree or oppose in sign.
     """
-    qs = tuple(q)
+    qs = tuple(dict.fromkeys(q))
     _require_pair(graph, f, g, e1, e2, d, *qs)
     cond = set(qs) | {d}
     mono_f, route_f = expectation_monotone_premise(graph, f, e1, d, qs)
@@ -848,10 +849,11 @@ def oracle_check(
 
     A fully specified model is one accepted draw, checked against the joint
     its facts came from. Otherwise models are drawn at generator seeds
-    ``seed``, ``seed + 1``, ... under the signed edges, ``d``'s table also
-    monotone under the pair's polarity and drawn among row sets that carry
-    the asserted flags, until ``instances`` draws are accepted or
-    ``100 * instances`` are made. A draw ends in one ``Outcome``: a table
+    ``seed``, ``seed + 1``, ... on the graph with ``d``'s in-edges signed
+    by the pair's polarity, so every node is monotone along its signed
+    in-edges, and ``d`` is drawn among row sets that carry the asserted
+    flags, until ``instances`` draws are accepted or ``100 * instances``
+    are made. A draw ends in one ``Outcome``: a table
     that forces a conditioned node to the other value is zero mass before
     any joint is built. On ``d``'s first generation error its admissible
     row sets are enumerated, and ``ValueError`` names the flags if there
@@ -860,11 +862,8 @@ def oracle_check(
     """
     if instances < 1:
         raise ValueError(f"instances must be at least 1, got {instances}")
-    monotone: dict[str, tuple[tuple[str, str], ...]] = {}
-    for (a, b), s in model.dag.signs.items():
-        monotone[b] = monotone.get(b, ()) + ((a, s),)
     # built before the analysis so that a bad max_weight fails before any work
-    constraints = oracle.InstanceConstraints(monotone=monotone, max_weight=max_weight)
+    constraints = oracle.InstanceConstraints(max_weight=max_weight)
     analysis = covsign_analysis(model, d, f, g, q, budget)
     if not analysis.conclusions:
         raise ValueError("no conclusions to check")
@@ -877,23 +876,23 @@ def oracle_check(
     conditioned = {
         (n, v)
         for c in claims.values()
-        for q in ((c.quantity, c.other) if c.relation is Relation.SIGN_EQUALS else (c.quantity,))
-        for n, v in ((q.given, q.stratum), *q.extra)
+        for quantity in ((c.quantity, c.other) if c.relation is Relation.SIGN_EQUALS else (c.quantity,))
+        for n, v in ((quantity.given, quantity.stratum), *quantity.extra)
     }
     asserted = analysis.asserted
-    pair = tuple((p, "-" if neg else "+") for p, neg in zip((asserted.e1, asserted.e2), asserted.negative))
-    constraints = replace(
-        constraints, monotone={**monotone, d: monotone.get(d, ()) + pair}, row_filter={d: asserted.admits_rows}
-    )
+    # d's in-edges carry the pair's polarity, so the generator draws d monotone under it
+    polarity = {(p, d): "-" if neg else "+" for p, neg in zip((asserted.e1, asserted.e2), asserted.negative)}
+    dag = Dag(model.dag.nodes, model.dag.edges, {**model.dag.signs, **polarity})
+    constraints = replace(constraints, row_filter={d: asserted.admits_rows})
     draws: list[Draw] = []
     seen = dict.fromkeys(Outcome, 0)  # draws so far by outcome
     for instance_seed in range(seed, seed + 100 * instances):
-        draw = _end_draw(model.dag, constraints, asserted, claims, conditioned, budget, instance_seed)
+        draw = _end_draw(dag, constraints, asserted, claims, conditioned, budget, instance_seed)
         draws.append(draw)
         seen[draw.outcome] += 1
         # only d has a row filter, so only d's table can fail to be drawn
         if (draw.outcome is Outcome.GENERATION_ERROR and seen[draw.outcome] == 1
-                and not oracle.admissible_row_sets(model.dag, constraints, d)):
+                and not oracle.admissible_row_sets(dag, constraints, d)):
             flags = ", ".join(f"{slot}={flag.value}" for slot, flag in sorted(asserted.flags.items()))
             raise ValueError(
                 f"no table the generator can draw for {d} carries the asserted flags "

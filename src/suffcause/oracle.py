@@ -5,11 +5,12 @@ are integer weights on one common scale: conditional covariances sum
 weights and divide once, and conditional independence cross-multiplies
 weights, so the scale cancels. Nothing is rounded and no tolerance enters
 covariances, conditional independence or claim verification. The
-generator draws each node's response table under its constraints: rows
-that break a row-level requirement are never drawn, and a node's row
-filter (a predicate on the drawn row set, such as asserted representation
-flags) rejects the rows before any probability is drawn, so the accepted
-tables keep the unconstrained distribution conditioned on the filter.
+generator draws each node monotone along its signed in-edges: a row that
+falls (rises) as a "+" ("-") parent turns on is never drawn, and a node's
+row filter (a predicate on the drawn row set, such as asserted
+representation flags) rejects the rows before any probability is drawn,
+so the accepted tables keep the unconstrained distribution conditioned
+on the filter.
 """
 
 from __future__ import annotations
@@ -136,15 +137,14 @@ def verify_claim(dist: ExactDistribution, claim: "SignConclusion") -> bool:
 
 @dataclass(frozen=True)
 class InstanceConstraints:
-    """Structural requirements for generated models.
+    """Requirements for generated models beyond the graph's signed edges.
 
-    ``monotone`` lists per-node (parent, sign) requirements enforced row by
-    row; ``row_filter`` maps a node to a predicate on its drawn rows (distinct
+    ``row_filter`` maps a node to a predicate on its drawn rows (distinct
     row values in draw order) that must hold for the table to be kept, such
-    as "this canonical term is absent".
+    as "this canonical term is absent"; ``states`` bounds the number of rows
+    a node draws and ``max_weight`` the integer weight of each.
     """
 
-    monotone: Mapping[str, tuple[tuple[str, str], ...]] = field(default_factory=dict)
     row_filter: Mapping[str, Callable[[tuple[int, ...]], bool]] = field(default_factory=dict)
     states: tuple[int, int] = (1, 3)
     max_weight: int = 8
@@ -157,30 +157,22 @@ class InstanceConstraints:
             raise ValueError(f"max_weight must be at least 1, got {self.max_weight}")
 
 
+def _sign_steps(signs: tuple[str | None, ...]) -> list[tuple[int, str]]:
+    """The (bit, sign) monotonicity requirement of each signed parent."""
+    return [(1 << i, s) for i, s in enumerate(signs) if s]
+
+
 @lru_cache(maxsize=1024)
-def _candidate_rows(parents: tuple[str, ...], requirements: tuple[tuple[str, str], ...]) -> tuple[int, ...] | None:
-    """Every row that meets the requirements (never empty: both constant rows
-    do), or None over more than three parents. Cached: the generator asks
-    again for every node of every draw."""
-    m = len(parents)
-    if m > 3:
+def _candidate_rows(signs: tuple[str | None, ...]) -> tuple[int, ...] | None:
+    """Every row monotone along each signed in-edge (never empty: both
+    constant rows are), or None over more than three parents. ``signs`` are
+    the in-edge labels in parent order, None where unsigned. Cached: the
+    generator asks again for every node of every draw."""
+    if len(signs) > 3:
         return None
-    n_configs = 1 << m
-    bits = [(1 << parents.index(p), s) for p, s in requirements]
-    steps = [(_parent_mask(n_configs, b), b, s) for b, s in bits]
+    n_configs = 1 << len(signs)
+    steps = [(_parent_mask(n_configs, b), b, s) for b, s in _sign_steps(signs)]
     return tuple(r for r in range(1 << n_configs) if not any(_monotone_step(r, *step) for step in steps))
-
-
-def _node_candidates(g: Dag, constraints: InstanceConstraints, node: str) -> tuple[int, ...] | None:
-    """``node``'s candidate rows (None when drawn by closure), after checking its requirements."""
-    parents = g.parents(node)
-    requirements = tuple((p, s) for p, s in constraints.monotone.get(node, ()))
-    for p, s in requirements:
-        if p not in parents:
-            raise ValueError(f"{node}: monotonicity constraint on non-parent {p!r}")
-        if s not in ("+", "-"):
-            raise ValueError(f"{node}: invalid sign {s!r}")
-    return _candidate_rows(parents, requirements)
 
 
 def _sizes(constraints: InstanceConstraints, candidates: tuple[int, ...]) -> range:
@@ -196,25 +188,27 @@ _MAX_TRIES = 500
 def random_instance(g: Dag, constraints: InstanceConstraints, seed: int) -> Scm:
     """Draw one model satisfying the constraints, deterministically per seed.
 
-    Each node draws a set of distinct rows that meet its row-level
-    requirements; a node with a row filter redraws its rows until the
-    filter accepts them, before any weight is drawn, so a node without one
-    consumes exactly the random numbers it always did. Probabilities are
-    small random rationals. Raises ``GenerationError`` naming the node after
-    ``_MAX_TRIES`` rejected row sets.
+    Each node draws a set of distinct rows, each monotone along every
+    signed in-edge of ``g`` in that edge's direction: the signs of ``g``
+    constrain the draw by themselves. A node with a row filter redraws its
+    rows until the filter accepts them, before any weight is drawn, so a
+    node without one consumes exactly the random numbers it always did.
+    Probabilities are small random rationals. Raises ``GenerationError``
+    naming the node after ``_MAX_TRIES`` rejected row sets.
     """
     rng = random.Random(seed)
     tables: dict[str, ResponseTable] = {}
     lo, hi = constraints.states
     for node in g.nodes:
         parents = g.parents(node)
-        candidates = _node_candidates(g, constraints, node)
+        signs = tuple([g.signs.get((p, node)) for p in parents])
+        candidates = _candidate_rows(signs)
         keep = constraints.row_filter.get(node)
         if candidates is not None:
             sizes = _sizes(constraints, candidates)
         else:
             n_configs = 1 << len(parents)
-            closing = [(1 << parents.index(p), s) for p, s in constraints.monotone.get(node, ())]
+            closing = _sign_steps(signs)
 
         for _ in range(_MAX_TRIES):
             if candidates is not None:
@@ -247,9 +241,10 @@ def admissible_row_sets(g: Dag, constraints: InstanceConstraints, node: str) -> 
     must be enumerable: at most three parents. Sets come by size, then in
     lexicographic order of their sorted rows.
     """
-    candidates = _node_candidates(g, constraints, node)
+    parents = g.parents(node)
+    candidates = _candidate_rows(tuple([g.signs.get((p, node)) for p in parents]))
     if candidates is None:
-        raise ValueError(f"{node}: rows over {len(g.parents(node))} parents are drawn, not enumerated")
+        raise ValueError(f"{node}: rows over {len(parents)} parents are drawn, not enumerated")
     keep = constraints.row_filter.get(node, lambda rows: True)
     ordered = sorted(candidates)
     return [rows for k in _sizes(constraints, candidates) for rows in combinations(ordered, k) if keep(rows)]

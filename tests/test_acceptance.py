@@ -15,6 +15,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from suffcause import (
+    Dag,
     EventSpace,
     InstanceConstraints,
     Literal,
@@ -224,12 +225,8 @@ def test_criterion_6_transfer_rules():
         model = load_model(fixture(name))
         g = model.dag
         q = ("Q",) if "Q" in g else ()
-        monotone = {}
-        for (a, b), s in g.signs.items():
-            monotone.setdefault(b, ())
-            monotone[b] = monotone[b] + ((a, s),)
         constraints = InstanceConstraints(
-            monotone=monotone, row_filter={"D": lambda rows, pool=pool: set(rows) <= set(pool)}, states=(1, 2))
+            row_filter={"D": lambda rows, pool=pool: set(rows) <= set(pool)}, states=(1, 2))
         premises = (
             check_transfer_premises_direct(g, "F", "G", "E1", "E2", "D")
             if passes_direct
@@ -269,12 +266,7 @@ def test_criterion_7_coaggregation_end_to_end():
 
     null = load_model(fixture("coaggregation_null"))
     g = null.dag
-    monotone = {}
-    for (a, b), s in g.signs.items():
-        monotone.setdefault(b, ())
-        monotone[b] = monotone[b] + ((a, s),)
     constraints = InstanceConstraints(
-        monotone=monotone,
         row_filter={"P1": without_term("P1", g.parents("P1"), (Literal("E1"), Literal("GP")))},
         states=(1, 2),
     )
@@ -306,15 +298,11 @@ def test_criterion_7_coaggregation_end_to_end():
         checked += 1
 
     # power: restoring the shared familial factor can push the covariance
-    # strictly positive under the same mechanism constraints
-    full = load_model(fixture("coaggregation_full"))
-    gf = full.dag
-    monotone_f = {}
-    for a, b in gf.edges:
-        monotone_f.setdefault(b, ())
-        monotone_f[b] = monotone_f[b] + ((a, "+"),)
+    # strictly positive under the same mechanism constraints, on a copy of
+    # its graph with every edge signed "+"
+    full = load_model(fixture("coaggregation_full")).dag
+    gf = Dag(full.nodes, full.edges, dict.fromkeys(full.edges, "+"))
     constraints_f = InstanceConstraints(
-        monotone=monotone_f,
         row_filter={"P1": without_term("P1", gf.parents("P1"), (Literal("E1"), Literal("GP")))},
         states=(1, 2),
     )

@@ -128,6 +128,12 @@ class TestCanonical:
         (entry,) = doc["representations"]
         assert [t["rendered"] for t in entry["terms"]] == ["E1*E2", "A*E1", "A*~E2"]
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_a_repeated_node_is_listed_once(self, capsys, fmt):
+        once = run(capsys, "canonical", fixture("pairs_overlap"), "--node", "D", "--format", fmt)
+        twice = run(capsys, "canonical", fixture("pairs_overlap"), "--node", "D", "--node", "D", "--format", fmt)
+        assert twice == once
+
 
 class TestExpand:
     def test_annotated_nodes(self, capsys):
@@ -351,6 +357,24 @@ class TestCovsign:
         code, out, err = run(capsys, command, fixture("transfer_shared_a"), *argv)
         assert (code, out) == (2, "")
         assert err == "error: q needs proxies other than D's parents; got f=E1, g=E2, q=Q\n"
+
+    # Q shares its ancestor R with itself, which must not count as two
+    # dependent shared causes
+    REPEATED_Q = (
+        "node R\nnode Q\nnode E1\nnode E2\nnode D\nnode F\nnode G\n"
+        "edge R Q +\nedge Q F +\nedge Q G -\nedge E1 D +\nedge E1 F +\nedge E2 D +\nedge E2 G +\n"
+        "assert no-synergism D E1 E2\n"
+    )
+
+    @pytest.mark.parametrize("command", ["covsign", "oracle-check"])
+    def test_a_repeated_q_is_one_cause(self, capsys, tmp_path, command):
+        path = tmp_path / "shared.model"
+        path.write_text(self.REPEATED_Q)
+        argv = (command, str(path), "--d", "D", "--f", "F", "--g", "G", "--format", "json")
+        once = run(capsys, *argv, "--q", "Q")
+        assert once[0] == 0
+        assert "proxy-shared+no_synergy_d1" in once[1]
+        assert run(capsys, *argv, "--q", "Q", "--q", "Q") == once
 
 
 PAIR_FULL = (

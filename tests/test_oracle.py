@@ -41,6 +41,7 @@ from support import (
     MONOTONE_PAIR_ROWS,
     enumerate_joint,
     random_dag,
+    random_signs,
     reference_covariance,
     ref_canonical_terms,
     reference_independent,
@@ -326,25 +327,22 @@ class TestRandomInstance:
         assert a.tables != c.tables  # overwhelmingly likely across 5 nodes
 
     def test_monotone_constraint_single_parent(self):
-        g = Dag(["E", "D"], [("E", "D")])
-        constraints = InstanceConstraints(monotone={"D": (("E", "+"),)})
+        g = Dag(["E", "D"], [("E", "D")], {("E", "D"): "+"})
         for seed in range(40):
-            m = random_instance(g, constraints, seed)
+            m = random_instance(g, InstanceConstraints(), seed)
             assert detect_monotonic_effect(m.tables["D"], "E") is Sign.POSITIVE
             # the inverter row never appears
             assert 1 not in m.tables["D"].rows
 
     def test_monotone_constraint_negative(self):
-        g = Dag(["E", "D"], [("E", "D")])
-        constraints = InstanceConstraints(monotone={"D": (("E", "-"),)})
+        g = Dag(["E", "D"], [("E", "D")], {("E", "D"): "-"})
         for seed in range(40):
-            m = random_instance(g, constraints, seed)
+            m = random_instance(g, InstanceConstraints(), seed)
             assert 2 not in m.tables["D"].rows
 
     def test_forbidden_synergy_term(self):
-        g = Dag(["E1", "E2", "D"], [("E1", "D"), ("E2", "D")])
+        g = Dag(["E1", "E2", "D"], [("E1", "D"), ("E2", "D")], {("E1", "D"): "+", ("E2", "D"): "+"})
         constraints = InstanceConstraints(
-            monotone={"D": (("E1", "+"), ("E2", "+"))},
             row_filter={"D": without_term("D", ("E1", "E2"), (Literal("E1"), Literal("E2")))},
         )
         for seed in range(60):
@@ -356,25 +354,21 @@ class TestRandomInstance:
         # the two constant rows meet every requirement, so no node's
         # candidate list is ever empty
         for m in range(4):
-            parents = tuple(f"P{i}" for i in range(m))
             full = (1 << (1 << m)) - 1
             for signs in product((None, "+", "-"), repeat=m):
-                requirements = tuple((p, s) for p, s in zip(parents, signs) if s)
-                candidates = _candidate_rows(parents, requirements)
-                assert 0 in candidates and full in candidates, (parents, requirements)
+                candidates = _candidate_rows(signs)
+                assert 0 in candidates and full in candidates, signs
 
     def test_candidates_match_the_per_configuration_reference(self):
         for m in range(4):
-            parents = tuple(f"P{i}" for i in range(m))
             n_configs = 1 << m
             for signs in product((None, "+", "-"), repeat=m):
-                requirements = tuple((p, s) for p, s in zip(parents, signs) if s)
                 expected = tuple(
                     r for r in range(1 << n_configs)
-                    if all(reference_row_direction_holds(r, n_configs, 1 << parents.index(p), s == "+")
-                           for p, s in requirements)
+                    if all(reference_row_direction_holds(r, n_configs, 1 << i, s == "+")
+                           for i, s in enumerate(signs) if s)
                 )
-                assert _candidate_rows(parents, requirements) == expected, (parents, requirements)
+                assert _candidate_rows(signs) == expected, signs
 
     def test_monotone_close_matches_the_bit_by_bit_reference(self):
         rng = random.Random(2024)
@@ -387,11 +381,11 @@ class TestRandomInstance:
                 reference_monotone_close(row, n_configs, requirements), (row, m, requirements)
 
     def test_larger_parent_sets_via_closure(self):
-        g = Dag(["A", "B", "C", "E", "D"], [(p, "D") for p in ("A", "B", "C", "E")])
-        constraints = InstanceConstraints(monotone={"D": (("A", "+"), ("B", "-"))})
+        g = Dag(["A", "B", "C", "E", "D"], [(p, "D") for p in ("A", "B", "C", "E")],
+                {("A", "D"): "+", ("B", "D"): "-"})
         from suffcause.signs import directional_effect_holds
         for seed in range(10):
-            m = random_instance(g, constraints, seed)
+            m = random_instance(g, InstanceConstraints(), seed)
             assert directional_effect_holds(m.tables["D"], "A", "+")
             assert directional_effect_holds(m.tables["D"], "B", "-")
 
@@ -402,12 +396,11 @@ class TestRandomInstance:
         from suffcause.signs import is_constant_in
         for n_parents in (4, 5):
             parents = [f"P{i}" for i in range(n_parents)]
-            g = Dag(parents + ["D"], [(p, "D") for p in parents])
             signs = ("+", "-", "-", "+", "-")[:n_parents]
             required = tuple(zip(parents, signs))
-            constraints = InstanceConstraints(monotone={"D": required})
+            g = Dag(parents + ["D"], [(p, "D") for p in parents], {(p, "D"): s for p, s in required})
             for seed in range(100):
-                t = random_instance(g, constraints, seed).tables["D"]
+                t = random_instance(g, InstanceConstraints(), seed).tables["D"]
                 for p, s in required:
                     bit = 1 << parents.index(p)
                     assert all(reference_row_direction_holds(r, t.n_configs, bit, s == "+") for r in t.rows)
@@ -417,19 +410,43 @@ class TestRandomInstance:
                     else:
                         assert effect is Sign.NEGATIVE or is_constant_in(t, p)
 
+    def test_signed_in_edges_constrain_every_node(self):
+        # default constraints: the graph's signs alone make each drawn table
+        # monotone along every signed in-edge, over candidates (1-3 parents)
+        # and by closure (4-5), while an unsigned in-edge stays free
+        rng = random.Random(1717)
+        monotone = {"candidates": 0, "closure": 0}
+        free = {"candidates": 0, "closure": 0}
+        for seed in range(120):
+            nodes = [f"X{i}" for i in range(7)]
+            edges = [(p, c) for j, c in enumerate(nodes[1:], 1)
+                     for p in rng.sample(nodes[:j], rng.randint(1, min(5, j)))]
+            g = random_signs(rng, Dag(nodes, edges))
+            m = random_instance(g, InstanceConstraints(), seed)
+            for node in nodes[1:]:
+                t = m.tables[node]
+                path = "candidates" if t.n_parents <= 3 else "closure"
+                for i, p in enumerate(t.parents):
+                    s = g.signs.get((p, node))
+                    if s is None:
+                        free[path] += detect_monotonic_effect(t, p) is Sign.UNDEFINED
+                        continue
+                    assert all(reference_row_direction_holds(r, t.n_configs, 1 << i, s == "+") for r in t.rows), \
+                        (seed, node, p, s, t.rows)
+                    monotone[path] += 1
+        assert min(monotone.values()) >= 50, monotone
+        assert min(free.values()) >= 10, free
+
     def test_candidate_cache_keeps_draws(self):
         g = Dag(["A", "B", "C", "E", "F", "D"],
                 [("A", "C"), ("B", "C"), ("A", "E"), ("C", "E"), ("B", "F"),
-                 ("C", "D"), ("E", "D"), ("F", "D")])
-        constraints = InstanceConstraints(monotone={
-            "C": (("A", "+"), ("B", "-")),
-            "D": (("C", "+"), ("E", "-"), ("F", "+")),
-        })
+                 ("C", "D"), ("E", "D"), ("F", "D")],
+                {("A", "C"): "+", ("B", "C"): "-", ("C", "D"): "+", ("E", "D"): "-", ("F", "D"): "+"})
         drawn = []
         for seed in range(50):
             _candidate_rows.cache_clear()
-            cold = random_instance(g, constraints, seed)
-            warm = random_instance(g, constraints, seed)
+            cold = random_instance(g, InstanceConstraints(), seed)
+            warm = random_instance(g, InstanceConstraints(), seed)
             assert cold.tables == warm.tables
             drawn.append(repr([(n, cold.tables[n].rows, cold.tables[n].probs) for n in g.nodes]))
         # the same draws as the uncached generator that preceded the cache
@@ -457,8 +474,7 @@ class TestRowFilter:
     """A filtered node's rows come from the unfiltered law conditioned on the filter."""
 
     PARENTS = ("E1", "E2")
-    GRAPH = Dag(["E1", "E2", "D"], [("E1", "D"), ("E2", "D")])
-    MONOTONE = {"D": (("E1", "+"), ("E2", "+"))}
+    GRAPH = Dag(["E1", "E2", "D"], [("E1", "D"), ("E2", "D")], {("E1", "D"): "+", ("E2", "D"): "+"})
     SLOT_BASES = {
         "a0": frozenset(), "a1": frozenset({"E1"}), "a2": frozenset({"E2"}), "a3": frozenset({"E1", "E2"})
     }
@@ -499,7 +515,7 @@ class TestRowFilter:
         flags = {s: self.reference_flags(tuple(sorted(s))) for s in row_sets}
         for name, keep, holds in self.filters():
             admissible = {s for s in row_sets if holds(flags[s])}
-            constraints = InstanceConstraints(monotone=self.MONOTONE, row_filter={"D": keep})
+            constraints = InstanceConstraints(row_filter={"D": keep})
             enumerated = admissible_row_sets(self.GRAPH, constraints, "D")
             assert {frozenset(r) for r in enumerated} == admissible, name
             counts = Counter(
@@ -520,9 +536,9 @@ class TestRowFilter:
         # the filter on D redraws only D's rows: the roots, drawn before
         # it, keep their tables, and a filter that accepts everything
         # changes nothing
-        everything = InstanceConstraints(monotone=self.MONOTONE, row_filter={"D": lambda rows: True})
-        plain = InstanceConstraints(monotone=self.MONOTONE)
-        no_synergy = InstanceConstraints(monotone=self.MONOTONE, row_filter={"D": NO_SYNERGY})
+        everything = InstanceConstraints(row_filter={"D": lambda rows: True})
+        plain = InstanceConstraints()
+        no_synergy = InstanceConstraints(row_filter={"D": NO_SYNERGY})
         for seed in range(50):
             base = random_instance(self.GRAPH, plain, seed).tables
             assert random_instance(self.GRAPH, everything, seed).tables == base
@@ -530,7 +546,7 @@ class TestRowFilter:
             assert (filtered["E1"], filtered["E2"]) == (base["E1"], base["E2"])
 
     def test_generation_error_names_the_node(self):
-        constraints = InstanceConstraints(monotone=self.MONOTONE, row_filter={"D": lambda rows: False})
+        constraints = InstanceConstraints(row_filter={"D": lambda rows: False})
         with pytest.raises(GenerationError) as caught:
             random_instance(self.GRAPH, constraints, 0)
         assert caught.value.node == "D"
