@@ -110,7 +110,7 @@ def _analysis_dict(a: cs.CovsignAnalysis) -> dict:
 # -- subcommands --------------------------------------------------------------
 
 def _cmd_canonical(model: Model, args) -> tuple[dict, list[str], bool]:
-    nodes = dict.fromkeys(args.node or [n for n in model.dag.nodes if n in model.tables])
+    nodes = args.node or [n for n in model.dag.nodes if n in model.tables]
     entries = []
     lines = []
     for n in nodes:
@@ -253,6 +253,14 @@ def _cmd_oracle_check(model: Model, args) -> tuple[dict, list[str], bool]:
     return body, lines, check.ok
 
 
+class _AppendOnce(argparse.Action):
+    """A repeatable name flag that lists each name once, in first-given order."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        names = getattr(namespace, self.dest) or []
+        setattr(namespace, self.dest, names if values in names else [*names, values])
+
+
 def _model_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("model", help="path to a model file")
     p.add_argument("--format", choices=("text", "json"), default="text")
@@ -264,11 +272,11 @@ def _pair_query_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--d", required=True, help="conditioning node")
     p.add_argument("--f", default=None)
     p.add_argument("--g", default=None)
-    p.add_argument("--q", action="append", default=[])
+    p.add_argument("--q", action=_AppendOnce, default=[])
 
 
 def _canonical_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--node", action="append", default=None)
+    p.add_argument("--node", action=_AppendOnce, default=None)
 
 
 def _expand_args(p: argparse.ArgumentParser) -> None:
@@ -276,16 +284,16 @@ def _expand_args(p: argparse.ArgumentParser) -> None:
 
 
 def _dsep_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--x", action="append", required=True)
-    p.add_argument("--y", action="append", required=True)
-    p.add_argument("--z", action="append", default=[])
+    p.add_argument("--x", action=_AppendOnce, required=True)
+    p.add_argument("--y", action=_AppendOnce, required=True)
+    p.add_argument("--z", action=_AppendOnce, default=[])
 
 
 def _stratum_ci_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--node", required=True)
     p.add_argument("--x", required=True)
     p.add_argument("--y", required=True)
-    p.add_argument("--z", action="append", default=[])
+    p.add_argument("--z", action=_AppendOnce, default=[])
     p.add_argument("--stratum", type=int, choices=(0, 1), default=0)
 
 

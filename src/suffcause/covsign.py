@@ -14,14 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from fractions import Fraction
-from functools import lru_cache, reduce
-from itertools import combinations
-from types import MappingProxyType
+from functools import reduce
+from itertools import combinations, product
 from typing import Iterable, Mapping, Sequence
 
 from . import oracle
-from .causes import CoCauseKind, Literal, canonical_representation
 from .graph import Dag, common_causes, d_separated, path_signs
 from .modelfile import Assertion, Model
 from .scm import (
@@ -33,7 +30,7 @@ from .scm import (
     joint_distribution,
 )
 from .signs import (
-    Relation, Sign, detect_monotonic_effect, directional_effect_holds, monotonically_associated, sign_agreement
+    Relation, Sign, detect_monotonic_effect, monotonically_associated, sign_agreement
 )
 
 
@@ -118,35 +115,43 @@ class RepFacts:
         return f"{fact}={value} ({self.source(fact)})"
 
 
-@lru_cache(maxsize=4096)
-def _table_slots(
-    node: str, parents: tuple[str, ...], rows: frozenset[int], e1: str, e2: str, negative: tuple[bool, bool]
-) -> Mapping[str, frozenset[int] | None]:
-    """The co-cause slots a0..a3 of the frame where each negative parent is complemented.
+# (index of e1 among the parents, polarity) -> each two-parent row's frame row, whose bit
+# a + 2*b is the row's value at (e1, e2) = (a, b) once each negative parent is complemented
+_FRAME = {
+    (i, neg): tuple(
+        sum((row >> ((a ^ neg[0]) << i | (b ^ neg[1]) << (1 - i)) & 1) << (a + 2 * b) for a in (0, 1) for b in (0, 1))
+        for row in range(16)
+    )
+    for i in (0, 1) for neg in product((False, True), repeat=2)
+}
+# the six monotone frame rows (1, E1, E2, E1 v E2, E1*E2, 0) -> the slots whose conjunction is one of its primes
+_PRIMES = {15: ("a0",), 10: ("a1",), 12: ("a2",), 14: ("a1", "a2"), 8: ("a3",), 0: ()}
+# slot -> the configurations where its conjunction (1, E1, E2, E1*E2) holds
+_HOLDS = {"a0": 15, "a1": 10, "a2": 12, "a3": 8}
 
-    Complementing only relabels literals, so the slots are read off the
-    canonical terms of ``node``'s table with these rows over ``parents``,
-    keyed by their literals at the parents' polarity. A slot is the set of
-    its rows, or None for all rows. The slots depend only on the row set,
-    not on the rows' order or probabilities, so they are worked out once
-    per (node, parents, row set, e1, e2, polarity) in a process; the
-    states an error names are numbered in ascending row order.
+
+def _table_slots(
+    node: str, parents: tuple[str, ...], rows: Iterable[int], e1: str, e2: str, negative: tuple[bool, bool]
+) -> dict[str, frozenset[int] | None]:
+    """The slots a0..a3 of D = A0 v A1*E1 v A2*E2 v A3*E1*E2, each negative parent complemented.
+
+    A slot is the set of rows of which its conjunction is a prime implicant; when the
+    conjunction implies every row, it is None if it is a prime of the rows' meet and empty
+    otherwise. A row that is not one of the frame's six monotone functions raises ``ValueError``.
     """
-    # the canonical terms read the rows alone; any probabilities will do
-    table = ResponseTable(node, parents, tuple(sorted(rows)), (Fraction(1),) + (Fraction(0),) * (len(rows) - 1))
-    l1, l2 = Literal(e1, negative[0]), Literal(e2, negative[1])
-    key_for = {(): "a0", (l1,): "a1", (l2,): "a2", tuple(sorted((l1, l2))): "a3"}
-    slots: dict[str, frozenset[int] | None] = dict.fromkeys(("a0", "a1", "a2", "a3"), frozenset())
-    for term in canonical_representation(table).terms:
-        slot = key_for.get(term.literals)
-        if slot is None:
-            raise ValueError(
-                f"{node}: canonical term {term.render()} fits no slot of the ({l1.render()}, "
-                f"{l2.render()}) frame; the two-parent rule set needs monotone effects"
-            )
-        states = term.cocause.states
-        slots[slot] = None if term.cocause.kind is CoCauseKind.ONE else frozenset(table.rows[i] for i in states)
-    return MappingProxyType(slots)
+    frame = _FRAME[parents.index(e1), negative]
+    frames = {row: frame[row] for row in rows}
+    bad = sorted(row for row, f in frames.items() if f not in _PRIMES)
+    if bad:
+        names = ", ".join(("~" if neg else "") + p for p, neg in zip((e1, e2), negative))
+        raise ValueError(f"{node}: row {bad[0]} fits no slot of the ({names}) frame; "
+                         "the two-parent rule set needs monotone effects")
+    meet = reduce(int.__and__, frames.values())
+    return {
+        slot: (None if slot in _PRIMES[meet] else frozenset()) if meet & holds == holds
+        else frozenset(row for row, f in frames.items() if slot in _PRIMES[f])
+        for slot, holds in _HOLDS.items()
+    }
 
 
 def _row_mass(table: ResponseTable) -> dict[int, int]:
@@ -189,9 +194,9 @@ def facts_from_scm(
     """Establish representation facts exactly from a fully specified model.
 
     ``negative`` marks parents whose monotone effect is negative; the facts
-    are then computed, and kept, in the frame where those parents are
-    complemented. ``dist`` is the model's joint distribution when the caller
-    already holds it; otherwise it is built here.
+    are computed, and kept, in the frame where those parents are complemented,
+    and a target that is not monotone there raises ``ValueError``. ``dist`` is
+    the model's joint distribution when the caller holds it; else it is built.
     """
     parents = model.graph.parents(d)
     if set(parents) != {e1, e2} or len(parents) != 2:
@@ -200,14 +205,7 @@ def facts_from_scm(
             f"got {parents}"
         )
     table = model.tables[d]
-    for p, neg in zip((e1, e2), negative):
-        if not directional_effect_holds(table, p, "-" if neg else "+"):
-            raise ValueError(
-                f"{d}: parent {p} lacks the required positive monotone effect"
-                f"{' after complementing' if neg else ''}"
-            )
-
-    slots = _table_slots(d, parents, frozenset(table.rows), e1, e2, negative)
+    slots = _table_slots(d, parents, table.rows, e1, e2, negative)
     mass = _row_mass(table)
     if dist is None:
         dist = joint_distribution(model)
@@ -248,9 +246,9 @@ class AssertedFacts:
     pair of the model, keyed by the sorted pair; a cov-sign claim repeated on
     one pair keeps the meet of its relations, so "<=0" with ">=0" reads "=0".
 
-    The target's slots come from ``_table_slots``, which works them out
-    once per row set for the whole process, so the generator's row filter
-    and the facts share them.
+    The target's slots come from ``_table_slots``, the one read-off that the
+    generator's row filter and the facts share; it reads them off the row
+    set in a few table lookups, so nothing is kept between calls.
     """
 
     target: str
@@ -270,12 +268,12 @@ class AssertedFacts:
 
     def admits_rows(self, rows: Sequence[int]) -> bool:
         """Whether a target table with these rows over (e1, e2) carries every asserted flag."""
-        slots = _table_slots(self.target, (self.e1, self.e2), frozenset(rows), self.e1, self.e2, self.negative)
+        slots = _table_slots(self.target, (self.e1, self.e2), rows, self.e1, self.e2, self.negative)
         return self._carries_flags(slots)
 
     def admits_table(self, table: ResponseTable) -> bool:
         """Whether the target's table meets the asserted flags and co-cause independences."""
-        slots = _table_slots(self.target, table.parents, frozenset(table.rows), self.e1, self.e2, self.negative)
+        slots = _table_slots(self.target, table.parents, table.rows, self.e1, self.e2, self.negative)
         if not self._carries_flags(slots):
             return False
         mass = _row_mass(table)

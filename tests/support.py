@@ -72,12 +72,12 @@ def complement_parent(table: ResponseTable, parent: str) -> ResponseTable:
 def reference_table_slots(
     table: ResponseTable, e1: str, e2: str, negative: tuple[bool, bool]
 ) -> dict[str, frozenset[int] | None]:
-    """The uncached slot read-off that ``covsign._table_slots`` memoizes.
+    """The canonical-term slot read-off that ``covsign._table_slots`` replaces with the closed form.
 
     Deduplicate the table, build its canonical representation and key each
     term by its literals at the parents' polarity; a slot is the set of its
-    rows, or None for all rows. A term that fits no slot raises the
-    library's ``ValueError``, naming states in the table's own order.
+    rows, or None for all rows. A term that fits no slot raises
+    ``ValueError`` naming the term and, in the library's words, the frame.
     """
     table = dedupe_states(table)
     l1, l2 = Literal(e1, negative[0]), Literal(e2, negative[1])

@@ -69,6 +69,15 @@ class TestDsep:
         assert doc["separated"] is False
         assert doc["witness"] == "P2 <- F -> B1"
 
+    def test_a_repeated_name_is_echoed_once(self, capsys):
+        once = run(capsys, "dsep", fixture("coaggregation_full"),
+                   "--x", "GB", "--y", "P2", "--z", "F", "--format", "json")
+        twice = run(capsys, "dsep", fixture("coaggregation_full"), "--x", "GB", "--x", "GB",
+                    "--y", "P2", "--y", "P2", "--z", "F", "--z", "F", "--format", "json")
+        assert twice == once
+        doc = json.loads(once[1])
+        assert (doc["x"], doc["y"], doc["z"]) == (["GB"], ["P2"], ["F"])
+
     def test_one_search_per_query(self, capsys, monkeypatch):
         # the verdict and the witness come from a single d-connection search,
         # which stratum-ci leaves to the library
@@ -235,6 +244,13 @@ class TestStratumCi:
                     assert w is None or not path_blocked(exp.dag, w, cond)
                     found[w is None] += 1
         assert found[True] >= 5 and found[False] >= 50, found
+
+    def test_a_repeated_z_is_echoed_once(self, capsys):
+        argv = ("stratum-ci", fixture("pairs_overlap"), "--node", "D", "--x", "E1", "--y", "A", "--format", "json")
+        once = run(capsys, *argv, "--z", "E2")
+        twice = run(capsys, *argv, "--z", "E2", "--z", "E2")
+        assert twice == once
+        assert json.loads(once[1])["z"] == ["E2"]
 
     def test_independent_within_stratum(self, capsys):
         code, out, _ = run(capsys, "stratum-ci", fixture("pairs_disjoint"),

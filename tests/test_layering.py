@@ -81,3 +81,7 @@ def test_runtime_imports_are_acyclic():
     graph = import_graph()
     assert graph["covsign"] >= {"oracle", "signs"}
     assert find_cycle(graph) is None, " -> ".join(find_cycle(graph))
+
+
+def test_covsign_reads_the_pair_slots_without_the_canonical_algebra():
+    assert "causes" not in import_graph()["covsign"]
