@@ -59,10 +59,12 @@ from .graph import (
 from .modelfile import Assertion, Model, ModelError, load_model, parse_model, serialize_model
 from .oracle import (
     ConditioningError,
+    DrawPlan,
     GenerationError,
     InstanceConstraints,
     conditional_covariance,
     conditional_independent,
+    draw_plan,
     random_instance,
     verify_claim,
 )

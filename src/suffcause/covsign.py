@@ -811,12 +811,12 @@ def _verdicts(dist: ExactDistribution, claims: Mapping[str, SignConclusion]) -> 
 
 
 def _end_draw(
-    dag: Dag, constraints: oracle.InstanceConstraints, asserted: AssertedFacts,
+    plan: oracle.DrawPlan, asserted: AssertedFacts,
     claims: Mapping[str, SignConclusion], conditioned: set[tuple[str, int]], budget: int, seed: int,
 ) -> Draw:
-    """Draw a model at generator seed ``seed`` and check it against the assertions and ``claims``."""
+    """Draw a model from ``plan`` at generator seed ``seed`` and check it against the assertions and ``claims``."""
     try:
-        scm = oracle.random_instance(dag, constraints, seed)
+        scm = oracle.random_instance(plan, seed)
     except oracle.GenerationError:
         return Draw(seed, Outcome.GENERATION_ERROR)
     if not asserted.admits_table(scm.tables[asserted.target]):
@@ -881,16 +881,16 @@ def oracle_check(
     # d's in-edges carry the pair's polarity, so the generator draws d monotone under it
     polarity = {(p, d): "-" if neg else "+" for p, neg in zip((asserted.e1, asserted.e2), asserted.negative)}
     dag = Dag(model.dag.nodes, model.dag.edges, {**model.dag.signs, **polarity})
-    constraints = replace(constraints, row_filter={d: asserted.admits_rows})
+    plan = oracle.draw_plan(dag, replace(constraints, row_filter={d: asserted.admits_rows}))
     draws: list[Draw] = []
     seen = dict.fromkeys(Outcome, 0)  # draws so far by outcome
     for instance_seed in range(seed, seed + 100 * instances):
-        draw = _end_draw(dag, constraints, asserted, claims, conditioned, budget, instance_seed)
+        draw = _end_draw(plan, asserted, claims, conditioned, budget, instance_seed)
         draws.append(draw)
         seen[draw.outcome] += 1
         # only d has a row filter, so only d's table can fail to be drawn
         if (draw.outcome is Outcome.GENERATION_ERROR and seen[draw.outcome] == 1
-                and not oracle.admissible_row_sets(dag, constraints, d)):
+                and not oracle.admissible_row_sets(plan, d)):
             flags = ", ".join(f"{slot}={flag.value}" for slot, flag in sorted(asserted.flags.items()))
             raise ValueError(
                 f"no table the generator can draw for {d} carries the asserted flags "

@@ -10,7 +10,9 @@ falls (rises) as a "+" ("-") parent turns on is never drawn, and a node's
 row filter (a predicate on the drawn row set, such as asserted
 representation flags) rejects the rows before any probability is drawn,
 so the accepted tables keep the unconstrained distribution conditioned
-on the filter.
+on the filter. What a draw reads that does not depend on its seed is worked
+out once, in a ``DrawPlan``, and the drawn integer weights go straight into
+each table.
 """
 
 from __future__ import annotations
@@ -139,10 +141,10 @@ def verify_claim(dist: ExactDistribution, claim: "SignConclusion") -> bool:
 class InstanceConstraints:
     """Requirements for generated models beyond the graph's signed edges.
 
-    ``row_filter`` maps a node to a predicate on its drawn rows (distinct
-    row values in draw order) that must hold for the table to be kept, such
-    as "this canonical term is absent"; ``states`` bounds the number of rows
-    a node draws and ``max_weight`` the integer weight of each.
+    ``row_filter`` maps a node to a pure predicate on its drawn rows
+    (distinct row values in draw order) that must hold for the table to be
+    kept, such as "this canonical term is absent"; ``states`` bounds the
+    number of rows a node draws and ``max_weight`` the integer weight of each.
     """
 
     row_filter: Mapping[str, Callable[[tuple[int, ...]], bool]] = field(default_factory=dict)
@@ -157,17 +159,17 @@ class InstanceConstraints:
             raise ValueError(f"max_weight must be at least 1, got {self.max_weight}")
 
 
-def _sign_steps(signs: tuple[str | None, ...]) -> list[tuple[int, str]]:
+def _sign_steps(signs: tuple[str | None, ...]) -> tuple[tuple[int, str], ...]:
     """The (bit, sign) monotonicity requirement of each signed parent."""
-    return [(1 << i, s) for i, s in enumerate(signs) if s]
+    return tuple([(1 << i, s) for i, s in enumerate(signs) if s])
 
 
 @lru_cache(maxsize=1024)
 def _candidate_rows(signs: tuple[str | None, ...]) -> tuple[int, ...] | None:
     """Every row monotone along each signed in-edge (never empty: both
     constant rows are), or None over more than three parents. ``signs`` are
-    the in-edge labels in parent order, None where unsigned. Cached: the
-    generator asks again for every node of every draw."""
+    the in-edge labels in parent order, None where unsigned. Cached: every
+    draw plan asks again for each of its nodes."""
     if len(signs) > 3:
         return None
     n_configs = 1 << len(signs)
@@ -175,76 +177,103 @@ def _candidate_rows(signs: tuple[str | None, ...]) -> tuple[int, ...] | None:
     return tuple(r for r in range(1 << n_configs) if not any(_monotone_step(r, *step) for step in steps))
 
 
-def _sizes(constraints: InstanceConstraints, candidates: tuple[int, ...]) -> range:
-    """The row-set sizes a node may draw from ``candidates``: the states range, capped at their count."""
+class DrawPlan:
+    """Everything ``random_instance`` reads that does not depend on the seed.
+
+    Build it once with ``draw_plan`` and draw from it at many seeds. ``nodes``
+    maps each node, in declaration order, to (parents, candidates, closing,
+    low, high, keep, verdicts): ``candidates`` are the rows to sample, or
+    None over more than three parents, where each row closes random bits
+    along the (bit, sign) steps ``closing``; ``low`` and ``high`` bound the
+    number of rows (the states range, capped at the candidates' count);
+    ``keep`` is the row filter or None, and ``verdicts`` keeps its verdict
+    per drawn row tuple, so a filter is asked at most once per distinct
+    tuple of a plan and must be a pure predicate.
+    """
+
+    __slots__ = ("graph", "nodes", "max_weight")
+
+    def __init__(self, graph: Dag, nodes: Mapping[str, tuple], max_weight: int):
+        self.graph, self.nodes, self.max_weight = graph, nodes, max_weight
+
+
+def draw_plan(g: Dag, constraints: InstanceConstraints = InstanceConstraints()) -> DrawPlan:
+    """Each node's parents, in-edge signs, candidate rows (or closing steps above
+    three parents), row-count bounds and row filter under ``constraints``."""
     lo, hi = constraints.states
-    return range(min(lo, len(candidates)), min(hi, len(candidates)) + 1)
+    nodes = {}
+    for node in g.nodes:
+        parents = g.parents(node)
+        signs = tuple([g.signs.get((p, node)) for p in parents])
+        candidates = _candidate_rows(signs)
+        if candidates is None:
+            low, high = lo, hi
+        else:
+            low, high = min(lo, len(candidates)), min(hi, len(candidates))
+        nodes[node] = (parents, candidates, _sign_steps(signs), low, high, constraints.row_filter.get(node), {})
+    return DrawPlan(g, nodes, constraints.max_weight)
 
 
 # row sets a node may draw before the generator gives up on it
 _MAX_TRIES = 500
 
 
-def random_instance(g: Dag, constraints: InstanceConstraints, seed: int) -> Scm:
-    """Draw one model satisfying the constraints, deterministically per seed.
+def random_instance(plan: DrawPlan, seed: int) -> Scm:
+    """Draw one model from ``plan``, deterministically per seed.
 
     Each node draws a set of distinct rows, each monotone along every
-    signed in-edge of ``g`` in that edge's direction: the signs of ``g``
-    constrain the draw by themselves. A node with a row filter redraws its
-    rows until the filter accepts them, before any weight is drawn, so a
-    node without one consumes exactly the random numbers it always did.
-    Probabilities are small random rationals. Raises ``GenerationError``
-    naming the node after ``_MAX_TRIES`` rejected row sets.
+    signed in-edge of the plan's graph in that edge's direction: the signs
+    of the graph constrain the draw by themselves. A node with a row filter
+    redraws its rows until the filter accepts them, before any weight is
+    drawn, so a node without one consumes exactly the random numbers it
+    always did. Each row then draws an integer weight in 1..max_weight, and
+    a state's probability is its weight over their sum. Raises
+    ``GenerationError`` naming the node after ``_MAX_TRIES`` rejected row
+    sets.
     """
     rng = random.Random(seed)
+    randint, sample, getrandbits = rng.randint, rng.sample, rng.getrandbits
+    max_weight = plan.max_weight
     tables: dict[str, ResponseTable] = {}
-    lo, hi = constraints.states
-    for node in g.nodes:
-        parents = g.parents(node)
-        signs = tuple([g.signs.get((p, node)) for p in parents])
-        candidates = _candidate_rows(signs)
-        keep = constraints.row_filter.get(node)
-        if candidates is not None:
-            sizes = _sizes(constraints, candidates)
-        else:
-            n_configs = 1 << len(parents)
-            closing = _sign_steps(signs)
-
+    for node, (parents, candidates, closing, low, high, keep, verdicts) in plan.nodes.items():
         for _ in range(_MAX_TRIES):
             if candidates is not None:
-                rows = tuple(rng.sample(candidates, rng.randint(sizes[0], sizes[-1])))
+                rows = tuple(sample(candidates, randint(low, high)))
             else:
+                n_configs = 1 << len(parents)
                 picked: list[int] = []
                 for _ in range(50):
-                    row = _monotone_close(rng.getrandbits(n_configs), n_configs, closing)
+                    row = _monotone_close(getrandbits(n_configs), n_configs, closing)
                     if row not in picked:
                         picked.append(row)
-                    if len(picked) >= rng.randint(lo, hi):
+                    if len(picked) >= randint(low, high):
                         break
                 rows = tuple(picked)
-            if keep is not None and not keep(rows):
-                continue
-            weights = [rng.randint(1, constraints.max_weight) for _ in rows]
-            total = sum(weights)
-            tables[node] = ResponseTable(node, parents, rows, tuple(Fraction(w, total) for w in weights))
+            if keep is not None:
+                kept = verdicts.get(rows)
+                if kept is None:
+                    kept = verdicts[rows] = bool(keep(rows))
+                if not kept:
+                    continue
+            weights = [randint(1, max_weight) for _ in rows]
+            tables[node] = ResponseTable.from_weights(node, parents, rows, weights)
             break
         else:
             raise GenerationError(node, f"no acceptable table after {_MAX_TRIES} tries")
-    return Scm(g, tables)
+    return Scm(plan.graph, tables)
 
 
-def admissible_row_sets(g: Dag, constraints: InstanceConstraints, node: str) -> list[tuple[int, ...]]:
-    """Every row set ``random_instance`` can keep for ``node``.
+def admissible_row_sets(plan: DrawPlan, node: str) -> list[tuple[int, ...]]:
+    """Every row set ``random_instance`` can keep for ``node`` under ``plan``.
 
     These are the sets of distinct candidate rows whose size the states
     range allows and that pass the node's row filter. The candidate rows
     must be enumerable: at most three parents. Sets come by size, then in
     lexicographic order of their sorted rows.
     """
-    parents = g.parents(node)
-    candidates = _candidate_rows(tuple([g.signs.get((p, node)) for p in parents]))
+    parents, candidates, _, low, high, keep, _ = plan.nodes[node]
     if candidates is None:
         raise ValueError(f"{node}: rows over {len(parents)} parents are drawn, not enumerated")
-    keep = constraints.row_filter.get(node, lambda rows: True)
+    keep = keep or (lambda rows: True)
     ordered = sorted(candidates)
-    return [rows for k in _sizes(constraints, candidates) for rows in combinations(ordered, k) if keep(rows)]
+    return [rows for k in range(low, high + 1) for rows in combinations(ordered, k) if keep(rows)]

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import lcm
+from math import gcd, lcm
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -67,6 +67,28 @@ def _monotone_close(row: int, n_configs: int, requirements: Sequence[tuple[int, 
     return row
 
 
+def _check_weights(node: str, n_parents: int, rows: Sequence[int], weights: Sequence[int], scale: int) -> None:
+    """The one check of a table's rows and its integer state weights over ``scale`` (a positive int).
+
+    There must be at least one row, each a response state of ``n_parents``
+    parents, with one weight each; no weight may be negative, and the
+    weights must sum to ``scale``. Raises ``ValueError`` naming ``node``.
+    """
+    if len(rows) == 0:
+        raise ValueError(f"{node}: a table needs at least one response state")
+    if len(rows) != len(weights):
+        raise ValueError(f"{node}: {len(rows)} rows but {len(weights)} probabilities")
+    limit = 1 << (1 << n_parents)
+    for r in rows:
+        if not 0 <= r < limit:
+            raise ValueError(f"{node}: row {r} out of range for {n_parents} parents")
+    for w in weights:
+        if w < 0:
+            raise ValueError(f"{node}: negative state probability {Fraction(w, scale)}")
+    if sum(weights) != scale:
+        raise ValueError(f"{node}: state probabilities sum to {Fraction(sum(weights), scale)}, not 1")
+
+
 @dataclass(frozen=True)
 class ResponseTable:
     """One node's structural equation over canonical response states.
@@ -75,6 +97,7 @@ class ResponseTable:
     denominator of the probabilities and ``weights`` holds each state's
     probability times ``scale``, so a state's probability is
     ``Fraction(weights[j], scale)`` and the weights sum to ``scale``.
+    ``from_weights`` builds the same table from integer weights directly.
     """
 
     node: str
@@ -85,25 +108,38 @@ class ResponseTable:
     scale: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(self.rows) == 0:
-            raise ValueError(f"{self.node}: a table needs at least one response state")
-        if len(self.rows) != len(self.probs):
-            raise ValueError(f"{self.node}: {len(self.rows)} rows but {len(self.probs)} probabilities")
-        limit = 1 << self.n_configs
-        for r in self.rows:
-            if not 0 <= r < limit:
-                raise ValueError(f"{self.node}: row {r} out of range for {self.n_parents} parents")
         for p in self.probs:
             if not isinstance(p, Fraction):
                 raise ValueError(f"{self.node}: probabilities must be Fractions, got {p!r}")
-            if p.numerator < 0:
-                raise ValueError(f"{self.node}: negative state probability {p}")
         scale = lcm(*(p.denominator for p in self.probs))
         weights = tuple(p.numerator * (scale // p.denominator) for p in self.probs)
-        if sum(weights) != scale:
-            raise ValueError(f"{self.node}: state probabilities sum to {Fraction(sum(weights), scale)}, not 1")
+        _check_weights(self.node, self.n_parents, self.rows, weights, scale)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "scale", scale)
+
+    @classmethod
+    def from_weights(
+        cls, node: str, parents: Sequence[str], rows: Sequence[int], weights: Sequence[int]
+    ) -> "ResponseTable":
+        """The table whose state j has probability ``weights[j] / sum(weights)``, built in integers.
+
+        It equals the table built from those probabilities as ``Fraction``s:
+        its ``weights`` and ``scale`` are the given weights and their sum,
+        each divided by the weights' gcd.
+        """
+        parents, rows, weights = tuple(parents), tuple(rows), tuple(weights)
+        # a sum below 1 comes only with zero or negative weights, which the check rejects over 1
+        _check_weights(node, len(parents), rows, weights, max(sum(weights), 1))
+        common = gcd(*weights)
+        weights = tuple(w // common for w in weights)
+        scale = sum(weights)
+        table = object.__new__(cls)
+        # the instance is frozen: fill its fields as the generated __init__ would, without re-checking
+        vars(table).update(
+            node=node, parents=parents, rows=rows, probs=tuple(Fraction(w, scale) for w in weights),
+            weights=weights, scale=scale,
+        )
+        return table
 
     @property
     def n_parents(self) -> int:
@@ -169,8 +205,7 @@ def dedupe_states(table: ResponseTable) -> ResponseTable:
     mass: dict[int, int] = {}
     for row, w in zip(table.rows, table.weights):
         mass[row] = mass.get(row, 0) + w
-    probs = tuple(Fraction(w, table.scale) for w in mass.values())
-    return ResponseTable(table.node, table.parents, tuple(mass), probs)
+    return ResponseTable.from_weights(table.node, table.parents, tuple(mass), mass.values())
 
 
 @dataclass(frozen=True)
@@ -291,7 +326,12 @@ def joint_distribution(model: Scm, budget: int = DEFAULT_WORLD_BUDGET) -> ExactD
         children = {}
         for c, key in enumerate(_config_keys(t.n_parents)):
             one = sum(w for r, w in weighted if (r >> c) & 1)
-            children[key] = [(v, w) for v, w in (((0,), t.scale - one), ((1,), one)) if w]
+            if not one:
+                children[key] = [((0,), t.scale)]
+            elif one == t.scale:
+                children[key] = [((1,), one)]
+            else:
+                children[key] = [((0,), t.scale - one), ((1,), one)]
         rows = [
             (vals + v, weight * w)
             for vals, weight in rows

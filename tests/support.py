@@ -1,8 +1,8 @@
 """Shared helpers: fixture paths, random graphs, references (path enumeration,
 the exhaustive witness search, atom-by-atom sufficient causes, world
 enumeration, complemented parents, per-configuration monotonicity and
-monotone closure, the per-row query filters), and constrained instance
-families."""
+monotone closure, the per-row query filters, the per-call generator), and
+constrained instance families."""
 
 from __future__ import annotations
 
@@ -19,6 +19,8 @@ from suffcause import (
     Conjunction,
     Dag,
     ExactDistribution,
+    GenerationError,
+    InstanceConstraints,
     Literal,
     Path as GraphPath,
     ResponseTable,
@@ -30,8 +32,8 @@ from suffcause import (
     facts_from_scm,
 )
 from suffcause.covsign import Flag, RepFacts
-from suffcause.oracle import _columns
-from suffcause.scm import _row_key
+from suffcause.oracle import _MAX_TRIES, _candidate_rows, _columns, _sign_steps
+from suffcause.scm import _monotone_close, _row_key
 from suffcause.signs import Relation
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -120,6 +122,48 @@ def reference_monotone_close(row: int, n_configs: int, requirements) -> int:
                 else:
                     row |= ((row >> c) & 1) << (c ^ bit)
     return row
+
+
+def reference_random_instance(g: Dag, constraints: InstanceConstraints, seed: int) -> Scm:
+    """The generator as it was before draw plans: every call works out each
+    node's signs, candidate rows and size range again, and each table goes
+    through ``Fraction(w, total)``. ``random_instance(draw_plan(g, constraints),
+    seed)`` must draw the same tables."""
+    rng = random.Random(seed)
+    tables: dict[str, ResponseTable] = {}
+    lo, hi = constraints.states
+    for node in g.nodes:
+        parents = g.parents(node)
+        signs = tuple([g.signs.get((p, node)) for p in parents])
+        candidates = _candidate_rows(signs)
+        keep = constraints.row_filter.get(node)
+        if candidates is not None:
+            sizes = range(min(lo, len(candidates)), min(hi, len(candidates)) + 1)
+        else:
+            n_configs = 1 << len(parents)
+            closing = _sign_steps(signs)
+
+        for _ in range(_MAX_TRIES):
+            if candidates is not None:
+                rows = tuple(rng.sample(candidates, rng.randint(sizes[0], sizes[-1])))
+            else:
+                picked: list[int] = []
+                for _ in range(50):
+                    row = _monotone_close(rng.getrandbits(n_configs), n_configs, closing)
+                    if row not in picked:
+                        picked.append(row)
+                    if len(picked) >= rng.randint(lo, hi):
+                        break
+                rows = tuple(picked)
+            if keep is not None and not keep(rows):
+                continue
+            weights = [rng.randint(1, constraints.max_weight) for _ in rows]
+            total = sum(weights)
+            tables[node] = ResponseTable(node, parents, rows, tuple(Fraction(w, total) for w in weights))
+            break
+        else:
+            raise GenerationError(node, f"no acceptable table after {_MAX_TRIES} tries")
+    return Scm(g, tables)
 
 
 def random_dag(rng: random.Random, n_nodes: int, edge_prob: float = 0.4) -> Dag:

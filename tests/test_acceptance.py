@@ -27,6 +27,7 @@ from suffcause import (
     conditional_independent,
     d_separated,
     detect_monotonic_effect,
+    draw_plan,
     expand_model,
     facts_from_scm,
     is_determinative,
@@ -176,7 +177,7 @@ def test_criterion_5_d_separation_soundness():
     while graphs < 500:
         g = random_dag(rng, rng.randint(2, 6), 0.45)
         try:
-            m = random_instance(g, InstanceConstraints(states=(1, 2)), graphs)
+            m = random_instance(draw_plan(g, InstanceConstraints(states=(1, 2))), graphs)
         except GenerationError:
             continue
         graphs += 1
@@ -232,13 +233,14 @@ def test_criterion_6_transfer_rules():
             if passes_direct
             else check_transfer_premises_shared(g, "F", "G", "E1", "E2", "D", q)
         )
+        plan = draw_plan(g, constraints)
         checked = 0
         seed = 0
         while checked < 100:
             seed += 1
             assert seed < 6000, (name, checked)
             try:
-                m = random_instance(g, constraints, seed)
+                m = random_instance(plan, seed)
             except GenerationError:
                 continue
             try:
@@ -273,13 +275,14 @@ def test_criterion_7_coaggregation_end_to_end():
     shared = check_transfer_premises_shared(g, "B1", "P2", "E1", "GP", "P1")
     assert shared.satisfied
 
+    plan = draw_plan(g, constraints)
     checked = 0
     seed = 0
     while checked < 100:
         seed += 1
         assert seed < 4000
         try:
-            m = random_instance(g, constraints, seed)
+            m = random_instance(plan, seed)
         except GenerationError:
             continue
         facts = facts_from_scm(m, "P1", "E1", "GP")
@@ -306,10 +309,11 @@ def test_criterion_7_coaggregation_end_to_end():
         row_filter={"P1": without_term("P1", gf.parents("P1"), (Literal("E1"), Literal("GP")))},
         states=(1, 2),
     )
+    plan_f = draw_plan(gf, constraints_f)
     found = None
     for seed in range(4000):
         try:
-            m = random_instance(gf, constraints_f, seed)
+            m = random_instance(plan_f, seed)
         except GenerationError:
             continue
         dist = joint_distribution(m)

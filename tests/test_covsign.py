@@ -1016,8 +1016,8 @@ class TestPolarityDrawnOnce:
         drawn = []
         draw = oracle.random_instance
 
-        def recording(g, constraints, instance_seed):
-            scm = draw(g, constraints, instance_seed)
+        def recording(plan, instance_seed):
+            scm = draw(plan, instance_seed)
             drawn.append(scm.tables["D"])
             return scm
 

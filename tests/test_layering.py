@@ -1,4 +1,5 @@
-"""The package's runtime imports form no cycle.
+"""The package's layering: its runtime imports form no cycle, and oracle-check
+crosses into the oracle once per draw and once per claim verdict.
 
 Every import statement in ``src/suffcause/*.py`` counts, including those
 inside functions; imports under ``if TYPE_CHECKING:`` do not run and are
@@ -85,3 +86,32 @@ def test_runtime_imports_are_acyclic():
 
 def test_covsign_reads_the_pair_slots_without_the_canonical_algebra():
     assert "causes" not in import_graph()["covsign"]
+
+
+def test_every_draw_and_claim_verdict_crosses_into_the_oracle(monkeypatch):
+    # the traced benchmark counts draws at oracle.random_instance and reads
+    # each draw's outcome off the oracle.verify_claim calls that follow it,
+    # so a draw or a verdict that bypasses them would read as no work at all
+    from suffcause import covsign, load_model, oracle
+    from suffcause.covsign import Outcome
+
+    verdicts_per_draw: list[int] = []
+    draw, verify = oracle.random_instance, oracle.verify_claim
+
+    def drawing(*args, **kwargs):
+        verdicts_per_draw.append(0)
+        return draw(*args, **kwargs)
+
+    def verifying(*args, **kwargs):
+        verdicts_per_draw[-1] += 1
+        return verify(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "random_instance", drawing)
+    monkeypatch.setattr(oracle, "verify_claim", verifying)
+    model = load_model(str(PACKAGE.parent.parent / "fixtures" / "coaggregation_null.model"))
+    check = covsign.oracle_check(model, "P1", "B1", "P2", instances=100, seed=7)
+    claims = len({c.key() for c in check.analysis.conclusions})
+    assert check.accepted == 100 and len(verdicts_per_draw) == check.drawn > check.accepted
+    for record, verdicts in zip(check.draws, verdicts_per_draw):
+        # a draw whose conditioning event has probability 0 stops at the claim that finds it
+        assert verdicts == claims if record.outcome is Outcome.ACCEPTED else verdicts < claims

@@ -24,6 +24,7 @@ from suffcause import (
     conditional_independent,
     dedupe_states,
     detect_monotonic_effect,
+    draw_plan,
     expand,
     expanded_distribution,
     joint_distribution,
@@ -46,6 +47,7 @@ from support import (
     ref_canonical_terms,
     reference_independent,
     reference_monotone_close,
+    reference_random_instance,
     reference_restrict,
     reference_row_direction_holds,
     reference_tally_independent,
@@ -157,7 +159,7 @@ def _differential_models():
     rng = random.Random(4040)
     for seed in range(200):
         g = random_dag(rng, rng.randint(1, 7))
-        yield random_instance(g, InstanceConstraints(), seed)
+        yield random_instance(draw_plan(g), seed)
     for _ in range(60):
         g = random_dag(rng, rng.randint(1, 6), 0.5)
         yield Scm(g, {n: _rough_table(rng, n, g.parents(n)) for n in g.nodes})
@@ -320,24 +322,25 @@ class TestQueriesMatchReferences:
 class TestRandomInstance:
     def test_deterministic_per_seed(self):
         g = random_dag(random.Random(0), 5)
-        a = random_instance(g, InstanceConstraints(), 42)
-        b = random_instance(g, InstanceConstraints(), 42)
+        plan = draw_plan(g)
+        a = random_instance(plan, 42)
+        b = random_instance(draw_plan(g), 42)
         assert a.tables == b.tables
-        c = random_instance(g, InstanceConstraints(), 43)
+        c = random_instance(plan, 43)
         assert a.tables != c.tables  # overwhelmingly likely across 5 nodes
 
     def test_monotone_constraint_single_parent(self):
-        g = Dag(["E", "D"], [("E", "D")], {("E", "D"): "+"})
+        plan = draw_plan(Dag(["E", "D"], [("E", "D")], {("E", "D"): "+"}))
         for seed in range(40):
-            m = random_instance(g, InstanceConstraints(), seed)
+            m = random_instance(plan, seed)
             assert detect_monotonic_effect(m.tables["D"], "E") is Sign.POSITIVE
             # the inverter row never appears
             assert 1 not in m.tables["D"].rows
 
     def test_monotone_constraint_negative(self):
-        g = Dag(["E", "D"], [("E", "D")], {("E", "D"): "-"})
+        plan = draw_plan(Dag(["E", "D"], [("E", "D")], {("E", "D"): "-"}))
         for seed in range(40):
-            m = random_instance(g, InstanceConstraints(), seed)
+            m = random_instance(plan, seed)
             assert 2 not in m.tables["D"].rows
 
     def test_forbidden_synergy_term(self):
@@ -345,8 +348,9 @@ class TestRandomInstance:
         constraints = InstanceConstraints(
             row_filter={"D": without_term("D", ("E1", "E2"), (Literal("E1"), Literal("E2")))},
         )
+        plan = draw_plan(g, constraints)
         for seed in range(60):
-            m = random_instance(g, constraints, seed)
+            m = random_instance(plan, seed)
             rep = canonical_representation(dedupe_states(m.tables["D"]))
             assert all({l.base for l in t.literals} != {"E1", "E2"} for t in rep.terms)
 
@@ -384,8 +388,9 @@ class TestRandomInstance:
         g = Dag(["A", "B", "C", "E", "D"], [(p, "D") for p in ("A", "B", "C", "E")],
                 {("A", "D"): "+", ("B", "D"): "-"})
         from suffcause.signs import directional_effect_holds
+        plan = draw_plan(g)
         for seed in range(10):
-            m = random_instance(g, InstanceConstraints(), seed)
+            m = random_instance(plan, seed)
             assert directional_effect_holds(m.tables["D"], "A", "+")
             assert directional_effect_holds(m.tables["D"], "B", "-")
 
@@ -399,8 +404,9 @@ class TestRandomInstance:
             signs = ("+", "-", "-", "+", "-")[:n_parents]
             required = tuple(zip(parents, signs))
             g = Dag(parents + ["D"], [(p, "D") for p in parents], {(p, "D"): s for p, s in required})
+            plan = draw_plan(g)
             for seed in range(100):
-                t = random_instance(g, InstanceConstraints(), seed).tables["D"]
+                t = random_instance(plan, seed).tables["D"]
                 for p, s in required:
                     bit = 1 << parents.index(p)
                     assert all(reference_row_direction_holds(r, t.n_configs, bit, s == "+") for r in t.rows)
@@ -422,7 +428,7 @@ class TestRandomInstance:
             edges = [(p, c) for j, c in enumerate(nodes[1:], 1)
                      for p in rng.sample(nodes[:j], rng.randint(1, min(5, j)))]
             g = random_signs(rng, Dag(nodes, edges))
-            m = random_instance(g, InstanceConstraints(), seed)
+            m = random_instance(draw_plan(g), seed)
             for node in nodes[1:]:
                 t = m.tables[node]
                 path = "candidates" if t.n_parents <= 3 else "closure"
@@ -442,11 +448,12 @@ class TestRandomInstance:
                 [("A", "C"), ("B", "C"), ("A", "E"), ("C", "E"), ("B", "F"),
                  ("C", "D"), ("E", "D"), ("F", "D")],
                 {("A", "C"): "+", ("B", "C"): "-", ("C", "D"): "+", ("E", "D"): "-", ("F", "D"): "+"})
+        plan = draw_plan(g)
         drawn = []
         for seed in range(50):
             _candidate_rows.cache_clear()
-            cold = random_instance(g, InstanceConstraints(), seed)
-            warm = random_instance(g, InstanceConstraints(), seed)
+            cold = random_instance(draw_plan(g), seed)
+            warm = random_instance(plan, seed)
             assert cold.tables == warm.tables
             drawn.append(repr([(n, cold.tables[n].rows, cold.tables[n].probs) for n in g.nodes]))
         # the same draws as the uncached generator that preceded the cache
@@ -456,7 +463,7 @@ class TestRandomInstance:
         g = random_dag(random.Random(1), 4)
         reprs = set()
         for _ in range(3):
-            m = random_instance(g, InstanceConstraints(), 7)
+            m = random_instance(draw_plan(g), 7)
             reprs.add(repr(sorted((n, t.rows, t.probs) for n, t in m.tables.items())))
         assert len(reprs) == 1
 
@@ -515,11 +522,11 @@ class TestRowFilter:
         flags = {s: self.reference_flags(tuple(sorted(s))) for s in row_sets}
         for name, keep, holds in self.filters():
             admissible = {s for s in row_sets if holds(flags[s])}
-            constraints = InstanceConstraints(row_filter={"D": keep})
-            enumerated = admissible_row_sets(self.GRAPH, constraints, "D")
+            plan = draw_plan(self.GRAPH, InstanceConstraints(row_filter={"D": keep}))
+            enumerated = admissible_row_sets(plan, "D")
             assert {frozenset(r) for r in enumerated} == admissible, name
             counts = Counter(
-                frozenset(random_instance(self.GRAPH, constraints, seed).tables["D"].rows)
+                frozenset(random_instance(plan, seed).tables["D"].rows)
                 for seed in range(self.DRAWS)
             )
             assert set(counts) == admissible, name
@@ -536,18 +543,74 @@ class TestRowFilter:
         # the filter on D redraws only D's rows: the roots, drawn before
         # it, keep their tables, and a filter that accepts everything
         # changes nothing
-        everything = InstanceConstraints(row_filter={"D": lambda rows: True})
-        plain = InstanceConstraints()
-        no_synergy = InstanceConstraints(row_filter={"D": NO_SYNERGY})
+        everything = draw_plan(self.GRAPH, InstanceConstraints(row_filter={"D": lambda rows: True}))
+        plain = draw_plan(self.GRAPH)
+        no_synergy = draw_plan(self.GRAPH, InstanceConstraints(row_filter={"D": NO_SYNERGY}))
         for seed in range(50):
-            base = random_instance(self.GRAPH, plain, seed).tables
-            assert random_instance(self.GRAPH, everything, seed).tables == base
-            filtered = random_instance(self.GRAPH, no_synergy, seed).tables
+            base = random_instance(plain, seed).tables
+            assert random_instance(everything, seed).tables == base
+            filtered = random_instance(no_synergy, seed).tables
             assert (filtered["E1"], filtered["E2"]) == (base["E1"], base["E2"])
 
     def test_generation_error_names_the_node(self):
-        constraints = InstanceConstraints(row_filter={"D": lambda rows: False})
+        plan = draw_plan(self.GRAPH, InstanceConstraints(row_filter={"D": lambda rows: False}))
         with pytest.raises(GenerationError) as caught:
-            random_instance(self.GRAPH, constraints, 0)
+            random_instance(plan, 0)
         assert caught.value.node == "D"
-        assert admissible_row_sets(self.GRAPH, constraints, "D") == []
+        assert admissible_row_sets(plan, "D") == []
+
+
+class TestDrawPlan:
+    """A draw from a plan is the per-call reference generator's draw, table for table."""
+
+    @staticmethod
+    def assert_draws_match(g, constraints, seeds):
+        plan = draw_plan(g, constraints)  # one plan for every seed, as oracle-check uses it
+        for seed in seeds:
+            try:
+                want = reference_random_instance(g, constraints, seed)
+            except GenerationError as e:
+                with pytest.raises(GenerationError, match=str(e)):
+                    random_instance(plan, seed)
+                continue
+            got = random_instance(plan, seed)
+            for n in g.nodes:
+                a, b = want.tables[n], got.tables[n]
+                assert (a.rows, a.weights, a.scale, a.probs) == (b.rows, b.weights, b.scale, b.probs), (seed, n)
+
+    def test_the_seeded_dags(self):
+        # the 200 DAGs of _differential_models, unsigned and with random signs
+        rng, signing = random.Random(4040), random.Random(4041)
+        for seed in range(200):
+            g = random_dag(rng, rng.randint(1, 7))
+            states = ((1, 3), (1, 2), (2, 4))[seed % 3]
+            for h in (g, random_signs(signing, g)):
+                self.assert_draws_match(h, InstanceConstraints(states=states, max_weight=1 + seed % 8),
+                                        range(seed, seed + 3))
+
+    def test_nodes_drawn_by_closure(self):
+        rng = random.Random(4042)
+        for n_parents in (4, 5):
+            parents = [f"P{i}" for i in range(n_parents)]
+            g = random_signs(rng, Dag(parents + ["D"], [(p, "D") for p in parents]))
+            for states in ((1, 3), (2, 2)):
+                self.assert_draws_match(g, InstanceConstraints(states=states), range(60))
+
+    def test_row_filters(self):
+        flag = Assertion("rep-flag", ("D", "E1", "E2", "a1", "zero"))
+        for keep in (NO_SYNERGY, read_assertions([flag], "D", "E1", "E2").admits_rows, lambda rows: False):
+            self.assert_draws_match(TestRowFilter.GRAPH, InstanceConstraints(row_filter={"D": keep}), range(80))
+        g = Dag(["E1", "E2", "D"], [("E1", "D"), ("E2", "D")])
+        self.assert_draws_match(g, InstanceConstraints(row_filter={"D": lambda rows: len(rows) > 1}), range(80))
+
+    def test_a_row_filter_is_asked_once_per_row_tuple(self):
+        asked = Counter()
+
+        def keep(rows):
+            asked[rows] += 1
+            return NO_SYNERGY(rows)
+
+        plan = draw_plan(TestRowFilter.GRAPH, InstanceConstraints(row_filter={"D": keep}))
+        for seed in range(300):
+            random_instance(plan, seed)
+        assert len(asked) > 20 and set(asked.values()) == {1}

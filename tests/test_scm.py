@@ -95,6 +95,55 @@ class TestIntegerWeights:
             assert all(Fraction(w, t.scale) == p for w, p in zip(t.weights, t.probs))
             assert "weights" not in repr(t)
 
+    @staticmethod
+    def assert_same_as_probs(parents, rows, weights):
+        """``from_weights`` equals the table built from ``Fraction(w, total)`` probabilities."""
+        total = sum(weights)
+        want = ResponseTable("D", parents, rows, tuple(Fraction(w, total) for w in weights))
+        got = ResponseTable.from_weights("D", parents, rows, weights)
+        assert got == want
+        assert (got.weights, got.scale, got.probs) == (want.weights, want.scale, want.probs)
+        assert all(type(p) is Fraction for p in got.probs) and repr(got) == repr(want)
+
+    def test_from_weights_matches_the_probability_constructor(self):
+        rng = random.Random(14)
+        for _ in range(300):
+            parents = ("A", "B")[:rng.randint(0, 2)]
+            k = rng.randint(1, 4)
+            rows = tuple(rng.randrange(1 << (1 << len(parents))) for _ in range(k))
+            weights = [rng.choice((0, 1, 2, 3, 4, 6, 8)) for _ in range(k)]
+            if not any(weights):
+                weights[0] = rng.randint(1, 8)
+            self.assert_same_as_probs(parents, rows, weights)
+
+    @pytest.mark.parametrize("weights, reduced, scale", [
+        ((2, 4, 6), (1, 2, 3), 6),  # a shared factor
+        ((0, 3), (0, 1), 1),  # a zero weight
+        ((0, 4, 0, 6), (0, 2, 0, 3), 5),
+        ((5,), (1,), 1),
+    ])
+    def test_from_weights_in_lowest_terms(self, weights, reduced, scale):
+        rows = tuple(range(len(weights)))
+        t = ResponseTable.from_weights("D", ("E",), rows, weights)
+        assert (t.weights, t.scale) == (reduced, scale)
+        self.assert_same_as_probs(("E",), rows, weights)
+
+    @pytest.mark.parametrize("rows, weights, message", [
+        ((0, 4), (1, 1), "D: row 4 out of range for 1 parents"),
+        ((0, 1, 2), (1, 1), "D: 3 rows but 2 probabilities"),
+        ((0, 1), (3, -1), "D: negative state probability -1/2"),
+        ((0, 1), (0, 0), "D: state probabilities sum to 0, not 1"),
+        ((), (), "D: a table needs at least one response state"),
+    ])
+    def test_from_weights_validation_messages(self, rows, weights, message):
+        with pytest.raises(ValueError) as e:
+            ResponseTable.from_weights("D", ("E",), rows, weights)
+        assert str(e.value) == message
+        if sum(weights) > 0:  # the same text as the probabilities Fraction(w, total) give
+            with pytest.raises(ValueError) as e:
+                ResponseTable("D", ("E",), rows, tuple(Fraction(w, sum(weights)) for w in weights))
+            assert str(e.value) == message
+
     def test_dedupe_returns_a_table_with_distinct_rows_itself(self):
         t = ResponseTable("D", ("E",), (0, 3, 2), (Fraction(1, 6), Fraction(1, 3), half))
         assert dedupe_states(t) is t
@@ -170,10 +219,10 @@ class TestJointDistribution:
 
     def test_mass_is_exactly_one(self):
         rng = random.Random(11)
-        from suffcause import InstanceConstraints, random_instance
+        from suffcause import draw_plan, random_instance
         for seed in range(30):
             g = random_dag(rng, 4)
-            m = random_instance(g, InstanceConstraints(), seed)
+            m = random_instance(draw_plan(g), seed)
             assert joint_distribution(m).mass() == 1
 
     def test_budget(self):
@@ -218,7 +267,7 @@ class TestSubstitution:
 
     def test_substitution_matches_marginal_distribution(self):
         rng = random.Random(2026)
-        from suffcause import InstanceConstraints, random_instance
+        from suffcause import InstanceConstraints, draw_plan, random_instance
         done = 0
         seed = 0
         while done < 40:
@@ -227,7 +276,7 @@ class TestSubstitution:
             w = {n for n in g.nodes if rng.random() < 0.4}
             if not w or not can_marginalize(g, w):
                 continue
-            m = random_instance(g, InstanceConstraints(states=(1, 2)), seed)
+            m = random_instance(draw_plan(g, InstanceConstraints(states=(1, 2))), seed)
             sub = substitute(m, w)
             assert sub.graph == marginalize(g, w)
             retained = [n for n in g.nodes if n not in w]
