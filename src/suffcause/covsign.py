@@ -197,7 +197,8 @@ def facts_from_scm(
     are computed, and kept, in the frame where those parents are complemented,
     and a target that is not monotone there raises ``ValueError``. ``dist`` is
     the model's joint distribution when the caller holds it; else it is built.
-    """
+    Binary parents are independent exactly when their covariance is 0, so
+    ``e_indep`` and ``e_cov`` read one covariance."""
     parents = model.graph.parents(d)
     if set(parents) != {e1, e2} or len(parents) != 2:
         raise ValueError(
@@ -217,7 +218,7 @@ def facts_from_scm(
         e2=e2,
         negative=negative,
         **{slot: _flag(states) for slot, states in slots.items()},
-        e_indep=oracle.conditional_independent(dist, e1, e2),
+        e_indep=cov == 0,
         a1_a2_indep=_sets_independent(slots["a1"], slots["a2"], mass),
         a0_a1_indep=_sets_independent(slots["a0"], slots["a1"], mass),
         a0_a2_indep=_sets_independent(slots["a0"], slots["a2"], mass),
@@ -248,7 +249,9 @@ class AssertedFacts:
 
     The target's slots come from ``_table_slots``, the one read-off that the
     generator's row filter and the facts share; it reads them off the row
-    set in a few table lookups, so nothing is kept between calls.
+    set in a few table lookups, so nothing is kept between calls. A draw asks
+    each question once: the plan's row filter ``admits_rows`` the flags,
+    ``cocauses_independent`` the co-cause independences, ``admits`` the rest.
     """
 
     target: str
@@ -263,28 +266,25 @@ class AssertedFacts:
     def cov_of(self, x: str, y: str) -> Relation | None:
         return self.cov.get(_pair_key(x, y))
 
-    def _carries_flags(self, slots: Mapping[str, frozenset[int] | None]) -> bool:
-        return all(_flag(slots[slot]) is flag for slot, flag in self.flags.items())
-
     def admits_rows(self, rows: Sequence[int]) -> bool:
         """Whether a target table with these rows over (e1, e2) carries every asserted flag."""
         slots = _table_slots(self.target, (self.e1, self.e2), rows, self.e1, self.e2, self.negative)
-        return self._carries_flags(slots)
+        return all(_flag(slots[slot]) is flag for slot, flag in self.flags.items())
 
-    def admits_table(self, table: ResponseTable) -> bool:
-        """Whether the target's table meets the asserted flags and co-cause independences."""
+    def cocauses_independent(self, table: ResponseTable) -> bool:
+        """Whether the target's table meets every asserted co-cause independence."""
+        if not self.cocause_indep:
+            return True
         slots = _table_slots(self.target, table.parents, table.rows, self.e1, self.e2, self.negative)
-        if not self._carries_flags(slots):
-            return False
         mass = _row_mass(table)
         return all(_sets_independent(slots[a], slots[b], mass) for a, b in self.cocause_indep)
 
     def admits(self, dist: ExactDistribution) -> bool:
-        """Whether an instance's joint ``dist`` meets every asserted independence and covariance sign."""
-        return (
-            all(oracle.conditional_independent(dist, x, y) for x, y in self.independent)
-            and all(fact.holds(oracle.conditional_covariance(dist, x, y)) for (x, y), fact in self.cov.items())
-        )
+        """Whether the joint ``dist`` meets every asserted covariance sign and independence, one
+        covariance per distinct pair: binary nodes are independent exactly when it is 0."""
+        # every cov-sign relation allows 0, so a pair also asserted independent needs "=0" alone
+        facts = {**self.cov, **dict.fromkeys(self.independent, Relation.EQ0)}
+        return all(fact.holds(oracle.conditional_covariance(dist, *pair)) for pair, fact in facts.items())
 
 
 def read_assertions(
@@ -492,13 +492,6 @@ def check_transfer_premises_direct(
     return TransferPremises("proxy-direct", f, g, e1, e2, d, (), checks)
 
 
-def _q_structurally_independent(graph: Dag, q: Sequence[str]) -> bool:
-    return not any(
-        a in graph.ancestors(b) or b in graph.ancestors(a) or graph.ancestors(a) & graph.ancestors(b)
-        for a, b in combinations(q, 2)
-    )
-
-
 def _q_path_sign_flags(graph: Dag, q: Sequence[str], f: str, g: str) -> tuple[bool, bool]:
     if not q:
         return (True, True)
@@ -549,8 +542,8 @@ def check_transfer_premises_shared(
     """Premises for the transfer that tolerates shared causes of the proxies.
 
     ``q`` collects the declared common causes of F and G, a repeated name
-    counting once at its first occurrence. They must be mutually
-    structurally independent (no edges, no shared ancestors), separated
+    counting once at its first occurrence. They must be pairwise d-separated
+    given nothing (no directed path or shared ancestor between two), separated
     from the parent pair given D and from D marginally. Direction of the
     transferred sign is gated by whether each q member's directed paths to
     F and to G agree or oppose in sign.
@@ -566,7 +559,7 @@ def check_transfer_premises_shared(
         PremiseCheck("g_separated_from_e1", d_separated(graph, g, e1, {e2} | cond)),
         PremiseCheck("q_separated_from_pair", d_separated(graph, qs, {e1, e2}, {d})),
         PremiseCheck("q_separated_from_target", d_separated(graph, qs, d)),
-        PremiseCheck("q_mutually_independent", _q_structurally_independent(graph, qs)),
+        PremiseCheck("q_mutually_independent", all(d_separated(graph, a, b) for a, b in combinations(qs, 2))),
         PremiseCheck("f_expectation_monotone", mono_f, "structural", route_f),
         PremiseCheck("g_expectation_monotone", mono_g, "structural", route_g),
     )
@@ -693,8 +686,10 @@ def covsign_analysis(
     shared-cause; when neither holds, or an inner conclusion cannot be
     moved, the reason is recorded under ``not_applicable``. ``q`` and
     a single proxy raise ``ValueError`` unless both proxies are given, and
-    ``q`` does too when the proxies are ``d``'s parent pair itself.
-    """
+    ``q`` does too when the proxies are ``d``'s parent pair itself; so does
+    a ``budget`` below 1, before any work."""
+    if budget < 1:
+        raise ValueError(f"budget must be at least 1, got {budget}")
     if (f is None) != (g is None) or (q and f is None):
         given = ", ".join(f"{k}={v}" for k, v in (("f", f), ("g", g), ("q", ",".join(q))) if v)
         raise ValueError(f"a transfer to proxies needs both f and g; got {given}")
@@ -819,7 +814,8 @@ def _end_draw(
         scm = oracle.random_instance(plan, seed)
     except oracle.GenerationError:
         return Draw(seed, Outcome.GENERATION_ERROR)
-    if not asserted.admits_table(scm.tables[asserted.target]):
+    # the plan's row filter has already checked the target's asserted flags
+    if not asserted.cocauses_independent(scm.tables[asserted.target]):
         return Draw(seed, Outcome.ASSERTION_MISMATCH)
     if any(_never_takes(scm.tables[n], v) for n, v in conditioned):
         return Draw(seed, Outcome.ZERO_MASS)
@@ -855,8 +851,8 @@ def oracle_check(
     that forces a conditioned node to the other value is zero mass before
     any joint is built. On ``d``'s first generation error its admissible
     row sets are enumerated, and ``ValueError`` names the flags if there
-    are none. ``instances`` and ``max_weight`` must be at least 1; both are
-    checked before any work.
+    are none. ``instances``, ``max_weight`` and ``budget`` must be at least
+    1; each is checked before any work.
     """
     if instances < 1:
         raise ValueError(f"instances must be at least 1, got {instances}")

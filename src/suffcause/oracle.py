@@ -24,7 +24,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 
-from .graph import Dag
+from .graph import Dag, _as_names
 from .scm import ExactDistribution, ResponseTable, Scm, _monotone_close, _monotone_step, _parent_mask, _row_key
 from .signs import Relation
 
@@ -42,10 +42,6 @@ class GenerationError(RuntimeError):
     def __init__(self, node: str, reason: str):
         super().__init__(f"{node}: {reason}")
         self.node = node
-
-
-def _columns(x: str | Iterable[str]) -> tuple[str, ...]:
-    return (x,) if isinstance(x, str) else tuple(x)
 
 
 def conditional_covariance(
@@ -87,8 +83,8 @@ def conditional_independent(
     """
     base = dist.restrict(stratum or {})
     cz = [base.column(c) for c in z]
-    cx = [base.column(c) for c in _columns(x)]
-    cy = [base.column(c) for c in _columns(y)]
+    cx = [base.column(c) for c in _as_names(x)]
+    cy = [base.column(c) for c in _as_names(y)]
     if not cx or not cy:
         return True
     # one read per row; with x and y non-empty the key is a tuple z + x + y

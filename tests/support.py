@@ -1,8 +1,9 @@
 """Shared helpers: fixture paths, random graphs, references (path enumeration,
 the exhaustive witness search, atom-by-atom sufficient causes, world
 enumeration, complemented parents, per-configuration monotonicity and
-monotone closure, the per-row query filters, the per-call generator), and
-constrained instance families."""
+monotone closure, the per-row query filters, the per-call generator, the
+two-pass assertion test, the ancestor test of shared causes), and constrained
+instance families."""
 
 from __future__ import annotations
 
@@ -27,12 +28,15 @@ from suffcause import (
     Scm,
     Sign,
     canonical_representation,
+    conditional_covariance,
+    conditional_independent,
     config_index,
     dedupe_states,
     facts_from_scm,
 )
 from suffcause.covsign import Flag, RepFacts
-from suffcause.oracle import _MAX_TRIES, _candidate_rows, _columns, _sign_steps
+from suffcause.graph import _as_names
+from suffcause.oracle import _MAX_TRIES, _candidate_rows, _sign_steps
 from suffcause.scm import _monotone_close, _row_key
 from suffcause.signs import Relation
 
@@ -524,8 +528,8 @@ def reference_tally_independent(dist: ExactDistribution, x, y, z=(), stratum=Non
     ``all(...)`` filter: the reference for ``oracle.conditional_independent``."""
     base = reference_restrict(dist, stratum or {})
     kz = _row_key([base.column(c) for c in z])
-    kx = _row_key([base.column(c) for c in _columns(x)])
-    ky = _row_key([base.column(c) for c in _columns(y)])
+    kx = _row_key([base.column(c) for c in _as_names(x)])
+    ky = _row_key([base.column(c) for c in _as_names(y)])
     cells: dict[tuple, int] = {}
     for vals, w in base.rows:
         cell = (kz(vals), kx(vals), ky(vals))
@@ -545,6 +549,23 @@ def reference_tally_independent(dist: ExactDistribution, x, y, z=(), stratum=Non
             if cells.get((vz, vx, vy), 0) * mass[vz] != wx * my[vz, vy]:
                 return False
     return True
+
+
+def reference_admits(asserted, dist: ExactDistribution) -> bool:
+    """An independence pass beside a covariance pass: the reference for
+    ``covsign.AssertedFacts.admits``, which reads both off one covariance per pair."""
+    return all(conditional_independent(dist, x, y) for x, y in asserted.independent) and all(
+        fact.holds(conditional_covariance(dist, x, y)) for (x, y), fact in asserted.cov.items()
+    )
+
+
+def reference_q_independent(g: Dag, q) -> bool:
+    """No directed path and no shared ancestor between two members of ``q``:
+    the reference for the ``q_mutually_independent`` transfer premise."""
+    return not any(
+        a in g.ancestors(b) or b in g.ancestors(a) or g.ancestors(a) & g.ancestors(b)
+        for a, b in combinations(q, 2)
+    )
 
 
 def random_fraction(rng: random.Random, max_den: int = 8) -> Fraction:
@@ -699,7 +720,7 @@ def case_instances(rule: str, count: int, seed: int):
     Each yielded pair is (scm, facts); the joint distribution is guaranteed
     to put positive mass on both strata of D.
     """
-    from suffcause import conditional_covariance, joint_distribution
+    from suffcause import joint_distribution
     from suffcause.oracle import ConditioningError
 
     rng = random.Random(seed)

@@ -546,6 +546,16 @@ class TestCountValidation:
         code, out, err = run(capsys, "oracle-check", fixture("coaggregation_null"), *self.ARGS, flag, value)
         assert (code, out, err) == (2, "", message)
 
+    @pytest.mark.parametrize("command", ["covsign", "oracle-check"])
+    @pytest.mark.parametrize("source,args", [
+        ("coaggregation_null", ARGS),  # premise-only
+        ("redundancy_extra", ("--d", "Q", "--f", "A", "--g", "F")),  # fully specified
+    ])
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_budget_below_1_exits_2_before_any_work(self, capsys, command, source, args, value):
+        code, out, err = run(capsys, command, fixture(source), *args, "--budget", value)
+        assert (code, out, err) == (2, "", f"error: budget must be at least 1, got {value}\n")
+
     def test_generator_constraints_reject_bad_ranges(self):
         from suffcause import InstanceConstraints
         with pytest.raises(ValueError, match="max_weight"):

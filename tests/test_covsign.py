@@ -11,6 +11,7 @@ import pytest
 
 from suffcause import (
     Dag,
+    InstanceConstraints,
     RepFacts,
     ResponseTable,
     Scm,
@@ -33,6 +34,7 @@ from suffcause import (
 )
 from suffcause import covsign, oracle
 from suffcause.causes import CoCauseKind, canonical_representation
+from suffcause.modelfile import Assertion
 from suffcause.covsign import FACT_FIELDS, CovQuantity, Flag, Outcome, _PAIR_RULES, _table_slots
 from suffcause.scm import dedupe_states
 from suffcause.signs import Relation, directional_effect_holds
@@ -51,6 +53,9 @@ from support import (
     fixture,
     grid_models,
     grid_target_tables,
+    random_dag,
+    reference_admits,
+    reference_q_independent,
     reference_table_slots,
 )
 
@@ -257,6 +262,13 @@ class TestGridAudit:
         _, violations = self.audit(cases[(False, False)])
         assert violations
         assert {key for key, _ in violations} == {"Cov(E1,E2 | D=0) <=0 [lone_cause_absent_d0]"}
+
+    @pytest.mark.parametrize("negative", [(False, False), (True, False), (False, True), (True, True)])
+    def test_e_indep_is_the_pair_independence(self, cases, negative):
+        # binary parents are independent exactly when their covariance is 0
+        verdicts = [(f.e_indep, oracle.conditional_independent(dist, "E1", "E2")) for dist, f in cases[negative]]
+        assert all(got == want for got, want in verdicts)
+        assert {got for got, _ in verdicts} == {True, False}
 
 
 class TestFactsFromScm:
@@ -753,15 +765,6 @@ class TestTransferAgainstOracle:
 class TestAssertionReader:
     PAIR = "node E1\nnode E2\nnode D\nedge E1 D +\nedge E2 D +\n"
 
-    @staticmethod
-    def instance(d_row: int) -> Scm:
-        g = Dag(["E1", "E2", "D"], [("E1", "D"), ("E2", "D")])
-        return Scm(g, {
-            "E1": ResponseTable.bernoulli("E1", half),
-            "E2": ResponseTable.bernoulli("E2", half),
-            "D": ResponseTable("D", ("E1", "E2"), (d_row,), (Fraction(1),)),
-        })
-
     def test_reversed_pair_flag_lands_in_swapped_slot(self):
         model = parse_model(self.PAIR + "assert rep-flag D E2 E1 a1 one\n")
         asserted = read_assertions(model.assertions, "D", "E1", "E2")
@@ -771,8 +774,7 @@ class TestAssertionReader:
         assert facts.source("a2") == "assertion"
         # D = E2 has a2 = one; D = E1 has a1 = one and a2 = zero
         for row, admitted in ((0b1100, True), (0b1010, False)):
-            m = self.instance(row)
-            assert asserted.admits_table(m.tables["D"]) is admitted
+            assert asserted.admits_rows((row,)) is admitted
 
     def test_other_targets_and_pairs_are_left_out_of_the_slots(self):
         model = parse_model(
@@ -791,6 +793,76 @@ class TestAssertionReader:
         asserted = read_assertions(model.assertions, "D", "E1", "E2")
         assert asserted.cov_of("E1", "E2") is Relation.EQ0
         assert covsign_analysis(model, "D").facts.e_cov is Relation.EQ0
+
+
+class TestEachQuestionOnce:
+    """The questions covsign asks once agree with the forms that asked them
+    twice, kept as references in ``support``."""
+
+    @pytest.mark.parametrize("negative", [(False, False), (True, False), (False, True), (True, True)])
+    def test_e_indep_is_the_pair_independence_on_seeded_models(self, negative):
+        signs = {("E1", "D"): "-" if negative[0] else "+", ("E2", "D"): "-" if negative[1] else "+"}
+        g = Dag(["C", "E1", "E2", "D"], [("C", "E1"), ("C", "E2"), ("E1", "E2"), ("E1", "D"), ("E2", "D")], signs)
+        plan = oracle.draw_plan(g)
+        seen = Counter()
+        for seed in range(200):
+            scm = oracle.random_instance(plan, seed)
+            dist = joint_distribution(scm)
+            e_indep = facts_from_scm(scm, "D", "E1", "E2", negative, dist).e_indep
+            assert e_indep == oracle.conditional_independent(dist, "E1", "E2"), seed
+            seen[e_indep] += 1
+        assert seen[True] and seen[False]
+
+    def test_admits_is_the_two_pass_form_on_seeded_joints(self):
+        rng = random.Random(2028)
+        seen = Counter()
+        for seed in range(300):
+            g = random_dag(rng, rng.randint(2, 5), 0.45)
+            dist = joint_distribution(oracle.random_instance(oracle.draw_plan(g, InstanceConstraints(states=(1, 2))), seed))
+            names = list(g.nodes)
+            assertions = []
+            for _ in range(rng.randint(1, 3)):
+                x, y = rng.choice(names), rng.choice(names)
+                if rng.random() < 0.5:
+                    assertions.append(Assertion("independent", (x, y)))
+                else:
+                    assertions.append(Assertion("cov-sign", (x, y, rng.choice(("<=0", ">=0", "=0")))))
+                if rng.random() < 0.3:  # the same pair asserted the other way round
+                    kind, (x, y, *rest) = assertions[-1].kind, assertions[-1].args
+                    assertions.append(Assertion(kind, (y, x, *rest)))
+            if seed % 5 == 0:
+                assertions.append(Assertion("independent", (names[0], names[0])))
+            asserted = read_assertions(assertions, "D", "E1", "E2")
+            verdict = asserted.admits(dist)
+            assert verdict == reference_admits(asserted, dist), (g.edges, assertions)
+            seen[verdict] += 1
+        assert seen[True] > 30 and seen[False] > 30
+
+    def test_q_mutually_independent_is_the_ancestor_test_on_seeded_dags(self):
+        rng = random.Random(2029)
+        seen = Counter()
+        for _ in range(300):
+            g = random_dag(rng, rng.randint(4, 8), 0.3)
+            q = rng.sample(g.nodes, rng.randint(2, 4))
+            # the parent pair and its proxies, apart from the random part
+            full = Dag(
+                [*g.nodes, "E1", "E2", "D", "F", "G"],
+                [*g.edges, ("E1", "D"), ("E2", "D"), ("E1", "F"), ("E2", "G")],
+            )
+            premises = check_transfer_premises_shared(full, "F", "G", "E1", "E2", "D", q)
+            holds = {c.name: c.holds for c in premises.checks}["q_mutually_independent"]
+            assert holds == reference_q_independent(full, q), (g.edges, q)
+            seen[holds] += 1
+        assert seen[True] > 30 and seen[False] > 30
+
+    def test_covsign_asks_no_independence_query(self, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("covsign asked oracle.conditional_independent")
+
+        monkeypatch.setattr(oracle, "conditional_independent", refused)
+        assert covsign_analysis(load_model(fixture("redundancy_extra")), "Q").facts.sources["e_indep"] == "oracle"
+        check = oracle_check(parse_model(TestIndependenceClosesCovariance.MODEL), "D", instances=5)
+        assert check.ok and check.accepted == 5
 
 
 def _premise_variant(assertion: str, e2_sign: str) -> str:
@@ -872,6 +944,35 @@ class TestOracleCheckDraws:
         check = oracle_check(model, "D", "F", "G", instances=5, seed=100)
         assert sum(self.split(check)) == check.drawn
         assert check.count(Outcome.ASSERTION_MISMATCH) > 0
+
+    @staticmethod
+    def count_reads(monkeypatch) -> Counter:
+        """Count the plan's filter calls, the target slot read-offs and the row-mass tallies."""
+        calls = Counter()
+
+        def counting(name, fn):
+            def counted(*args):
+                calls[name] += 1
+                return fn(*args)
+            return counted
+
+        monkeypatch.setattr(covsign, "_table_slots", counting("slots", covsign._table_slots))
+        monkeypatch.setattr(covsign, "_row_mass", counting("mass", covsign._row_mass))
+        monkeypatch.setattr(covsign.AssertedFacts, "admits_rows", counting("filter", covsign.AssertedFacts.admits_rows))
+        return calls
+
+    def test_slots_are_read_past_the_filter_only_for_a_cocause_assertion(self, monkeypatch):
+        calls = self.count_reads(monkeypatch)
+        oracle_check(load_model(fixture("coaggregation_null")), "P1", "B1", "P2", instances=20, seed=7)
+        # the filter reads each distinct row tuple's slots once, and nothing else does
+        assert calls["filter"] > 0 and calls["slots"] == calls["filter"] and calls["mass"] == 0
+        calls.clear()
+        model = parse_model(
+            _premise_variant("no-synergism D E1 E2", "+") + "assert cocause-independent D E1 E2 a0 a1\n"
+        )
+        check = oracle_check(model, "D", "F", "G", instances=5, seed=100)
+        reached = check.drawn - check.count(Outcome.GENERATION_ERROR)
+        assert calls["slots"] - calls["filter"] == calls["mass"] == reached > 0
 
     def test_fully_specified_model_is_one_accepted_draw(self):
         model = parse_model(
