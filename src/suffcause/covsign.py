@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from fractions import Fraction
 from functools import reduce
 from itertools import combinations, product
 from typing import Iterable, Mapping, Sequence
@@ -802,7 +803,9 @@ def _never_takes(table: ResponseTable, value: int) -> bool:
 
 
 def _verdicts(dist: ExactDistribution, claims: Mapping[str, SignConclusion]) -> dict[str, bool]:
-    return {key: oracle.verify_claim(dist, claim) for key, claim in claims.items()}
+    """Each claim's verdict on ``dist``, computing each distinct covariance once."""
+    known: dict[CovQuantity, Fraction] = {}
+    return {key: oracle.verify_claim(dist, claim, known) for key, claim in claims.items()}
 
 
 def _end_draw(

@@ -25,7 +25,9 @@ from itertools import combinations
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 
 from .graph import Dag, _as_names
-from .scm import ExactDistribution, ResponseTable, Scm, _monotone_close, _monotone_step, _parent_mask, _row_key
+from .scm import (
+    ExactDistribution, ResponseTable, Scm, _monotone_close, _monotone_step, _parent_mask, _row_key, _stratum_key
+)
 from .signs import Relation
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -47,22 +49,26 @@ class GenerationError(RuntimeError):
 def conditional_covariance(
     dist: ExactDistribution, x: str, y: str, given: Mapping[str, int] | None = None
 ) -> Fraction:
-    """Exact Cov(x, y | given): E[xy] - E[x]E[y] on the restricted support.
+    """Exact Cov(x, y | given): E[xy] - E[x]E[y] on the rows that match ``given``.
 
     With integer weight sums M, Sx, Sy and Sxy over the matching rows this
-    is (Sxy M - Sx Sy) / M^2, in which the distribution's scale cancels.
+    is (Sxy M - Sx Sy) / M^2, in which the distribution's scale cancels. The
+    rows are read once, each matched against ``given`` as it is read.
     """
-    sub = dist.restrict(given or {})
-    ix, iy = sub.column(x), sub.column(y)
+    given = given or {}
+    key, want = _stratum_key(dist, given)
+    ix, iy = dist.column(x), dist.column(y)
     m = sx = sy = sxy = 0
-    for vals, w in sub.rows:
+    for vals, w in dist.rows:
+        if given and key(vals) != want:
+            continue
         a, b = vals[ix], vals[iy]
         m += w
         sx += a * w
         sy += b * w
         sxy += a * b * w
     if m == 0:
-        raise ConditioningError(f"conditioning event {dict(given or {})} has probability 0")
+        raise ConditioningError(f"conditioning event {dict(given)} has probability 0")
     return Fraction(sxy * m - sx * sy, m * m)
 
 
@@ -113,23 +119,33 @@ def conditional_independent(
     return True
 
 
-def _quantity_covariance(dist: ExactDistribution, q: "CovQuantity") -> Fraction:
-    return conditional_covariance(dist, q.x, q.y, {**dict(q.extra), q.given: q.stratum})
+def _quantity_covariance(dist: ExactDistribution, q: "CovQuantity", known: dict) -> Fraction:
+    cov = known.get(q)
+    if cov is None:
+        cov = known[q] = conditional_covariance(dist, q.x, q.y, {**dict(q.extra), q.given: q.stratum})
+    return cov
 
 
-def verify_claim(dist: ExactDistribution, claim: "SignConclusion") -> bool:
+def verify_claim(
+    dist: ExactDistribution, claim: "SignConclusion", known: "dict[CovQuantity, Fraction] | None" = None
+) -> bool:
     """Exact check of one covariance-sign conclusion against a distribution.
 
     Sign-equality claims hold in the transfer sense: the outer covariance is
     a nonnegative multiple of the inner one, so a strictly signed inner
     forces the weak inequality and an exactly-zero inner forces exact zero.
+    ``known`` maps quantities to their covariances on ``dist``; the call
+    reads it first and adds what it computes, so claims checked on one
+    distribution with one ``known`` compute each distinct quantity once.
     """
-    cov = _quantity_covariance(dist, claim.quantity)
+    if known is None:
+        known = {}
+    cov = _quantity_covariance(dist, claim.quantity, known)
     relation = claim.relation
     if relation is Relation.SIGN_EQUALS:
         if claim.other is None:
             raise ValueError("sign-equality claim without a reference quantity")
-        relation = Relation.of_value(_quantity_covariance(dist, claim.other))
+        relation = Relation.of_value(_quantity_covariance(dist, claim.other, known))
     return relation.holds(cov)
 
 

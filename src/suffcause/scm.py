@@ -9,16 +9,17 @@ declaration order.
 
 The exact joint is built by forward propagation over node values: each
 support row splits into its children for the next node in topological
-order. Every table holds its probabilities as integer weights over their
-least common denominator, so masses are Python ints on one common scale.
-All probability is exact; floats are never used on this path.
+order. A table is its integer weights over ``scale``, the least common
+denominator of its probabilities; the probabilities themselves are derived
+(``probs``) only when read. Masses are Python ints on one common scale. All
+probability is exact; floats are never used on this path.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 from math import gcd, lcm
 from operator import itemgetter
@@ -89,33 +90,35 @@ def _check_weights(node: str, n_parents: int, rows: Sequence[int], weights: Sequ
         raise ValueError(f"{node}: state probabilities sum to {Fraction(sum(weights), scale)}, not 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class ResponseTable:
     """One node's structural equation over canonical response states.
 
-    ``probs`` are validated once, in integers: ``scale`` is the least common
-    denominator of the probabilities and ``weights`` holds each state's
-    probability times ``scale``, so a state's probability is
-    ``Fraction(weights[j], scale)`` and the weights sum to ``scale``.
+    A table is its integer weights: state ``j`` has probability
+    ``Fraction(weights[j], scale)``, where ``scale`` is the least common
+    denominator of the probabilities and the weights sum to it, so equal
+    probabilities give equal weights and scale. The constructor takes the
+    probabilities as ``Fraction``s and validates them once, in integers;
     ``from_weights`` builds the same table from integer weights directly.
+    ``probs`` is derived from the weights when it is first read.
     """
 
     node: str
     parents: tuple[str, ...]
     rows: tuple[int, ...]
-    probs: tuple[Fraction, ...]
-    weights: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    scale: int = field(init=False, repr=False, compare=False)
+    weights: tuple[int, ...]
+    scale: int
 
-    def __post_init__(self):
-        for p in self.probs:
+    def __init__(self, node: str, parents: Sequence[str], rows: Sequence[int], probs: Sequence[Fraction]):
+        parents, rows, probs = tuple(parents), tuple(rows), tuple(probs)
+        for p in probs:
             if not isinstance(p, Fraction):
-                raise ValueError(f"{self.node}: probabilities must be Fractions, got {p!r}")
-        scale = lcm(*(p.denominator for p in self.probs))
-        weights = tuple(p.numerator * (scale // p.denominator) for p in self.probs)
-        _check_weights(self.node, self.n_parents, self.rows, weights, scale)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "scale", scale)
+                raise ValueError(f"{node}: probabilities must be Fractions, got {p!r}")
+        scale = lcm(*(p.denominator for p in probs))
+        weights = tuple(p.numerator * (scale // p.denominator) for p in probs)
+        _check_weights(node, len(parents), rows, weights, scale)
+        # the instance is frozen: fill its fields directly
+        vars(self).update(node=node, parents=parents, rows=rows, weights=weights, scale=scale)
 
     @classmethod
     def from_weights(
@@ -134,12 +137,20 @@ class ResponseTable:
         weights = tuple(w // common for w in weights)
         scale = sum(weights)
         table = object.__new__(cls)
-        # the instance is frozen: fill its fields as the generated __init__ would, without re-checking
-        vars(table).update(
-            node=node, parents=parents, rows=rows, probs=tuple(Fraction(w, scale) for w in weights),
-            weights=weights, scale=scale,
-        )
+        # fill the frozen fields without re-checking
+        vars(table).update(node=node, parents=parents, rows=rows, weights=weights, scale=scale)
         return table
+
+    @cached_property
+    def probs(self) -> tuple[Fraction, ...]:
+        """Each state's probability, ``Fraction(weights[j], scale)``."""
+        return tuple(Fraction(w, self.scale) for w in self.weights)
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__qualname__}(node={self.node!r}, parents={self.parents!r}, "
+            f"rows={self.rows!r}, probs={self.probs!r})"
+        )
 
     @property
     def n_parents(self) -> int:
@@ -277,8 +288,7 @@ class ExactDistribution:
         """Sub-distribution matching ``assignment`` (mass is not renormalized)."""
         if not assignment:
             return self
-        key = _row_key([self.column(k) for k in assignment])
-        want = _row_key(range(len(assignment)))(tuple(assignment.values()))
+        key, want = _stratum_key(self, assignment)
         kept = [(vals, w) for vals, w in self.rows if key(vals) == want]
         return ExactDistribution(self.columns, kept, self.scale)
 
@@ -304,7 +314,7 @@ def joint_distribution(model: Scm, budget: int = DEFAULT_WORLD_BUDGET) -> ExactD
 
     Columns are the nodes in declaration order. Before each node's split,
     the current row count times the node's largest number of children per
-    row (its positive-probability states, at most 2) must stay within
+    row (1 when one state holds all of its weight, else 2) must stay within
     ``budget``, so the rows are bounded before they are built.
     """
     nodes = model.graph.nodes
@@ -313,30 +323,27 @@ def joint_distribution(model: Scm, budget: int = DEFAULT_WORLD_BUDGET) -> ExactD
     scale = 1
     for n in model.graph.topological():
         t = model.tables[n]
-        weighted = list(zip(t.rows, t.weights))
         scale *= t.scale
-        fanout = min(sum(1 for w in t.weights if w), 2)
+        # nonnegative weights summing to scale leave one child exactly when one state holds them all
+        fanout = 1 if t.scale in t.weights else 2
         if len(rows) * fanout > budget:
             raise BudgetExceededError(
                 f"{len(rows) * fanout} joint rows at node {n} exceed the budget of {budget}"
             )
-        parent_values = _row_key([position[p] for p in t.parents])
-        position[n] = len(rows[0][0])
-        # a row's children, keyed by its parent values as parent_values reads them
-        children = {}
-        for c, key in enumerate(_config_keys(t.n_parents)):
-            one = sum(w for r, w in weighted if (r >> c) & 1)
-            if not one:
-                children[key] = [((0,), t.scale)]
-            elif one == t.scale:
-                children[key] = [((1,), one)]
-            else:
-                children[key] = [((0,), t.scale - one), ((1,), one)]
-        rows = [
-            (vals + v, weight * w)
-            for vals, weight in rows
-            for v, w in children[parent_values(vals)]
-        ]
+        position[n] = len(position)
+        children = _children(t)
+        if t.parents:
+            # a row's children, keyed by its parent values as parent_values reads them
+            parent_values = _row_key([position[p] for p in t.parents])
+            by_key = dict(zip(_config_keys(t.n_parents), children))
+            rows = [
+                (vals + v, weight * w)
+                for vals, weight in rows
+                for v, w in by_key[parent_values(vals)]
+            ]
+        else:
+            (kids,) = children
+            rows = [(vals + v, weight * w) for vals, weight in rows for v, w in kids]
 
     order = [position[n] for n in nodes]
     if order != list(range(len(order))):
@@ -345,9 +352,34 @@ def joint_distribution(model: Scm, budget: int = DEFAULT_WORLD_BUDGET) -> ExactD
     return ExactDistribution(nodes, rows, scale)
 
 
+def _children(t: ResponseTable) -> list[tuple[tuple[tuple[int], int], ...]]:
+    """Per parent configuration, the node's values with positive weight and
+    their summed integer weights over ``t.scale``."""
+    scale, weighted = t.scale, list(zip(t.rows, t.weights))
+    out = []
+    for c in range(t.n_configs):
+        one = 0
+        for r, w in weighted:
+            if (r >> c) & 1:
+                one += w
+        if not one:
+            out.append((((0,), scale),))
+        elif one == scale:
+            out.append((((1,), one),))
+        else:
+            out.append((((0,), scale - one), ((1,), one)))
+    return out
+
+
 def _row_key(indices: Sequence[int]) -> Callable[[Sequence[int]], object]:
     """Row -> hashable key of its values at ``indices``; equal keys iff equal values."""
     return itemgetter(*indices) if indices else (lambda vals: ())
+
+
+def _stratum_key(dist: ExactDistribution, assignment: Mapping[str, int]) -> tuple[Callable, object]:
+    """``(key, want)``: a row of ``dist`` matches ``assignment`` exactly when ``key(vals) == want``."""
+    key = _row_key([dist.column(k) for k in assignment])
+    return key, _row_key(range(len(assignment)))(tuple(assignment.values()))
 
 
 @lru_cache(maxsize=64)

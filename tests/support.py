@@ -17,6 +17,7 @@ from typing import Callable
 from suffcause import (
     CoCause,
     CoCauseKind,
+    ConditioningError,
     Conjunction,
     Dag,
     ExactDistribution,
@@ -521,6 +522,22 @@ def reference_restrict(dist: ExactDistribution, assignment) -> ExactDistribution
     idx = [(dist.column(k), v) for k, v in assignment.items()]
     kept = [(vals, w) for vals, w in dist.rows if all(vals[i] == v for i, v in idx)]
     return ExactDistribution(dist.columns, kept, dist.scale)
+
+
+def reference_restricted_covariance(dist: ExactDistribution, x: str, y: str, given=None) -> Fraction:
+    """Cov(x, y | given) summed over a ``reference_restrict`` copy: the
+    reference for the single-pass ``oracle.conditional_covariance``."""
+    sub = reference_restrict(dist, given or {})
+    ix, iy = sub.column(x), sub.column(y)
+    m = sx = sy = sxy = 0
+    for vals, w in sub.rows:
+        m += w
+        sx += vals[ix] * w
+        sy += vals[iy] * w
+        sxy += vals[ix] * vals[iy] * w
+    if m == 0:
+        raise ConditioningError(f"conditioning event {dict(given or {})} has probability 0")
+    return Fraction(sxy * m - sx * sy, m * m)
 
 
 def reference_tally_independent(dist: ExactDistribution, x, y, z=(), stratum=None) -> bool:

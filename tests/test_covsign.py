@@ -1010,6 +1010,48 @@ class TestOracleCheckDraws:
         assert len(calls) == 1 and check.count(Outcome.GENERATION_ERROR) > 1
         assert check.accepted == 5 and check.draws[-1].outcome is Outcome.ACCEPTED
 
+    @pytest.mark.parametrize("model, args, asked", [
+        # the flagship: two claims on two quantities, one sign equality in provenance only
+        (lambda: load_model(fixture("coaggregation_null")), ("P1", "B1", "P2"), 2),
+        # a sign equality whose other quantity another claim asks for too
+        (lambda: parse_model(_premise_variant("no-synergism D E1 E2", "-")), ("D", "F", "G"), 4),
+    ])
+    def test_each_distinct_covariance_is_computed_once_per_accepted_draw(self, monkeypatch, model, args, asked):
+        # count the covariances that the claim verdicts compute, draw by draw
+        per_draw: list[int] = []
+        verifying: list[bool] = []
+        draw, verify, covariance = oracle.random_instance, oracle.verify_claim, oracle.conditional_covariance
+
+        def drawn(*a):
+            per_draw.append(0)
+            return draw(*a)
+
+        def verified(*a):
+            verifying.append(True)
+            try:
+                return verify(*a)
+            finally:
+                verifying.pop()
+
+        def counted(*a):
+            if verifying:
+                per_draw[-1] += 1
+            return covariance(*a)
+
+        monkeypatch.setattr(oracle, "random_instance", drawn)
+        monkeypatch.setattr(oracle, "verify_claim", verified)
+        monkeypatch.setattr(oracle, "conditional_covariance", counted)
+        check = oracle_check(model(), *args, instances=20, seed=7)
+        claims = {c.key(): c for c in check.analysis.conclusions}.values()
+        # what the claims ask, one by one: a sign equality asks for its other quantity too
+        quantities = [
+            q for c in claims for q in ((c.quantity, c.other) if c.relation is Relation.SIGN_EQUALS else (c.quantity,))
+        ]
+        assert len(quantities) == asked and len(set(quantities)) == 2
+        accepted = [n for record, n in zip(check.draws, per_draw) if record.outcome is Outcome.ACCEPTED]
+        assert len(per_draw) == check.drawn and len(accepted) == check.accepted == 20
+        assert set(accepted) == {2}
+
     def test_a_claim_two_rules_derive_is_checked_once_per_draw(self, monkeypatch):
         # no_background and lone_cause_absent both fire, and both transfer
         # the same sign equality to the proxies
@@ -1017,7 +1059,7 @@ class TestOracleCheckDraws:
             _premise_variant("rep-flag D E1 E2 a0 zero", "+")
             + "assert rep-flag D E1 E2 a1 zero\nassert rep-flag D E1 E2 a2 zero\n"
         )
-        monkeypatch.setattr(oracle, "verify_claim", lambda dist, claim: False)
+        monkeypatch.setattr(oracle, "verify_claim", lambda dist, claim, known=None: False)
         for check in (
             oracle_check(drawn, "D", "F", "G", instances=3, seed=5),
             oracle_check(load_model(fixture("redundancy_extra")), "Q", "A", "F"),

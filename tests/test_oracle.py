@@ -49,6 +49,7 @@ from support import (
     reference_monotone_close,
     reference_random_instance,
     reference_restrict,
+    reference_restricted_covariance,
     reference_row_direction_holds,
     reference_tally_independent,
     value_marginal,
@@ -274,6 +275,26 @@ class TestQueriesMatchReferences:
                         conditional_covariance(dist, x, y, given)
                 else:
                     assert conditional_covariance(dist, x, y, given) == conditional_covariance(ref, x, y)
+
+    def test_single_pass_covariance_matches_the_restricted_form(self):
+        outcomes = Counter()
+        for rng, nodes, dist in self._cases(2305, 60):
+            for k in (0, 1, 2):
+                x, y = rng.choice(nodes), rng.choice(nodes)
+                given = self._assignment(rng, nodes, k)
+                if k and rng.random() < 0.1:
+                    given[rng.choice(list(given))] = 2  # a value no row takes
+                try:
+                    want = reference_restricted_covariance(dist, x, y, given)
+                except ConditioningError as e:
+                    with pytest.raises(ConditioningError) as got:
+                        conditional_covariance(dist, x, y, given)
+                    assert str(got.value) == str(e)
+                    outcomes["empty", k] += 1
+                else:
+                    assert conditional_covariance(dist, x, y, given) == want
+                    outcomes["kept", k] += 1
+        assert {("kept", 0), ("kept", 1), ("kept", 2), ("empty", 1), ("empty", 2)} <= set(outcomes), outcomes
 
     def test_independence_matches_the_three_getter_tally(self):
         verdicts = Counter()

@@ -1,5 +1,6 @@
 """Response tables, exact joint distributions, and substitution."""
 
+import dataclasses
 import random
 from fractions import Fraction
 from math import lcm
@@ -101,7 +102,7 @@ class TestIntegerWeights:
         total = sum(weights)
         want = ResponseTable("D", parents, rows, tuple(Fraction(w, total) for w in weights))
         got = ResponseTable.from_weights("D", parents, rows, weights)
-        assert got == want
+        assert got == want and hash(got) == hash(want)
         assert (got.weights, got.scale, got.probs) == (want.weights, want.scale, want.probs)
         assert all(type(p) is Fraction for p in got.probs) and repr(got) == repr(want)
 
@@ -167,6 +168,39 @@ class TestIntegerWeights:
             m = Scm(g, {n: _random_table(rng, n, g.parents(n)) for n in g.nodes})
             dist = joint_distribution(m)
             assert dist.marginal(g.nodes) == value_marginal(m, enumerate_joint(m))
+
+
+class TestTableIsItsWeights:
+    """A table's fields are its integer weights; its probabilities are derived when read."""
+
+    def test_fields_are_the_weights_and_probs_is_derived(self):
+        t = ResponseTable("D", ("E",), (1, 2), (Fraction(1, 3), Fraction(2, 3)))
+        assert [f.name for f in dataclasses.fields(t)] == ["node", "parents", "rows", "weights", "scale"]
+        assert "probs" not in vars(t)
+        unread = ResponseTable.from_weights("D", ("E",), (1, 2), (2, 4))
+        assert t.probs == (Fraction(1, 3), Fraction(2, 3)) and vars(t)["probs"] is t.probs
+        # a cached read changes neither equality nor the hash
+        assert t == unread and hash(t) == hash(unread) and "probs" not in vars(unread)
+
+    def test_list_arguments_give_the_tuple_table(self):
+        listed = ResponseTable("D", ["A"], [1, 2], [half, half])
+        tupled = ResponseTable("D", ("A",), (1, 2), (half, half))
+        assert listed == tupled == ResponseTable.from_weights("D", ["A"], [1, 2], [1, 1])
+        assert hash(listed) == hash(tupled)
+        assert (listed.parents, listed.rows, listed.probs) == (("A",), (1, 2), (half, half))
+        m = Scm(Dag(["A", "D"], [("A", "D")]), {"A": fair("A"), "D": listed})
+        assert m.tables["D"] == tupled
+
+    def test_drawn_tables_derive_probs_only_when_read(self):
+        from suffcause import draw_plan, random_instance
+        rng = random.Random(29)
+        for seed in range(60):
+            g = random_dag(rng, rng.randint(1, 6))
+            m = random_instance(draw_plan(g), seed)
+            for t in m.tables.values():
+                assert "probs" not in vars(t), (seed, t.node)
+                assert t.probs == tuple(Fraction(w, t.scale) for w in t.weights)
+                assert all(type(p) is Fraction for p in t.probs) and "probs" in vars(t)
 
 
 class TestDedupe:
@@ -244,6 +278,44 @@ class TestJointDistribution:
         dist = joint_distribution(m)
         assert sorted(vals for vals, _ in dist.rows) == [(0,) * 25, (1,) * 25]
         assert dist.mass() == 1
+
+    @pytest.mark.parametrize("table, fanout", [
+        # a zero-weight state, given as probabilities and as weights
+        (ResponseTable("Z", ("X", "Y"), (0b1000, 0b0110), (Fraction(1), Fraction(0))), 1),
+        (ResponseTable.from_weights("Z", ("X", "Y"), (0b0110, 0b1110, 0b1000), (0, 5, 0)), 1),
+        # a single state
+        (ResponseTable.deterministic("Z", ("X", "Y"), lambda a, b: a ^ b), 1),
+        # two positive states, even with one row between them
+        (ResponseTable("Z", ("X", "Y"), (0b0110, 0b0110), (half, half)), 2),
+        (ResponseTable.from_weights("Z", ("X", "Y"), (0b0110, 0b1000), (1, 3)), 2),
+    ])
+    def test_budget_boundary_by_fanout(self, table, fanout):
+        # two fair roots give Z four rows to split
+        g = Dag(["X", "Y", "Z"], [("X", "Z"), ("Y", "Z")])
+        m = Scm(g, {"X": fair("X"), "Y": fair("Y"), "Z": table})
+        need = 4 * fanout
+        assert joint_distribution(m, budget=need).mass() == 1
+        with pytest.raises(BudgetExceededError) as e:
+            joint_distribution(m, budget=need - 1)
+        # with one child per row, Y's split of two rows into four is the binding one
+        node = "Z" if fanout == 2 else "Y"
+        assert str(e.value) == f"{need} joint rows at node {node} exceed the budget of {need - 1}"
+
+    def test_a_lone_node_needs_its_positive_state_count_up_to_two(self):
+        # the reference rule: one child per positive-weight state, at most 2
+        rng = random.Random(2930)
+        for _ in range(200):
+            k = rng.randint(1, 4)
+            rows = tuple(rng.randrange(2) for _ in range(k))
+            weights = [rng.choice((0, 0, 1, 2, 5)) for _ in range(k)]
+            if not any(weights):
+                weights[rng.randrange(k)] = 1
+            m = Scm(Dag(["D"], []), {"D": ResponseTable.from_weights("D", (), rows, weights)})
+            fanout = min(sum(1 for w in weights if w), 2)
+            assert joint_distribution(m, budget=fanout).mass() == 1
+            with pytest.raises(BudgetExceededError) as e:
+                joint_distribution(m, budget=fanout - 1)
+            assert str(e.value) == f"{fanout} joint rows at node D exceed the budget of {fanout - 1}"
 
     def test_budget_refuses_before_the_rows_are_built(self):
         g = Dag([f"R{i}" for i in range(40)], [])
