@@ -265,25 +265,12 @@ class TestQueriesMatchReferences:
         assert sizes["kept"] and sizes["empty"]
 
     def test_covariances_match_on_the_filtered_rows(self):
+        # the single pass against the sums over a restricted copy, error text included
+        outcomes = Counter()
         for rng, nodes, dist in self._cases(2302, 40):
             for k in (0, 1, 2, 3):
                 x, y = rng.choice(nodes), rng.choice(nodes)
                 given = self._assignment(rng, nodes, k)
-                ref = reference_restrict(dist, given)
-                if ref.mass() == 0:
-                    with pytest.raises(ConditioningError):
-                        conditional_covariance(dist, x, y, given)
-                else:
-                    assert conditional_covariance(dist, x, y, given) == conditional_covariance(ref, x, y)
-
-    def test_single_pass_covariance_matches_the_restricted_form(self):
-        outcomes = Counter()
-        for rng, nodes, dist in self._cases(2305, 60):
-            for k in (0, 1, 2):
-                x, y = rng.choice(nodes), rng.choice(nodes)
-                given = self._assignment(rng, nodes, k)
-                if k and rng.random() < 0.1:
-                    given[rng.choice(list(given))] = 2  # a value no row takes
                 try:
                     want = reference_restricted_covariance(dist, x, y, given)
                 except ConditioningError as e:
@@ -294,7 +281,7 @@ class TestQueriesMatchReferences:
                 else:
                     assert conditional_covariance(dist, x, y, given) == want
                     outcomes["kept", k] += 1
-        assert {("kept", 0), ("kept", 1), ("kept", 2), ("empty", 1), ("empty", 2)} <= set(outcomes), outcomes
+        assert {("kept", k) for k in range(4)} | {("empty", 1), ("empty", 2)} <= set(outcomes), outcomes
 
     def test_independence_matches_the_three_getter_tally(self):
         verdicts = Counter()
