@@ -3,16 +3,17 @@
 Queries read the support rows of ``scm.joint_distribution``, whose masses
 are integer weights on one common scale: conditional covariances sum
 weights and divide once, and conditional independence cross-multiplies
-weights, so the scale cancels. Nothing is rounded and no tolerance enters
-covariances, conditional independence or claim verification. The
-generator draws each node monotone along its signed in-edges: a row that
-falls (rises) as a "+" ("-") parent turns on is never drawn, and a node's
-row filter (a predicate on the drawn row set, such as asserted
-representation flags) rejects the rows before any probability is drawn,
-so the accepted tables keep the unconstrained distribution conditioned
-on the filter. What a draw reads that does not depend on its seed is worked
-out once, in a ``DrawPlan``, and the drawn integer weights go straight into
-each table.
+weights, so the scale cancels. Each query reads every row once, matching
+its stratum as it reads (``_stratum_key``). Nothing is rounded and no
+tolerance enters covariances, conditional independence or claim
+verification. The generator draws each node monotone along its signed
+in-edges: a row that falls (rises) as a "+" ("-") parent turns on is never
+drawn, and a node's row filter (a predicate on the drawn row set, such as
+asserted representation flags) rejects the rows before any probability is
+drawn, so the accepted tables keep the unconstrained distribution
+conditioned on the filter. What a draw reads that does not depend on its
+seed, closing steps with their masks included, is worked out once, in a
+``DrawPlan``, and the drawn integer weights go straight into each table.
 """
 
 from __future__ import annotations
@@ -25,9 +26,7 @@ from itertools import combinations
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 
 from .graph import Dag, _as_names
-from .scm import (
-    ExactDistribution, ResponseTable, Scm, _monotone_close, _monotone_step, _parent_mask, _row_key, _stratum_key
-)
+from .scm import ExactDistribution, ResponseTable, Scm, _monotone_close, _monotone_step, _parent_mask, _row_key
 from .signs import Relation
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -44,6 +43,12 @@ class GenerationError(RuntimeError):
     def __init__(self, node: str, reason: str):
         super().__init__(f"{node}: {reason}")
         self.node = node
+
+
+def _stratum_key(dist: ExactDistribution, assignment: Mapping[str, int]) -> tuple[Callable, object]:
+    """``(key, want)``: a row of ``dist`` matches ``assignment`` exactly when ``key(vals) == want``."""
+    key = _row_key([dist.column(k) for k in assignment])
+    return key, _row_key(range(len(assignment)))(tuple(assignment.values()))
 
 
 def conditional_covariance(
@@ -82,21 +87,24 @@ def conditional_independent(
     """Exact factorization check of x against y given z.
 
     The check runs inside every positive-probability assignment of ``z``
-    (restricted to ``stratum`` when given); zero-probability strata are
-    skipped by construction. Inside a stratum of weight M it asks
-    W(x, y) M == W(x) W(y) of the integer cell weights for every pair of
-    values seen; both sides carry the scale squared, so it cancels.
+    among the rows that match ``stratum``, each matched as it is read;
+    zero-probability strata are skipped by construction. Inside a stratum
+    of weight M it asks W(x, y) M == W(x) W(y) of the integer cell weights
+    for every pair of values seen; both sides carry the scale squared.
     """
-    base = dist.restrict(stratum or {})
-    cz = [base.column(c) for c in z]
-    cx = [base.column(c) for c in _as_names(x)]
-    cy = [base.column(c) for c in _as_names(y)]
+    rows = dist.rows
+    if stratum:
+        match, want = _stratum_key(dist, stratum)
+        rows = (row for row in rows if match(row[0]) == want)
+    cz = [dist.column(c) for c in z]
+    cx = [dist.column(c) for c in _as_names(x)]
+    cy = [dist.column(c) for c in _as_names(y)]
     if not cx or not cy:
         return True
     # one read per row; with x and y non-empty the key is a tuple z + x + y
     key = _row_key(cz + cx + cy)
     cells: dict[tuple, int] = {}
-    for vals, w in base.rows:
+    for vals, w in rows:
         k = key(vals)
         cells[k] = cells.get(k, 0) + w
 
@@ -171,9 +179,11 @@ class InstanceConstraints:
             raise ValueError(f"max_weight must be at least 1, got {self.max_weight}")
 
 
-def _sign_steps(signs: tuple[str | None, ...]) -> tuple[tuple[int, str], ...]:
-    """The (bit, sign) monotonicity requirement of each signed parent."""
-    return tuple([(1 << i, s) for i, s in enumerate(signs) if s])
+def _sign_steps(signs: tuple[str | None, ...]) -> tuple[tuple[int, int, str], ...]:
+    """Each signed parent's monotone step as (mask, bit, sign): the parent
+    at ``bit`` and ``mask``, its ``_parent_mask`` over the configurations."""
+    n_configs = 1 << len(signs)
+    return tuple([(_parent_mask(n_configs, 1 << i), 1 << i, s) for i, s in enumerate(signs) if s])
 
 
 @lru_cache(maxsize=1024)
@@ -184,9 +194,8 @@ def _candidate_rows(signs: tuple[str | None, ...]) -> tuple[int, ...] | None:
     draw plan asks again for each of its nodes."""
     if len(signs) > 3:
         return None
-    n_configs = 1 << len(signs)
-    steps = [(_parent_mask(n_configs, b), b, s) for b, s in _sign_steps(signs)]
-    return tuple(r for r in range(1 << n_configs) if not any(_monotone_step(r, *step) for step in steps))
+    steps = _sign_steps(signs)
+    return tuple(r for r in range(1 << (1 << len(signs))) if not any(_monotone_step(r, *step) for step in steps))
 
 
 class DrawPlan:
@@ -196,11 +205,11 @@ class DrawPlan:
     maps each node, in declaration order, to (parents, candidates, closing,
     low, high, keep, verdicts): ``candidates`` are the rows to sample, or
     None over more than three parents, where each row closes random bits
-    along the (bit, sign) steps ``closing``; ``low`` and ``high`` bound the
-    number of rows (the states range, capped at the candidates' count);
-    ``keep`` is the row filter or None, and ``verdicts`` keeps its verdict
-    per drawn row tuple, so a filter is asked at most once per distinct
-    tuple of a plan and must be a pure predicate.
+    along the (mask, bit, sign) steps ``closing``, so a draw builds no mask;
+    ``low`` and ``high`` bound the number of rows (the states range, capped
+    at the candidates' count); ``keep`` is the row filter or None, and
+    ``verdicts`` keeps its verdict per drawn row tuple, so a filter is asked
+    at most once per distinct tuple of a plan and must be a pure predicate.
     """
 
     __slots__ = ("graph", "nodes", "max_weight")
@@ -255,7 +264,7 @@ def random_instance(plan: DrawPlan, seed: int) -> Scm:
                 n_configs = 1 << len(parents)
                 picked: list[int] = []
                 for _ in range(50):
-                    row = _monotone_close(getrandbits(n_configs), n_configs, closing)
+                    row = _monotone_close(getrandbits(n_configs), closing)
                     if row not in picked:
                         picked.append(row)
                     if len(picked) >= randint(low, high):

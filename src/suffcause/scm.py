@@ -12,7 +12,9 @@ support row splits into its children for the next node in topological
 order. A table is its integer weights over ``scale``, the least common
 denominator of its probabilities; the probabilities themselves are derived
 (``probs``) only when read. Masses are Python ints on one common scale. All
-probability is exact; floats are never used on this path.
+probability is exact; floats are never used on this path. One parent mask
+and one monotone step test a row's monotonicity in a parent and close it;
+a closing step carries its mask.
 """
 
 from __future__ import annotations
@@ -61,10 +63,10 @@ def _monotone_step(row: int, on: int, bit: int, sign: str) -> int:
     return moved & ~row
 
 
-def _monotone_close(row: int, n_configs: int, requirements: Sequence[tuple[int, str]]) -> int:
-    """Force row-level monotonicity by one step along each (bit, sign) requirement."""
-    for bit, sign in requirements:
-        row |= _monotone_step(row, _parent_mask(n_configs, bit), bit, sign)
+def _monotone_close(row: int, steps: Sequence[tuple[int, int, str]]) -> int:
+    """Force row-level monotonicity by one step along each (mask, bit, sign) step."""
+    for on, bit, sign in steps:
+        row |= _monotone_step(row, on, bit, sign)
     return row
 
 
@@ -131,6 +133,9 @@ class ResponseTable:
         each divided by the weights' gcd.
         """
         parents, rows, weights = tuple(parents), tuple(rows), tuple(weights)
+        for w in weights:
+            if not isinstance(w, int):
+                raise ValueError(f"{node}: weights must be ints, got {w!r}")
         # a sum below 1 comes only with zero or negative weights, which the check rejects over 1
         _check_weights(node, len(parents), rows, weights, max(sum(weights), 1))
         common = gcd(*weights)
@@ -284,14 +289,6 @@ class ExactDistribution:
     def mass(self) -> Fraction:
         return Fraction(sum(w for _, w in self.rows), self.scale)
 
-    def restrict(self, assignment: Mapping[str, int]) -> "ExactDistribution":
-        """Sub-distribution matching ``assignment`` (mass is not renormalized)."""
-        if not assignment:
-            return self
-        key, want = _stratum_key(self, assignment)
-        kept = [(vals, w) for vals, w in self.rows if key(vals) == want]
-        return ExactDistribution(self.columns, kept, self.scale)
-
     def marginal(self, columns: Sequence[str]) -> dict[tuple[int, ...], Fraction]:
         idx = [self.column(c) for c in columns]
         out: dict[tuple[int, ...], int] = {}
@@ -374,12 +371,6 @@ def _children(t: ResponseTable) -> list[tuple[tuple[tuple[int], int], ...]]:
 def _row_key(indices: Sequence[int]) -> Callable[[Sequence[int]], object]:
     """Row -> hashable key of its values at ``indices``; equal keys iff equal values."""
     return itemgetter(*indices) if indices else (lambda vals: ())
-
-
-def _stratum_key(dist: ExactDistribution, assignment: Mapping[str, int]) -> tuple[Callable, object]:
-    """``(key, want)``: a row of ``dist`` matches ``assignment`` exactly when ``key(vals) == want``."""
-    key = _row_key([dist.column(k) for k in assignment])
-    return key, _row_key(range(len(assignment)))(tuple(assignment.values()))
 
 
 @lru_cache(maxsize=64)

@@ -161,12 +161,8 @@ def monotonically_associated(g: Dag, x: str, y: str) -> Sign:
         same, opposite = sign_agreement(into_x[c], into_y[c])
         positive_ok = positive_ok and same
         negative_ok = negative_ok and opposite
-    if positive_ok and not negative_ok:
+    if positive_ok:
         return Sign.POSITIVE
-    if negative_ok and not positive_ok:
+    if negative_ok:
         return Sign.NEGATIVE
-    if positive_ok and negative_ok:
-        # Both clauses vacuous is the ZERO case above; both holding with
-        # evidence present cannot happen.
-        return Sign.ZERO
     return Sign.UNDEFINED

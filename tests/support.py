@@ -154,7 +154,7 @@ def reference_random_instance(g: Dag, constraints: InstanceConstraints, seed: in
             else:
                 picked: list[int] = []
                 for _ in range(50):
-                    row = _monotone_close(rng.getrandbits(n_configs), n_configs, closing)
+                    row = _monotone_close(rng.getrandbits(n_configs), closing)
                     if row not in picked:
                         picked.append(row)
                     if len(picked) >= rng.randint(lo, hi):
@@ -516,7 +516,8 @@ def reference_independent(model: Scm, values, x: str, y: str, z=()) -> bool:
 # -- test-only references for the exact queries ------------------------------
 
 def reference_restrict(dist: ExactDistribution, assignment) -> ExactDistribution:
-    """The per-row ``all(...)`` filter: the reference for ``ExactDistribution.restrict``."""
+    """The rows that match ``assignment``, by a per-row ``all(...)`` filter,
+    as a copy: the stratum the exact queries match as they read."""
     if not assignment:
         return dist
     idx = [(dist.column(k), v) for k, v in assignment.items()]

@@ -6,6 +6,7 @@ import json
 import os
 import random
 import re
+import shlex
 import subprocess
 import sys
 import time
@@ -40,12 +41,37 @@ from suffcause.modelfile import Model
 from support import FIXTURES, fixture, path_blocked, seeded_tables
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+README = SRC.parent / "README.md"
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+class TestReadme:
+    def test_the_command_line_examples_run_as_documented(self, capsys, monkeypatch):
+        # each `suffcause ...` line of the README's "Command line" block, from the repo root
+        section = README.read_text().split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+        commands = [shlex.split(line)[1:] for line in section.splitlines() if line.startswith("suffcause ")]
+        assert [argv[0] for argv in commands] == [
+            "canonical", "expand", "dsep", "stratum-ci", "signs", "covsign", "oracle-check"
+        ]
+        monkeypatch.chdir(README.parent)
+        outs = {}
+        for argv in commands:
+            code, outs[argv[0]], err = run(capsys, *argv)
+            assert code in (0, 1) and err == "", (argv, code, err)
+        # the flagship: derived on the null model, then checked with no violation
+        assert re.search(r"^Cov\(B1,P2 \| P1=1\) <=0 ", outs["covsign"], re.M), outs["covsign"]
+        assert re.search(r"^Cov\(B1,P2 \| P1=1\) <=0 \[.*\]: 100 checked, 0 violations$",
+                         outs["oracle-check"], re.M), outs["oracle-check"]
+        # with the familial factor restored the path opens and the rule set does not apply
+        assert "P2 <- F -> B1" in outs["dsep"]
+        code, _, err = run(capsys, "covsign", "fixtures/coaggregation_full.model",
+                           "--d", "P1", "--f", "B1", "--g", "P2")
+        assert code == 2 and "P1 has parents ['GP', 'E1', 'F']" in err, (code, err)
 
 
 class TestDsep:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from suffcause import Dag, ModelError, ResponseTable, load_model, parse_model, serialize_model
 from suffcause.modelfile import Assertion, Model
-from suffcause.scm import _monotone_close
+from suffcause.scm import _monotone_close, _parent_mask
 
 from support import FIXTURES, fixture
 
@@ -168,9 +168,10 @@ def signed_models(draw):
             continue
         parents = dag.parents(n)
         n_configs = 1 << len(parents)
-        closing = [(1 << i, signs[(p, n)]) for i, p in enumerate(parents) if (p, n) in signs]
+        closing = [(_parent_mask(n_configs, 1 << i), 1 << i, signs[(p, n)])
+                   for i, p in enumerate(parents) if (p, n) in signs]
         raw = draw(st.lists(st.integers(0, (1 << n_configs) - 1), min_size=1, max_size=4))
-        rows = tuple(_monotone_close(r, n_configs, closing) for r in raw)
+        rows = tuple(_monotone_close(r, closing) for r in raw)
         weights = draw(st.lists(st.fractions(0, 5, max_denominator=40), min_size=len(rows), max_size=len(rows)))
         if not any(weights):
             weights[0] = Fraction(1)

@@ -35,7 +35,7 @@ from suffcause import (
 from suffcause.covsign import CovQuantity, SignConclusion
 from suffcause.modelfile import Assertion
 from suffcause.oracle import _candidate_rows, admissible_row_sets
-from suffcause.scm import _monotone_close
+from suffcause.scm import _monotone_close, _parent_mask
 from suffcause.signs import Relation
 
 from support import (
@@ -48,7 +48,6 @@ from support import (
     reference_independent,
     reference_monotone_close,
     reference_random_instance,
-    reference_restrict,
     reference_restricted_covariance,
     reference_row_direction_holds,
     reference_tally_independent,
@@ -235,8 +234,9 @@ class TestMatchesWorldEnumeration:
 
 
 class TestQueriesMatchReferences:
-    """The one-key restrict and tally against the per-row filter and the
-    three-getter tally they replaced, on seeded models of 4-8 nodes."""
+    """The single-pass covariance and tally against the sums and the
+    three-getter tally over a per-row filtered copy, on seeded models of
+    4-8 nodes."""
 
     @staticmethod
     def _cases(seed, count):
@@ -250,19 +250,10 @@ class TestQueriesMatchReferences:
     def _assignment(rng, nodes, k):
         return {c: rng.randint(0, 1) for c in rng.sample(nodes, k)}
 
-    def test_restrict_matches_the_all_filter(self):
-        sizes = Counter()
-        for rng, nodes, dist in self._cases(2301, 40):
-            assert dist.restrict({}) is reference_restrict(dist, {}) is dist
-            for k in (1, 2, 3):
-                a = self._assignment(rng, nodes, k)
-                sub, ref = dist.restrict(a), reference_restrict(dist, a)
-                assert (sub.columns, sub.rows, sub.scale) == (ref.columns, ref.rows, ref.scale)
-                sizes["kept" if sub.rows else "empty"] += 1
-                # a value outside {0, 1} matches no row
-                a[rng.choice(list(a))] = rng.choice((2, -1))
-                assert dist.restrict(a).rows == reference_restrict(dist, a).rows == ()
-        assert sizes["kept"] and sizes["empty"]
+    @staticmethod
+    def _off_bits(assignment):
+        """``assignment`` with its first column set to 2 or -1: a value outside {0, 1} matches no row."""
+        return {**assignment, next(iter(assignment)): (2, -1)[len(assignment) % 2]}
 
     def test_covariances_match_on_the_filtered_rows(self):
         # the single pass against the sums over a restricted copy, error text included
@@ -281,6 +272,13 @@ class TestQueriesMatchReferences:
                 else:
                     assert conditional_covariance(dist, x, y, given) == want
                     outcomes["kept", k] += 1
+                if given:
+                    off = self._off_bits(given)
+                    with pytest.raises(ConditioningError) as ref:
+                        reference_restricted_covariance(dist, x, y, off)
+                    with pytest.raises(ConditioningError) as got:
+                        conditional_covariance(dist, x, y, off)
+                    assert str(got.value) == str(ref.value)
         assert {("kept", k) for k in range(4)} | {("empty", 1), ("empty", 2)} <= set(outcomes), outcomes
 
     def test_independence_matches_the_three_getter_tally(self):
@@ -298,6 +296,10 @@ class TestQueriesMatchReferences:
                 assert got == reference_tally_independent(dist, x, y, z, stratum)
                 verdicts[got] += 1
                 verdicts["overlap"] += bool(set(z) & set(stratum))
+                if stratum:
+                    off = self._off_bits(stratum)
+                    assert conditional_independent(dist, x, y, z, off)
+                    assert reference_tally_independent(dist, x, y, z, off)
         assert verdicts[True] and verdicts[False] and verdicts["overlap"]
 
     def test_an_unknown_column_raises_the_same_error(self):
@@ -305,13 +307,17 @@ class TestQueriesMatchReferences:
         x, y = dist.columns[:2]
         bad = {x: 1, "nope": 0}
         cases = [
-            (lambda: dist.restrict(bad), lambda: reference_restrict(dist, bad)),
             (lambda: conditional_independent(dist, x, "nope"),
              lambda: reference_tally_independent(dist, x, "nope")),
             (lambda: conditional_independent(dist, x, y, ("nope",)),
              lambda: reference_tally_independent(dist, x, y, ("nope",))),
             (lambda: conditional_independent(dist, x, y, (), bad),
              lambda: reference_tally_independent(dist, x, y, (), bad)),
+            # the stratum is read before an empty x or y answers True
+            (lambda: conditional_independent(dist, x, (), (), bad),
+             lambda: reference_tally_independent(dist, x, (), (), bad)),
+            (lambda: conditional_independent(dist, (), y, (), bad),
+             lambda: reference_tally_independent(dist, (), y, (), bad)),
         ]
         for ours, ref in cases:
             with pytest.raises(KeyError) as got:
@@ -388,8 +394,9 @@ class TestRandomInstance:
             m = rng.randint(1, 7)
             n_configs = 1 << m
             requirements = [(1 << rng.randrange(m), rng.choice("+-")) for _ in range(rng.randint(0, m + 1))]
+            steps = [(_parent_mask(n_configs, bit), bit, sign) for bit, sign in requirements]
             row = rng.getrandbits(n_configs)
-            assert _monotone_close(row, n_configs, requirements) == \
+            assert _monotone_close(row, steps) == \
                 reference_monotone_close(row, n_configs, requirements), (row, m, requirements)
 
     def test_larger_parent_sets_via_closure(self):

@@ -145,6 +145,17 @@ class TestIntegerWeights:
                 ResponseTable("D", ("E",), rows, tuple(Fraction(w, sum(weights)) for w in weights))
             assert str(e.value) == message
 
+    @pytest.mark.parametrize("weights, message", [
+        ((Fraction(1, 2), Fraction(1, 2)), "D: weights must be ints, got Fraction(1, 2)"),
+        ((1, 0.5), "D: weights must be ints, got 0.5"),
+        (("1", 1), "D: weights must be ints, got '1'"),
+    ])
+    def test_from_weights_refuses_weights_that_are_not_ints(self, weights, message):
+        # refused by type, naming the node, before any sum or gcd of the weights
+        with pytest.raises(ValueError) as e:
+            ResponseTable.from_weights("D", ("E",), (0, 1), weights)
+        assert str(e.value) == message
+
     def test_dedupe_returns_a_table_with_distinct_rows_itself(self):
         t = ResponseTable("D", ("E",), (0, 3, 2), (Fraction(1, 6), Fraction(1, 3), half))
         assert dedupe_states(t) is t

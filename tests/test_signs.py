@@ -22,7 +22,7 @@ from suffcause import (
     path_signs,
     random_instance,
 )
-from suffcause.scm import _monotone_close
+from suffcause.scm import _monotone_close, _parent_mask
 from suffcause.signs import Relation, directional_effect_holds
 
 from support import (
@@ -134,8 +134,9 @@ class TestMonotonicEffect:
             n = 1 << m
             parents = tuple(f"P{i}" for i in range(m))
             for _ in range(4):
-                required = [(1 << i, rng.choice("+-")) for i in rng.sample(range(m), rng.randint(0, m))]
-                rows = {_monotone_close(rng.getrandbits(n), n, required) for _ in range(rng.randint(1, 3))}
+                required = [(_parent_mask(n, 1 << i), 1 << i, rng.choice("+-"))
+                            for i in rng.sample(range(m), rng.randint(0, m))]
+                rows = {_monotone_close(rng.getrandbits(n), required) for _ in range(rng.randint(1, 3))}
                 if rng.random() < 0.5:
                     rows.add(rng.getrandbits(n))
                 t = ResponseTable("D", parents, tuple(rows), (Fraction(1, len(rows)),) * len(rows))
