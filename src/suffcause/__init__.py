@@ -61,7 +61,6 @@ from .oracle import (
     ConditioningError,
     DrawPlan,
     GenerationError,
-    InstanceConstraints,
     conditional_covariance,
     conditional_independent,
     draw_plan,

@@ -119,7 +119,7 @@ def _cmd_canonical(model: Model, args) -> tuple[dict, list[str], bool]:
         table = dedupe_states(model.tables[n])
         rep = canonical_representation(table)
         states = [
-            {"index": j, "prob": _frac(p), "bits": "".join(str((r >> c) & 1) for c in range(table.n_configs))}
+            {"index": j, "prob": _frac(p), "bits": format(r, f"0{table.n_configs}b")[::-1]}
             for j, (r, p) in enumerate(zip(table.rows, table.probs))
         ]
         entries.append({

@@ -43,17 +43,15 @@ class Flag(Enum):
 
 @dataclass(frozen=True)
 class CovQuantity:
-    """A conditional covariance: Cov(x, y | given=stratum, extra)."""
+    """A conditional covariance: Cov(x, y | given=stratum)."""
 
     x: str
     y: str
     given: str
     stratum: int
-    extra: tuple[tuple[str, int], ...] = ()
 
     def render(self) -> str:
-        cond = [f"{self.given}={self.stratum}"] + [f"{k}={v}" for k, v in self.extra]
-        return f"Cov({self.x},{self.y} | {','.join(cond)})"
+        return f"Cov({self.x},{self.y} | {self.given}={self.stratum})"
 
 
 @dataclass(frozen=True)
@@ -69,12 +67,6 @@ class SignConclusion:
     def key(self) -> str:
         """The claim with its rule, as oracle-check reports it."""
         return f"{self.quantity.render()} {self.relation.value} [{self.rule}]"
-
-    def render(self) -> str:
-        if self.relation is Relation.SIGN_EQUALS:
-            assert self.other is not None
-            return f"sign({self.quantity.render()}) = sign({self.other.render()})"
-        return f"{self.quantity.render()} {self.relation.value}"
 
 
 FACT_FIELDS = ("a0", "a1", "a2", "a3", "e_indep", "a1_a2_indep", "a0_a1_indep", "a0_a2_indep", "e_cov")
@@ -585,7 +577,7 @@ def transfer_sign(premises: TransferPremises, inner: SignConclusion) -> tuple[Si
         )
     if inner.relation is Relation.SIGN_EQUALS:
         raise ValueError("inner conclusion must be a resolved relation, not a sign equality")
-    outer = CovQuantity(premises.f, premises.g, premises.d, iq.stratum, iq.extra)
+    outer = CovQuantity(premises.f, premises.g, premises.d, iq.stratum)
     prem = tuple(c.name for c in premises.checks) + (f"inner:{inner.rule}:{inner.relation.value}",)
 
     if premises.rule == "proxy-direct":
@@ -859,8 +851,8 @@ def oracle_check(
     """
     if instances < 1:
         raise ValueError(f"instances must be at least 1, got {instances}")
-    # built before the analysis so that a bad max_weight fails before any work
-    constraints = oracle.InstanceConstraints(max_weight=max_weight)
+    if max_weight < 1:
+        raise ValueError(f"max_weight must be at least 1, got {max_weight}")
     analysis = covsign_analysis(model, d, f, g, q, budget)
     if not analysis.conclusions:
         raise ValueError("no conclusions to check")
@@ -871,16 +863,15 @@ def oracle_check(
 
     # a node a claim conditions on, with the value it is conditioned at
     conditioned = {
-        (n, v)
+        (quantity.given, quantity.stratum)
         for c in claims.values()
         for quantity in ((c.quantity, c.other) if c.relation is Relation.SIGN_EQUALS else (c.quantity,))
-        for n, v in ((quantity.given, quantity.stratum), *quantity.extra)
     }
     asserted = analysis.asserted
     # d's in-edges carry the pair's polarity, so the generator draws d monotone under it
     polarity = {(p, d): "-" if neg else "+" for p, neg in zip((asserted.e1, asserted.e2), asserted.negative)}
     dag = Dag(model.dag.nodes, model.dag.edges, {**model.dag.signs, **polarity})
-    plan = oracle.draw_plan(dag, replace(constraints, row_filter={d: asserted.admits_rows}))
+    plan = oracle.draw_plan(dag, row_filter={d: asserted.admits_rows}, max_weight=max_weight)
     draws: list[Draw] = []
     seen = dict.fromkeys(Outcome, 0)  # draws so far by outcome
     for instance_seed in range(seed, seed + 100 * instances):

@@ -87,12 +87,10 @@ class Dag:
 
         parents: dict[str, list[str]] = {n: [] for n in node_list}
         children: dict[str, list[str]] = {n: [] for n in node_list}
+        # edge_list is sorted, so both lists come out in declaration order
         for a, b in edge_list:
             parents[b].append(a)
             children[a].append(b)
-        for n in node_list:
-            parents[n].sort(key=index.__getitem__)
-            children[n].sort(key=index.__getitem__)
 
         # Kahn's algorithm; also the cycle check.
         degree = {n: len(parents[n]) for n in node_list}

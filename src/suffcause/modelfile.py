@@ -224,7 +224,7 @@ def parse_model(text: str) -> Model:
                 problems.append((sline, f"{node}: bit string needs {width} bits for {len(parents)} parents"))
                 ok = False
                 continue
-            rows.append(sum((1 << c) for c, ch in enumerate(bits) if ch == "1"))
+            rows.append(int(bits[::-1], 2))  # bit c of the row is character c
             probs.append(prob)
         if not ok:
             continue
@@ -284,7 +284,7 @@ def serialize_model(model: Model) -> str:
             continue
         lines.append(f"equation {n} states {t.n_states}")
         for j, (row, p) in enumerate(zip(t.rows, t.probs)):
-            bits = "".join(str((row >> c) & 1) for c in range(t.n_configs))
+            bits = format(row, f"0{t.n_configs}b")[::-1]
             lines.append(f"state {j} prob {p.numerator}/{p.denominator} bits {bits}")
     for n in model.dag.nodes:
         rep = model.representations.get(n)

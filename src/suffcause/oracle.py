@@ -11,15 +11,14 @@ in-edges: a row that falls (rises) as a "+" ("-") parent turns on is never
 drawn, and a node's row filter (a predicate on the drawn row set, such as
 asserted representation flags) rejects the rows before any probability is
 drawn, so the accepted tables keep the unconstrained distribution
-conditioned on the filter. What a draw reads that does not depend on its
-seed, closing steps with their masks included, is worked out once, in a
-``DrawPlan``, and the drawn integer weights go straight into each table.
+conditioned on the filter. A ``DrawPlan`` holds only what the seed does not
+decide, closing steps with their masks included, worked out once; the drawn
+integer weights go straight into each table.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -130,7 +129,7 @@ def conditional_independent(
 def _quantity_covariance(dist: ExactDistribution, q: "CovQuantity", known: dict) -> Fraction:
     cov = known.get(q)
     if cov is None:
-        cov = known[q] = conditional_covariance(dist, q.x, q.y, {**dict(q.extra), q.given: q.stratum})
+        cov = known[q] = conditional_covariance(dist, q.x, q.y, {q.given: q.stratum})
     return cov
 
 
@@ -157,28 +156,6 @@ def verify_claim(
     return relation.holds(cov)
 
 
-@dataclass(frozen=True)
-class InstanceConstraints:
-    """Requirements for generated models beyond the graph's signed edges.
-
-    ``row_filter`` maps a node to a pure predicate on its drawn rows
-    (distinct row values in draw order) that must hold for the table to be
-    kept, such as "this canonical term is absent"; ``states`` bounds the
-    number of rows a node draws and ``max_weight`` the integer weight of each.
-    """
-
-    row_filter: Mapping[str, Callable[[tuple[int, ...]], bool]] = field(default_factory=dict)
-    states: tuple[int, int] = (1, 3)
-    max_weight: int = 8
-
-    def __post_init__(self):
-        lo, hi = self.states
-        if not 1 <= lo <= hi:
-            raise ValueError(f"states range {self.states} needs 1 <= low <= high")
-        if self.max_weight < 1:
-            raise ValueError(f"max_weight must be at least 1, got {self.max_weight}")
-
-
 def _sign_steps(signs: tuple[str | None, ...]) -> tuple[tuple[int, int, str], ...]:
     """Each signed parent's monotone step as (mask, bit, sign): the parent
     at ``bit`` and ``mask``, its ``_parent_mask`` over the configurations."""
@@ -199,17 +176,16 @@ def _candidate_rows(signs: tuple[str | None, ...]) -> tuple[int, ...] | None:
 
 
 class DrawPlan:
-    """Everything ``random_instance`` reads that does not depend on the seed.
+    """What ``random_instance`` reads that the seed does not decide, and only that.
 
-    Build it once with ``draw_plan`` and draw from it at many seeds. ``nodes``
-    maps each node, in declaration order, to (parents, candidates, closing,
-    low, high, keep, verdicts): ``candidates`` are the rows to sample, or
-    None over more than three parents, where each row closes random bits
-    along the (mask, bit, sign) steps ``closing``, so a draw builds no mask;
-    ``low`` and ``high`` bound the number of rows (the states range, capped
-    at the candidates' count); ``keep`` is the row filter or None, and
-    ``verdicts`` keeps its verdict per drawn row tuple, so a filter is asked
-    at most once per distinct tuple of a plan and must be a pure predicate.
+    Build it once with ``draw_plan`` and draw from it at many seeds; a draw
+    writes nothing to it. ``nodes`` maps each node, in declaration order, to
+    (parents, candidates, closing, low, high, keep): ``candidates`` are the
+    rows to sample, or None over more than three parents, where each row
+    closes random bits along the (mask, bit, sign) steps ``closing``, so a
+    draw builds no mask; ``low`` and ``high`` bound the number of rows (the
+    states range, capped at the candidates' count); ``keep`` is the row
+    filter or None, asked on every drawn row set.
     """
 
     __slots__ = ("graph", "nodes", "max_weight")
@@ -218,10 +194,29 @@ class DrawPlan:
         self.graph, self.nodes, self.max_weight = graph, nodes, max_weight
 
 
-def draw_plan(g: Dag, constraints: InstanceConstraints = InstanceConstraints()) -> DrawPlan:
-    """Each node's parents, in-edge signs, candidate rows (or closing steps above
-    three parents), row-count bounds and row filter under ``constraints``."""
-    lo, hi = constraints.states
+def draw_plan(
+    g: Dag,
+    *,
+    row_filter: Mapping[str, Callable[[tuple[int, ...]], bool]] | None = None,
+    states: tuple[int, int] = (1, 3),
+    max_weight: int = 8,
+) -> DrawPlan:
+    """The plan of what a draw on ``g`` reads that the seed does not decide.
+
+    That is each node's parents, candidate rows (or closing steps above
+    three parents), row-count bounds and row filter. ``row_filter`` maps a
+    node to a pure predicate on its drawn rows (distinct row values in draw
+    order) that must hold for the table to be kept, such as "this canonical
+    term is absent"; ``states`` bounds the number of rows a node draws and
+    ``max_weight`` the integer weight of each. A bad range raises
+    ``ValueError``.
+    """
+    lo, hi = states
+    if not 1 <= lo <= hi:
+        raise ValueError(f"states range {states} needs 1 <= low <= high")
+    if max_weight < 1:
+        raise ValueError(f"max_weight must be at least 1, got {max_weight}")
+    row_filter = row_filter or {}
     nodes = {}
     for node in g.nodes:
         parents = g.parents(node)
@@ -231,8 +226,8 @@ def draw_plan(g: Dag, constraints: InstanceConstraints = InstanceConstraints()) 
             low, high = lo, hi
         else:
             low, high = min(lo, len(candidates)), min(hi, len(candidates))
-        nodes[node] = (parents, candidates, _sign_steps(signs), low, high, constraints.row_filter.get(node), {})
-    return DrawPlan(g, nodes, constraints.max_weight)
+        nodes[node] = (parents, candidates, _sign_steps(signs), low, high, row_filter.get(node))
+    return DrawPlan(g, nodes, max_weight)
 
 
 # row sets a node may draw before the generator gives up on it
@@ -256,7 +251,7 @@ def random_instance(plan: DrawPlan, seed: int) -> Scm:
     randint, sample, getrandbits = rng.randint, rng.sample, rng.getrandbits
     max_weight = plan.max_weight
     tables: dict[str, ResponseTable] = {}
-    for node, (parents, candidates, closing, low, high, keep, verdicts) in plan.nodes.items():
+    for node, (parents, candidates, closing, low, high, keep) in plan.nodes.items():
         for _ in range(_MAX_TRIES):
             if candidates is not None:
                 rows = tuple(sample(candidates, randint(low, high)))
@@ -270,12 +265,8 @@ def random_instance(plan: DrawPlan, seed: int) -> Scm:
                     if len(picked) >= randint(low, high):
                         break
                 rows = tuple(picked)
-            if keep is not None:
-                kept = verdicts.get(rows)
-                if kept is None:
-                    kept = verdicts[rows] = bool(keep(rows))
-                if not kept:
-                    continue
+            if keep is not None and not keep(rows):
+                continue
             weights = [randint(1, max_weight) for _ in rows]
             tables[node] = ResponseTable.from_weights(node, parents, rows, weights)
             break
@@ -292,7 +283,7 @@ def admissible_row_sets(plan: DrawPlan, node: str) -> list[tuple[int, ...]]:
     must be enumerable: at most three parents. Sets come by size, then in
     lexicographic order of their sorted rows.
     """
-    parents, candidates, _, low, high, keep, _ = plan.nodes[node]
+    parents, candidates, _, low, high, keep = plan.nodes[node]
     if candidates is None:
         raise ValueError(f"{node}: rows over {len(parents)} parents are drawn, not enumerated")
     keep = keep or (lambda rows: True)

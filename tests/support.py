@@ -22,7 +22,6 @@ from suffcause import (
     Dag,
     ExactDistribution,
     GenerationError,
-    InstanceConstraints,
     Literal,
     Path as GraphPath,
     ResponseTable,
@@ -129,19 +128,22 @@ def reference_monotone_close(row: int, n_configs: int, requirements) -> int:
     return row
 
 
-def reference_random_instance(g: Dag, constraints: InstanceConstraints, seed: int) -> Scm:
+def reference_random_instance(
+    g: Dag, seed: int, *, row_filter: dict | None = None, states: tuple[int, int] = (1, 3), max_weight: int = 8
+) -> Scm:
     """The generator as it was before draw plans: every call works out each
     node's signs, candidate rows and size range again, and each table goes
-    through ``Fraction(w, total)``. ``random_instance(draw_plan(g, constraints),
-    seed)`` must draw the same tables."""
+    through ``Fraction(w, total)``. ``random_instance(draw_plan(g, **kw), seed)``
+    must draw the same tables as ``reference_random_instance(g, seed, **kw)``."""
     rng = random.Random(seed)
     tables: dict[str, ResponseTable] = {}
-    lo, hi = constraints.states
+    lo, hi = states
+    row_filter = row_filter or {}
     for node in g.nodes:
         parents = g.parents(node)
         signs = tuple([g.signs.get((p, node)) for p in parents])
         candidates = _candidate_rows(signs)
-        keep = constraints.row_filter.get(node)
+        keep = row_filter.get(node)
         if candidates is not None:
             sizes = range(min(lo, len(candidates)), min(hi, len(candidates)) + 1)
         else:
@@ -162,7 +164,7 @@ def reference_random_instance(g: Dag, constraints: InstanceConstraints, seed: in
                 rows = tuple(picked)
             if keep is not None and not keep(rows):
                 continue
-            weights = [rng.randint(1, constraints.max_weight) for _ in rows]
+            weights = [rng.randint(1, max_weight) for _ in rows]
             total = sum(weights)
             tables[node] = ResponseTable(node, parents, rows, tuple(Fraction(w, total) for w in weights))
             break

@@ -418,6 +418,57 @@ class TestCovsign:
         assert "proxy-shared+no_synergy_d1" in once[1]
         assert run(capsys, *argv, "--q", "Q", "--q", "Q") == once
 
+    # F shares the cause H with E1 on unsigned edges, so only an assertion
+    # gives Cov(F, E1) >= 0
+    SHARED_WITH_E1 = (
+        "node H\nnode E1\nnode E2\nnode D\nnode F\nnode G\n"
+        "edge E1 D +\nedge E2 D +\nedge E1 F\nedge E2 G +\nedge H F\nedge H E1\n"
+        "assert no-synergism D E1 E2\n"
+    )
+
+    def test_an_asserted_proxy_covariance_opens_the_direct_transfer(self, capsys, tmp_path):
+        path = tmp_path / "proxy.model"
+        argv = ("covsign", str(path), "--d", "D", "--f", "F", "--g", "G", "--format", "json")
+        path.write_text(self.SHARED_WITH_E1 + "assert cov-sign F E1 >=0\n")
+        code, out, _ = run(capsys, *argv)
+        doc = json.loads(out)
+        direct = doc["transfer_premises"]["direct"]
+        check = next(c for c in direct["checks"] if c["name"] == "cov_f_e1_nonneg")
+        assert code == 0 and direct["satisfied"]
+        assert (check["holds"], check["source"], check["detail"]) == (True, "assertion", "asserted >=0")
+        assert [c["rule"] for c in doc["transferred_conclusions"]] == ["proxy-direct", "proxy-direct+no_synergy_d1"]
+        path.write_text(self.SHARED_WITH_E1)
+        code, out, _ = run(capsys, *argv)
+        assert code == 1
+        assert {"rule": "proxy-direct", "failed_premises": ["cov_f_e1_nonneg"]} in json.loads(out)["not_applicable"]
+
+    def test_an_inner_conclusion_with_no_direction_is_not_applicable(self, capsys, tmp_path):
+        # Q reaches F and G on unsigned edges, so neither direction is licensed
+        path = tmp_path / "unsigned_q.model"
+        path.write_text(
+            "node E1\nnode E2\nnode Q\nnode D\nnode F\nnode G\n"
+            "edge E1 D +\nedge E2 D +\nedge E1 F +\nedge E2 G +\nedge Q F\nedge Q G\n"
+            "assert no-synergism D E1 E2\n"
+        )
+        code, out, _ = run(capsys, "covsign", str(path), "--d", "D", "--f", "F", "--g", "G", "--q", "Q",
+                           "--format", "json")
+        doc = json.loads(out)
+        assert code == 1
+        assert doc["transferred_conclusions"] == []
+        assert doc["not_applicable"] == [{
+            "rule": "proxy-shared", "inner": "no_synergy_d1",
+            "reason": "no transferable direction: inner <=0 with q_same_sign=False, q_opposite_sign=False",
+        }]
+
+    def test_a_parent_without_a_monotonic_effect_is_an_error(self, capsys, tmp_path):
+        path = tmp_path / "xor.model"
+        path.write_text(
+            "node E1\nnode E2\nnode D\nedge E1 D\nedge E2 D\n"
+            "equation D states 1\nstate 0 prob 1/1 bits 0110\n"
+        )
+        code, out, err = run(capsys, "covsign", str(path), "--d", "D")
+        assert (code, out, err) == (2, "", "error: E1 has no monotonic effect on D; the rule set does not apply\n")
+
 
 PAIR_FULL = (
     "node E1\nnode E2\nnode D\nedge E1 D +\nedge E2 D +\n"
@@ -583,12 +634,13 @@ class TestCountValidation:
         assert (code, out, err) == (2, "", f"error: budget must be at least 1, got {value}\n")
 
     def test_generator_constraints_reject_bad_ranges(self):
-        from suffcause import InstanceConstraints
+        from suffcause import Dag, draw_plan
+        g = Dag(["E", "D"], [("E", "D")])
         with pytest.raises(ValueError, match="max_weight"):
-            InstanceConstraints(max_weight=0)
+            draw_plan(g, max_weight=0)
         for states in ((0, 3), (3, 2)):
             with pytest.raises(ValueError, match="states range"):
-                InstanceConstraints(states=states)
+                draw_plan(g, states=states)
 
 
 class TestInternalError:

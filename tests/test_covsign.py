@@ -11,7 +11,6 @@ import pytest
 
 from suffcause import (
     Dag,
-    InstanceConstraints,
     RepFacts,
     ResponseTable,
     Scm,
@@ -423,6 +422,13 @@ class TestTransferPremiseCheckers:
         unsigned = Dag(["E1", "D", "F"], [("E1", "D"), ("E1", "F"), ("D", "F")])
         ok, _ = expectation_monotone_premise(unsigned, "F", "E1", "D")
         assert not ok
+        assert expectation_monotone_premise(ga, "E1", "E1", "D") == (True, "identity")
+
+    def test_the_pair_must_be_parents_of_the_target(self):
+        g = load_model(fixture("transfer_chain_a")).dag
+        for check in (check_transfer_premises_direct, check_transfer_premises_shared):
+            with pytest.raises(ValueError, match="^E1 and C must be parents of D$"):
+                check(g, "F", "G", "E1", "C", "D")
 
 
 class TestTransferSign:
@@ -818,7 +824,7 @@ class TestEachQuestionOnce:
         seen = Counter()
         for seed in range(300):
             g = random_dag(rng, rng.randint(2, 5), 0.45)
-            dist = joint_distribution(oracle.random_instance(oracle.draw_plan(g, InstanceConstraints(states=(1, 2))), seed))
+            dist = joint_distribution(oracle.random_instance(oracle.draw_plan(g, states=(1, 2)), seed))
             names = list(g.nodes)
             assertions = []
             for _ in range(rng.randint(1, 3)):
@@ -1092,8 +1098,8 @@ class TestZeroMassBeforeTheJoint:
         full = {n: (1 << t.n_configs) - 1 for n, t in scm.tables.items()}
         quantities = [q for c in check.analysis.conclusions for q in (c.quantity, c.other) if q is not None]
         return [
-            (n, v) for q in quantities for n, v in ((q.given, q.stratum), *q.extra)
-            if set(scm.tables[n].rows) == {full[n] if v == 0 else 0}
+            (q.given, q.stratum) for q in quantities
+            if set(scm.tables[q.given].rows) == {full[q.given] if q.stratum == 0 else 0}
         ]
 
     def test_no_joint_is_built_for_a_forced_stratum(self, monkeypatch):

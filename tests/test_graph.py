@@ -60,6 +60,10 @@ class TestConstruction:
         g = Dag(["Z", "A", "M"], [("Z", "A"), ("A", "M")])
         assert g.nodes == ("Z", "A", "M")
         assert g.topological() == ("Z", "A", "M")
+        # edges listed against declaration order
+        h = Dag(["A", "B", "C", "D"], [("C", "D"), ("B", "D"), ("A", "D"), ("A", "C"), ("A", "B")])
+        assert h.parents("D") == ("A", "B", "C")
+        assert h.children("A") == ("B", "C", "D")
 
 
 class TestAncestry:

@@ -1,5 +1,6 @@
 """Model-file parsing, validation diagnostics, and canonical round trips."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -134,6 +135,23 @@ class TestRoundTrip:
             again = serialize_model(m)
             assert parse_model(again) == m
             assert serialize_model(parse_model(again)) == again
+
+    def test_a_wide_row_round_trips(self):
+        # 16 parents: a row of 65,536 bits, each character c the row's bit c
+        parents = [f"P{i}" for i in range(16)]
+        rng = random.Random(16)
+        bits = "".join(rng.choice("01") for _ in range(1 << 16))
+        text = (
+            "".join(f"node {p}\n" for p in parents) + "node D\n"
+            + "".join(f"edge {p} D\n" for p in parents)
+            + f"equation D states 1\nstate 0 prob 1/1 bits {bits}\n"
+        )
+        m = parse_model(text)
+        row = m.tables["D"].rows[0]
+        assert all((row >> c) & 1 == int(bits[c]) for c in range(0, 1 << 16, 997))
+        again = serialize_model(m)
+        assert f"bits {bits}\n" in again
+        assert parse_model(again) == m
 
     def test_fixtures_parse_expected_shapes(self):
         null = load_model(fixture("coaggregation_null"))

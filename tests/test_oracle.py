@@ -14,7 +14,6 @@ from suffcause import (
     ConditioningError,
     Dag,
     GenerationError,
-    InstanceConstraints,
     Literal,
     ResponseTable,
     Scm,
@@ -359,10 +358,7 @@ class TestRandomInstance:
 
     def test_forbidden_synergy_term(self):
         g = Dag(["E1", "E2", "D"], [("E1", "D"), ("E2", "D")], {("E1", "D"): "+", ("E2", "D"): "+"})
-        constraints = InstanceConstraints(
-            row_filter={"D": without_term("D", ("E1", "E2"), (Literal("E1"), Literal("E2")))},
-        )
-        plan = draw_plan(g, constraints)
+        plan = draw_plan(g, row_filter={"D": without_term("D", ("E1", "E2"), (Literal("E1"), Literal("E2")))})
         for seed in range(60):
             m = random_instance(plan, seed)
             rep = canonical_representation(dedupe_states(m.tables["D"]))
@@ -537,7 +533,7 @@ class TestRowFilter:
         flags = {s: self.reference_flags(tuple(sorted(s))) for s in row_sets}
         for name, keep, holds in self.filters():
             admissible = {s for s in row_sets if holds(flags[s])}
-            plan = draw_plan(self.GRAPH, InstanceConstraints(row_filter={"D": keep}))
+            plan = draw_plan(self.GRAPH, row_filter={"D": keep})
             enumerated = admissible_row_sets(plan, "D")
             assert {frozenset(r) for r in enumerated} == admissible, name
             counts = Counter(
@@ -558,9 +554,9 @@ class TestRowFilter:
         # the filter on D redraws only D's rows: the roots, drawn before
         # it, keep their tables, and a filter that accepts everything
         # changes nothing
-        everything = draw_plan(self.GRAPH, InstanceConstraints(row_filter={"D": lambda rows: True}))
+        everything = draw_plan(self.GRAPH, row_filter={"D": lambda rows: True})
         plain = draw_plan(self.GRAPH)
-        no_synergy = draw_plan(self.GRAPH, InstanceConstraints(row_filter={"D": NO_SYNERGY}))
+        no_synergy = draw_plan(self.GRAPH, row_filter={"D": NO_SYNERGY})
         for seed in range(50):
             base = random_instance(plain, seed).tables
             assert random_instance(everything, seed).tables == base
@@ -568,7 +564,7 @@ class TestRowFilter:
             assert (filtered["E1"], filtered["E2"]) == (base["E1"], base["E2"])
 
     def test_generation_error_names_the_node(self):
-        plan = draw_plan(self.GRAPH, InstanceConstraints(row_filter={"D": lambda rows: False}))
+        plan = draw_plan(self.GRAPH, row_filter={"D": lambda rows: False})
         with pytest.raises(GenerationError) as caught:
             random_instance(plan, 0)
         assert caught.value.node == "D"
@@ -579,11 +575,11 @@ class TestDrawPlan:
     """A draw from a plan is the per-call reference generator's draw, table for table."""
 
     @staticmethod
-    def assert_draws_match(g, constraints, seeds):
-        plan = draw_plan(g, constraints)  # one plan for every seed, as oracle-check uses it
+    def assert_draws_match(g, seeds, **kw):
+        plan = draw_plan(g, **kw)  # one plan for every seed, as oracle-check uses it
         for seed in seeds:
             try:
-                want = reference_random_instance(g, constraints, seed)
+                want = reference_random_instance(g, seed, **kw)
             except GenerationError as e:
                 with pytest.raises(GenerationError, match=str(e)):
                     random_instance(plan, seed)
@@ -600,8 +596,7 @@ class TestDrawPlan:
             g = random_dag(rng, rng.randint(1, 7))
             states = ((1, 3), (1, 2), (2, 4))[seed % 3]
             for h in (g, random_signs(signing, g)):
-                self.assert_draws_match(h, InstanceConstraints(states=states, max_weight=1 + seed % 8),
-                                        range(seed, seed + 3))
+                self.assert_draws_match(h, range(seed, seed + 3), states=states, max_weight=1 + seed % 8)
 
     def test_nodes_drawn_by_closure(self):
         rng = random.Random(4042)
@@ -609,23 +604,11 @@ class TestDrawPlan:
             parents = [f"P{i}" for i in range(n_parents)]
             g = random_signs(rng, Dag(parents + ["D"], [(p, "D") for p in parents]))
             for states in ((1, 3), (2, 2)):
-                self.assert_draws_match(g, InstanceConstraints(states=states), range(60))
+                self.assert_draws_match(g, range(60), states=states)
 
     def test_row_filters(self):
         flag = Assertion("rep-flag", ("D", "E1", "E2", "a1", "zero"))
         for keep in (NO_SYNERGY, read_assertions([flag], "D", "E1", "E2").admits_rows, lambda rows: False):
-            self.assert_draws_match(TestRowFilter.GRAPH, InstanceConstraints(row_filter={"D": keep}), range(80))
+            self.assert_draws_match(TestRowFilter.GRAPH, range(80), row_filter={"D": keep})
         g = Dag(["E1", "E2", "D"], [("E1", "D"), ("E2", "D")])
-        self.assert_draws_match(g, InstanceConstraints(row_filter={"D": lambda rows: len(rows) > 1}), range(80))
-
-    def test_a_row_filter_is_asked_once_per_row_tuple(self):
-        asked = Counter()
-
-        def keep(rows):
-            asked[rows] += 1
-            return NO_SYNERGY(rows)
-
-        plan = draw_plan(TestRowFilter.GRAPH, InstanceConstraints(row_filter={"D": keep}))
-        for seed in range(300):
-            random_instance(plan, seed)
-        assert len(asked) > 20 and set(asked.values()) == {1}
+        self.assert_draws_match(g, range(80), row_filter={"D": lambda rows: len(rows) > 1})

@@ -350,7 +350,7 @@ class TestSubstitution:
 
     def test_substitution_matches_marginal_distribution(self):
         rng = random.Random(2026)
-        from suffcause import InstanceConstraints, draw_plan, random_instance
+        from suffcause import draw_plan, random_instance
         done = 0
         seed = 0
         while done < 40:
@@ -359,7 +359,7 @@ class TestSubstitution:
             w = {n for n in g.nodes if rng.random() < 0.4}
             if not w or not can_marginalize(g, w):
                 continue
-            m = random_instance(draw_plan(g, InstanceConstraints(states=(1, 2))), seed)
+            m = random_instance(draw_plan(g, states=(1, 2)), seed)
             sub = substitute(m, w)
             assert sub.graph == marginalize(g, w)
             retained = [n for n in g.nodes if n not in w]

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from suffcause import (
     Dag,
-    InstanceConstraints,
     ResponseTable,
     Sign,
     conditional_covariance,
@@ -312,7 +311,7 @@ class TestCovarianceClaimsAgainstOracle:
             for e in g.edges:
                 signs[e] = "+" if rng.random() < 0.5 else "-"
             g = Dag(g.nodes, g.edges, signs)
-            m = random_instance(draw_plan(g, InstanceConstraints(states=(1, 3))), trials)
+            m = random_instance(draw_plan(g, states=(1, 3)), trials)
             dist = joint_distribution(m)
             for x, y in [rng.sample(list(g.nodes), 2) for _ in range(4)]:
                 claim = monotonically_associated(g, x, y)
